@@ -77,6 +77,5 @@ from .simulator import (
     TransitionSchedule,
     payment_probability,
     run_plan,
-    simulate_dependent_block,
     simulate_independent,
 )

@@ -157,7 +157,7 @@ def pilot_block_variance(
     dep = population.portfolios[portfolio_j].dependent_ids
     if not len(dep):
         raise ValueError(f"portfolio {portfolio_j} has no dependent block")
-    u = stream(seed, "pilot", portfolio_j).random((n_pilot, horizon, len(dep)))
+    g = stream(seed, "pilot", portfolio_j)
     totals = np.empty(n_pilot)
     for k in range(n_pilot):
         monthly = _simulate_block_realisation(
@@ -167,7 +167,7 @@ def pilot_block_variance(
             population.eligible[dep],
             population.paid_last_month[dep],
             schedule,
-            u[k],
+            g.random((horizon, len(dep))),  # draw block k of the pilot stream
         )
         totals[k] = monthly.sum()
     return float(totals.var(ddof=1))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocator import plan_for_population, round_plan
+from .allocator import round_plan
 from .constrained import (
     ConstrainedProblem,
     PortfolioInputs,
@@ -30,10 +30,8 @@ from .constrained import (
     problem_from_json,
     solution_to_json,
 )
-from .emulator import GpEmulator, random_design, sigma2_for_population, validate_emulator
+from .emulator import GpEmulator, random_design, validate_emulator
 from .estimators import (
-    VarianceInputs,
-    VarianceSource,
     estimate_mu,
     estimator_variance,
     prediction_interval,
@@ -42,6 +40,8 @@ from .estimators import (
 from .experiments import (
     ExperimentConfig,
     coverage_study,
+    m2_variance_inputs,
+    optimized_plan,
     protect_experiment,
     simulate_experiment,
     train_emulator_experiment,
@@ -118,15 +118,8 @@ def cmd_allocate(args) -> int:
     if emulator is None:
         raise ValueError("allocate needs --emulator for per-account variance predictions")
     pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
-    sigma2 = sigma2_for_population(emulator, pop)
-    from .experiments import _pilot_block_sigmas
-
-    sigma_block = _pilot_block_sigmas(pop, config, derive_seed(config.seed, "pilot"))
-    real = plan_for_population(pop, np.sqrt(sigma2), sigma_block, config.effective_budget)
+    real, inputs = optimized_plan(pop, config, emulator, derive_seed(config.seed, "pilot"))
     plan = round_plan(real, pop)
-    inputs = VarianceInputs(
-        sigma2_independent=sigma2, sigma2_block=sigma_block**2, source=VarianceSource.EMULATOR
-    )
     _, var_opt = estimator_variance(inputs, real, pop)
     r_eq = config.effective_budget / pop.n
     _, var_eq = estimator_variance(inputs, RealisationPlan.equal(pop.n, r_eq), pop)
@@ -176,22 +169,16 @@ def cmd_interval(args) -> int:
     config = _config_from_args(args, name="interval")
     emulator = _load_emulator(args)
     pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
-    from .experiments import _pilot_block_sigmas, build_plan
+    from .experiments import build_plan
 
-    plan, sigma_emu, sigma2_block = build_plan(pop, config, emulator, derive_seed(config.seed, "pilot"))
+    pilot_seed = derive_seed(config.seed, "pilot")
+    plan, plan_inputs = build_plan(pop, config, emulator, pilot_seed)
     output = run_plan(pop, plan, seed=derive_seed(config.seed, "estimate"), n_workers=config.threads)
     mu = estimate_mu(output, plan, pop)
     if config.interval_method == "M1":
         inputs = variance_inputs_from_samples(output, pop)
     else:
-        if emulator is None:
-            raise ValueError("method M2 needs --emulator")
-        if sigma_emu is None:
-            sigma_emu = np.sqrt(sigma2_for_population(emulator, pop))
-            sigma2_block = _pilot_block_sigmas(pop, config, derive_seed(config.seed, "pilot")) ** 2
-        inputs = VarianceInputs(
-            sigma2_independent=sigma_emu**2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR
-        )
+        inputs = m2_variance_inputs(pop, config, emulator, output, pilot_seed, plan_inputs)
     interval = prediction_interval(mu.total, inputs, plan, pop, p=config.coverage_p)
     doc = {
         "mu_total": mu.total,
@@ -315,7 +302,7 @@ def cmd_oracle_check(args) -> int:
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; explicit flags override its values")
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=None, help="simulation worker threads")
+    p.add_argument("--threads", type=int, default=None, help="simulation worker threads (accepted; chunks currently run serially)")
     p.add_argument("--out", default=None, help="output directory (default ./out)")
 
 

@@ -128,9 +128,7 @@ def _simulate_point(b_tilde, c_tilde, s, y, n_real, g):
     p0 = payment_probability(credit, s, False)
     p1 = payment_probability(credit, s, True)
     u = g.random((n_real, HORIZON))
-    totals, _ = _simulate_paths(
-        np.full(n_real, p0), np.full(n_real, p1), np.full(n_real, balance), np.full(n_real, bool(y)), u
-    )
+    totals, _ = _simulate_paths(p0, p1, balance, bool(y), u.T)
     return totals
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "MuEstimate",
     "PredictionInterval",
     "sample_moments",
+    "row_moments",
     "normal_quantile",
     "estimate_mu",
     "estimator_variance",
@@ -73,15 +74,30 @@ def sample_moments(values, require: str = "variance") -> Moments:
         raise ValueError(f"variance needs at least 2 values, got {n}")
     if require == "kurtosis" and n < 4:
         raise ValueError(f"kurtosis needs at least 4 values, got {n}")
-    mean = float(x.mean())
-    variance = float(x.var(ddof=1))
-    m2 = x.var()
-    if n < 4 or m2 == 0.0:
-        kurt = float("nan")
-    else:
-        m4 = float(np.mean((x - mean) ** 4))
-        kurt = m4 / m2**2
+    mean, variance, kurt = (float(v[0]) for v in row_moments(x[None, :]))
     return Moments(mean=mean, variance=variance, kurtosis=kurt)
+
+
+def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, unbiased variance and plain kurtosis of each row of a 2-D sample.
+
+    The moments are those of :func:`sample_moments`; rows shorter than 2
+    (variance) or 4 (kurtosis) values, and rows with a zero second moment
+    (kurtosis), get NaN.  Every reduction runs along a row, so a row's
+    moments equal those of the row on its own bitwise.
+    """
+    x = np.asarray(x, dtype=float)
+    n_rows, n = x.shape
+    mean = x.mean(axis=1)
+    variance = x.var(axis=1, ddof=1) if n >= 2 else np.full(n_rows, np.nan)
+    kurt = np.full(n_rows, np.nan)
+    if n >= 4:
+        m2 = x.var(axis=1)
+        m4 = ((x - mean[:, None]) ** 4).mean(axis=1)
+        ok = m2 > 0
+        # float_power squares with the C library's pow, as a float64 scalar's m2**2 does
+        kurt[ok] = m4[ok] / np.float_power(m2[ok], 2)
+    return mean, variance, kurt
 
 
 # --------------------------------------------------------------------------
@@ -156,11 +172,12 @@ def estimate_mu(output: SimulationOutput, plan: RealisationPlan, population: Pop
     """
     if output.n != population.n or plan.n != population.n:
         raise ValueError("output, plan and population sizes disagree")
+    empty = np.flatnonzero(np.diff(output.offsets) == 0)
+    if len(empty):
+        raise ValueError(f"account {empty[0]} has no realisations")
     means = np.empty(population.n)
-    for i, tot in enumerate(output.totals):
-        if tot is None or len(tot) == 0:
-            raise ValueError(f"account {i} has no realisations")
-        means[i] = tot.mean()
+    for ids, rows in output.rows_by_count():
+        means[ids] = rows.mean(axis=1)
     per_portfolio = np.array(
         [means[population.portfolio == j].sum() for j in range(population.n_portfolios)]
     )
@@ -195,14 +212,16 @@ def variance_inputs_from_samples(
     output: SimulationOutput, population: Population, source: VarianceSource = VarianceSource.SAMPLE
 ) -> VarianceInputs:
     """M1 variance inputs: realisation sample variances (requires R_i >= 2)."""
-    offenders = [i for i, t in enumerate(output.totals) if len(t) < 2]
-    if offenders:
+    offenders = np.flatnonzero(np.diff(output.offsets) < 2)
+    if len(offenders):
         head = ", ".join(str(i) for i in offenders[:10])
         raise ValueError(
             f"sample variances need R_i >= 2; offending accounts: {head}"
             + (" ..." if len(offenders) > 10 else "")
         )
-    sigma2 = np.array([t.var(ddof=1) for t in output.totals])
+    sigma2 = np.empty(output.n)
+    for ids, rows in output.rows_by_count():
+        sigma2[ids] = rows.var(axis=1, ddof=1)
     sigma2_block = np.full(population.n_portfolios, np.nan)
     for j, blk in output.block_totals.items():
         sigma2_block[j] = blk.var(ddof=1)
@@ -317,16 +336,20 @@ def monthly_bands(
     r = counts[0]
 
     indep = population.independent_ids
-    mean_m = output.monthly_sum / counts[:, None]
-    var_m = (output.monthly_sumsq - counts[:, None] * mean_m**2) / (counts[:, None] - 1.0)
-    var_m = np.maximum(var_m, 0.0)
+    # month-major (horizon, N), so each month's accounts are one contiguous row
+    mean_t = np.divide(output.monthly_sum.T, counts, order="C")
+    var_t = mean_t**2
+    var_t *= counts
+    np.subtract(output.monthly_sumsq.T, var_t, out=var_t)
+    var_t /= counts - 1.0
+    np.maximum(var_t, 0.0, out=var_t)
+    weight = 1.0 + 1.0 / counts[indep]
 
-    horizon = output.horizon
     z = normal_quantile((1.0 + p) / 2.0)
     bands = []
-    for t in range(horizon):
-        v = float((var_m[indep, t] * (1.0 + 1.0 / counts[indep])).sum())
-        center = float(mean_m[indep, t].sum())
+    for t in range(output.horizon):
+        v = float((var_t[t, indep] * weight).sum())
+        center = float(mean_t[t, indep].sum())
         for j, blk in output.block_monthly.items():
             s2d = float(blk[:, t].var(ddof=1))
             v += s2d * (1.0 + 1.0 / len(blk))

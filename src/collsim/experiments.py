@@ -47,7 +47,7 @@ from .estimators import (
     variance_inputs_from_samples,
 )
 from .population import Population, init_population
-from .rng import derive_seed, stream
+from .rng import _unit_streams, derive_seed
 from .simulator import (
     DEFAULT_SCHEDULE,
     HORIZON,
@@ -61,7 +61,9 @@ __all__ = [
     "ExperimentConfig",
     "write_sidecar",
     "reference_sigmas",
+    "optimized_plan",
     "build_plan",
+    "m2_variance_inputs",
     "coverage_study",
     "protect_experiment",
     "train_emulator_experiment",
@@ -149,15 +151,9 @@ def reference_sigmas(
     indep = population.independent_ids
     p0 = payment_probability(population.credit_score, population.segment, False)
     p1 = payment_probability(population.credit_score, population.segment, True)
-    for i in indep:
-        u = stream(seed, "sigma-ref", int(i)).random((n_realisations, HORIZON))
-        totals, _ = _simulate_paths(
-            np.full(n_realisations, p0[i]),
-            np.full(n_realisations, p1[i]),
-            np.full(n_realisations, population.balance[i]),
-            np.full(n_realisations, population.paid_last_month[i]),
-            u,
-        )
+    for i, g in zip(indep, _unit_streams(seed, "sigma-ref", ids=indep)):
+        u = g.random((n_realisations, HORIZON))
+        totals, _ = _simulate_paths(p0[i], p1[i], population.balance[i], population.paid_last_month[i], u.T)
         sigma[i] = totals.std(ddof=1)
     sigma_block = np.full(population.n_portfolios, np.nan)
     for j, pf in enumerate(population.portfolios):
@@ -181,22 +177,73 @@ def _pilot_block_sigmas(population, config, seed):
     return out
 
 
-def build_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
-    """Integer plan plus the variance pre-estimates that produced it.
+def optimized_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
+    """Real-valued variance-minimizing plan from emulator variances and block pilots.
 
-    Returns ``(plan, sigma_independent, sigma2_block)``; the sigmas are None
-    for the equal plan.
+    Returns ``(plan, inputs)``: the plan and the M2 variance pre-estimates
+    that produced it (emulator variance per account, variance of
+    ``config.n_pilot`` pilot realisations drawn with ``seed`` per block).
     """
-    c = config.effective_budget
-    if config.plan_mode == "equal":
-        r = int(round(c / population.n))
-        return RealisationPlan.equal(population.n, max(r, 1)), None, None
     if emulator is None:
         raise ValueError("optimized plans need a trained emulator")
     sigma2 = sigma2_for_population(emulator, population)
     sigma_block = _pilot_block_sigmas(population, config, seed)
-    real = plan_for_population(population, np.sqrt(sigma2), sigma_block, c)
-    return round_plan(real, population), np.sqrt(sigma2), sigma_block**2
+    real = plan_for_population(population, np.sqrt(sigma2), sigma_block, config.effective_budget)
+    inputs = VarianceInputs(
+        sigma2_independent=sigma2, sigma2_block=sigma_block**2, source=VarianceSource.EMULATOR
+    )
+    return real, inputs
+
+
+def build_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
+    """Integer plan plus the variance pre-estimates that produced it.
+
+    Returns ``(plan, inputs)``; ``inputs`` is None for the equal plan, else
+    the pre-estimates of :func:`optimized_plan`.
+    """
+    if config.plan_mode == "equal":
+        r = int(round(config.effective_budget / population.n))
+        return RealisationPlan.equal(population.n, max(r, 1)), None
+    real, inputs = optimized_plan(population, config, emulator, seed)
+    return round_plan(real, population), inputs
+
+
+def m2_variance_inputs(
+    population: Population,
+    config: ExperimentConfig,
+    emulator: GpEmulator | None,
+    output,
+    seed: int,
+    plan_inputs: VarianceInputs | None = None,
+) -> VarianceInputs:
+    """Method M2 variance inputs for an interval around ``output``'s estimate.
+
+    Independent accounts take the emulator's variance.  A dependent block
+    takes the sample variance of the run's block totals when it has r_j >= 2
+    of them, and otherwise the variance of ``config.n_pilot`` pilot
+    realisations drawn with ``seed``.  ``plan_inputs`` are the pre-estimates
+    an optimized plan was built from; they are reused instead of being
+    computed again.
+    """
+    if plan_inputs is None:
+        if emulator is None:
+            raise ValueError("method M2 needs an emulator")
+        sigma2 = sigma2_for_population(emulator, population)
+    else:
+        sigma2 = plan_inputs.sigma2_independent
+    sigma2_block = np.full(population.n_portfolios, np.nan)
+    for j, blk in output.block_totals.items():
+        if len(blk) >= 2:
+            sigma2_block[j] = blk.var(ddof=1)
+        elif plan_inputs is not None:
+            sigma2_block[j] = plan_inputs.sigma2_block[j]
+        else:
+            sigma2_block[j] = pilot_block_variance(
+                population, j, DEFAULT_SCHEDULE, n_pilot=config.n_pilot, seed=seed
+            )
+    return VarianceInputs(
+        sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR
+    )
 
 
 # --------------------------------------------------------------------------
@@ -207,34 +254,19 @@ def _coverage_repetition(config: ExperimentConfig, emulator, rep: int):
     pop = init_population(
         config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop", rep)
     )
-    plan, sigma_emu, sigma2_block_pilot = build_plan(
-        pop, config, emulator, derive_seed(config.seed, "pilot", rep)
-    )
+    pilot_seed = derive_seed(config.seed, "pilot", rep)
+    plan, plan_inputs = build_plan(pop, config, emulator, pilot_seed)
     output = run_plan(pop, plan, seed=derive_seed(config.seed, "estimate", rep), n_workers=config.threads)
     mu = estimate_mu(output, plan, pop)
     if config.interval_method == "M1":
         inputs = variance_inputs_from_samples(output, pop)
     else:
-        if sigma_emu is None:
-            sigma_emu = np.sqrt(sigma2_for_population(emulator, pop))
-            sigma2_block_pilot = (
-                _pilot_block_sigmas(pop, config, derive_seed(config.seed, "pilot", rep)) ** 2
-            )
-        sigma2_block = sigma2_block_pilot
-        # prefer realised block sample variance when the run provides enough realisations
-        for j, blk in output.block_totals.items():
-            if len(blk) >= 2:
-                sigma2_block[j] = blk.var(ddof=1)
-        inputs = VarianceInputs(
-            sigma2_independent=sigma_emu**2,
-            sigma2_block=sigma2_block,
-            source=VarianceSource.EMULATOR,
-        )
+        inputs = m2_variance_inputs(pop, config, emulator, output, pilot_seed, plan_inputs)
     interval = prediction_interval(mu.total, inputs, plan, pop, p=config.coverage_p)
     truth = run_plan(
         pop, RealisationPlan.equal(pop.n, 1), seed=derive_seed(config.seed, "truth", rep)
     )
-    x_true = float(sum(t[0] for t in truth.totals))
+    x_true = float(sum(truth.values))  # one realisation per account, in id order
     return {
         "rep": rep,
         "contained": bool(interval.contains(x_true)),
@@ -421,7 +453,7 @@ def train_emulator_experiment(config: ExperimentConfig, out_dir=None) -> tuple:
 def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None = None, out_dir=None) -> dict:
     """Simulate one plan over one population and write the standard outputs."""
     pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
-    plan, sigma_emu, sigma2_block = build_plan(pop, config, emulator, derive_seed(config.seed, "pilot"))
+    plan, _ = build_plan(pop, config, emulator, derive_seed(config.seed, "pilot"))
     store_monthly = True
     output = run_plan(
         pop,

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .rng import stream
+from .rng import _unit_streams
 
 __all__ = [
     "Account",
@@ -281,8 +281,8 @@ def init_population(
         raise ValueError(f"portfolio_probs must be a probability vector, got {portfolio_probs}")
 
     u = np.empty((n, 7))
-    for i in range(n):
-        u[i] = stream(seed, "population", i).random(7)
+    for i, g in enumerate(_unit_streams(seed, "population", ids=range(n))):
+        g.random(out=u[i])
 
     paid0 = u[:, 0] < PROB_PAID_BEFORE_START
     balance = balance_cdf_inv(np.clip(u[:, 1], 1e-15, 1 - 1e-15))

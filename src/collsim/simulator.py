@@ -14,20 +14,26 @@ are moved to segment 1, subject to the schedule's capacity.
 Draw discipline: every path consumes exactly ``horizon`` uniforms per account
 regardless of early absorption, so realisation ``k`` of a unit always occupies
 draw block ``k`` of the unit's stream.
+
+:func:`run_plan` streams the independent accounts in chunks of about
+``_CHUNK_PATHS`` paths, so its memory does not grow with the number of paths
+beyond the flat array of realised totals.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
 from .population import Account, Population
-from .rng import stream
+from .rng import _unit_streams, stream
 
 __all__ = [
     "HORIZON",
@@ -38,7 +44,6 @@ __all__ = [
     "SimulationOutput",
     "payment_probability",
     "simulate_independent",
-    "simulate_dependent_block",
     "run_plan",
 ]
 
@@ -47,6 +52,12 @@ PAYMENT_CAP = 50.0
 
 _INTERCEPTS = np.array([-1.0, 0.0, -4.0])
 _SLOPES = np.array([0.1, 0.4, 0.2])
+
+# Independent paths per chunk of run_plan.  A chunk's month-major uniform
+# buffer holds about this many columns of ``horizon`` doubles (2.75 MB at 84
+# months), so it stays in cache-sized pieces and below the whole-plan buffer
+# of a 1000-account coverage repetition.
+_CHUNK_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -74,17 +85,17 @@ class TransitionSchedule:
 DEFAULT_SCHEDULE = TransitionSchedule(times=(6, 12, 18, 24, 30, 36), capacities=(10,) * 6)
 
 
-def payment_probability(credit_score, segment, paid_prev):
-    """Probability of a payment this month, given a positive balance."""
+def _segment_terms(credit_score, segment):
+    """Intercept plus slope times credit score: the linear predictor before the paid-last-month term."""
     seg = np.asarray(segment)
     if np.any((seg < 1) | (seg > 3)):
         raise ValueError("segment must be in {1, 2, 3}")
-    eta = (
-        _INTERCEPTS[seg - 1]
-        + _SLOPES[seg - 1] * np.asarray(credit_score, dtype=float)
-        + 2.0 * np.asarray(paid_prev, dtype=float)
-    )
-    out = expit(eta)
+    return _INTERCEPTS[seg - 1] + _SLOPES[seg - 1] * np.asarray(credit_score, dtype=float)
+
+
+def payment_probability(credit_score, segment, paid_prev):
+    """Probability of a payment this month, given a positive balance."""
+    out = expit(_segment_terms(credit_score, segment) + 2.0 * np.asarray(paid_prev, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,29 +114,39 @@ class CollectionsPath:
 # Vectorized path engines
 
 
-def _simulate_paths(p0, p1, bal0, y0, u, collect_monthly=False):
+def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False):
     """Simulate many independent paths at once.
 
-    All arguments are per-path arrays of length M except ``u`` which is
-    (M, horizon).  ``p0``/``p1`` are the payment probabilities given no
-    payment / a payment in the previous month (segments never change for
-    independent accounts, so these two numbers fully describe the model).
+    ``u`` is month-major, (horizon, M): row ``t`` holds month ``t``'s uniform
+    of every path.  The other arguments are per-path arrays of length M, or
+    scalars shared by all paths.  ``p0``/``p1`` are the payment probabilities
+    given no payment / a payment in the previous month (segments never change
+    for independent accounts, so these two numbers fully describe the model).
+
+    The kernel runs the payment chain without absorption and counts its
+    payment months K.  Payments stop once the balance is paid off, so a path's
+    total is ``min(50 K, balance)``, and month ``t`` pays
+    ``clip(balance - 50 K_t, 0, 50)`` when the chain pays, with ``K_t`` the
+    payments before ``t``.  Both equal the month-by-month balance arithmetic
+    bitwise: ``balance - 50 k`` is exact for any balance below 2**53.
+
+    Returns the (M,) totals and, with ``collect_monthly``, the (horizon, M)
+    monthly payments (else None).
     """
-    m, horizon = u.shape
-    bal = np.array(bal0, dtype=float, copy=True)
-    yprev = np.array(y0, dtype=bool, copy=True)
-    totals = np.zeros(m)
-    monthly = np.empty((m, horizon)) if collect_monthly else None
+    horizon, m = u.shape
+    balance = np.maximum(balance, 0.0)  # a non-positive balance never pays
+    paid = np.asarray(y0, dtype=bool)
+    count = np.zeros(m)
+    monthly = np.empty((horizon, m)) if collect_monthly else None
     for t in range(horizon):
-        p = np.where(yprev, p1, p0)
-        y = (u[:, t] < p) & (bal > 0)
-        pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
-        bal -= pay
-        totals += pay
-        yprev = y
+        paid = u[t] < np.where(paid, p1, p0)
         if collect_monthly:
-            monthly[:, t] = pay
-    return totals, monthly
+            pay = monthly[t]
+            np.subtract(balance, PAYMENT_CAP * count, out=pay)
+            np.minimum(np.maximum(pay, 0.0, out=pay), PAYMENT_CAP, out=pay)
+            pay *= paid
+        count += paid
+    return np.minimum(PAYMENT_CAP * count, balance), monthly
 
 
 def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule, u):
@@ -138,6 +159,7 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
     horizon, n = u.shape
     bal = balance.astype(float).copy()
     seg = segment.astype(int).copy()
+    terms = _segment_terms(credit, seg)  # updated only where a transition moves an account
     yprev = y0.astype(bool).copy()
     monthly = np.zeros((n, horizon))
     trans = dict(zip(schedule.times, schedule.capacities))
@@ -146,9 +168,10 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
         if cap:
             qual = np.flatnonzero(eligible & (seg == 3) & ~yprev)
             if len(qual):
-                order = qual[np.lexsort((qual, -credit[qual]))]
-                seg[order[:cap]] = 1
-        p = payment_probability(credit, seg, yprev)
+                moved = qual[np.lexsort((qual, -credit[qual]))][:cap]
+                seg[moved] = 1
+                terms[moved] = _segment_terms(credit[moved], 1)
+        p = expit(terms + 2.0 * yprev)
         y = (u[t - 1] < p) & (bal > 0)
         pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
         bal -= pay
@@ -158,16 +181,7 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
 
 
 # --------------------------------------------------------------------------
-# Single-unit APIs
-
-
-def _unit_uniforms(seed, key, realisation, shape):
-    """Uniform draw block for realisation ``realisation`` of one unit."""
-    g = stream(seed, "sim", *key)
-    block = int(np.prod(shape))
-    if realisation:
-        g.random(realisation * block)  # skip earlier realisations' blocks
-    return g.random(shape)
+# Single-unit API
 
 
 def simulate_independent(account: Account, horizon: int = HORIZON, rng=None, *, seed=None, realisation=0):
@@ -175,49 +189,13 @@ def simulate_independent(account: Account, horizon: int = HORIZON, rng=None, *, 
     if rng is None:
         if seed is None:
             raise ValueError("provide either rng or seed")
-        u = _unit_uniforms(seed, (account.id,), realisation, (1, horizon))
-    else:
-        u = rng.random((1, horizon))
+        rng = stream(seed, "sim", account.id)
+        rng.random(realisation * horizon)  # skip earlier realisations' draw blocks
+    u = rng.random((1, horizon))
     p0 = payment_probability(account.credit_score, account.segment, False)
     p1 = payment_probability(account.credit_score, account.segment, True)
-    _, monthly = _simulate_paths(
-        np.array([p0]),
-        np.array([p1]),
-        np.array([account.balance]),
-        np.array([account.paid_last_month]),
-        u,
-        collect_monthly=True,
-    )
-    return CollectionsPath(monthly=monthly[0])
-
-
-def simulate_dependent_block(
-    accounts, schedule: TransitionSchedule, horizon: int = HORIZON, rng=None, *, seed=None, realisation=0
-):
-    """Simulate one joint realisation of a dependent block.
-
-    Returns the list of per-account :class:`CollectionsPath` and the realised
-    block total.
-    """
-    n = len(accounts)
-    if rng is None:
-        if seed is None:
-            raise ValueError("provide either rng or seed")
-        key = ("block",) + tuple(a.id for a in accounts[:1])
-        u = _unit_uniforms(seed, key, realisation, (horizon, n))
-    else:
-        u = rng.random((horizon, n))
-    monthly = _simulate_block_realisation(
-        np.array([a.balance for a in accounts]),
-        np.array([a.credit_score for a in accounts]),
-        np.array([a.segment for a in accounts]),
-        np.array([a.eligible for a in accounts]),
-        np.array([a.paid_last_month for a in accounts]),
-        schedule,
-        u,
-    )
-    paths = [CollectionsPath(monthly=monthly[i]) for i in range(n)]
-    return paths, float(monthly.sum())
+    _, monthly = _simulate_paths(p0, p1, account.balance, account.paid_last_month, u.T, collect_monthly=True)
+    return CollectionsPath(monthly=monthly[:, 0])
 
 
 # --------------------------------------------------------------------------
@@ -294,9 +272,15 @@ class RealisationPlan:
 
 @dataclass
 class SimulationOutput:
-    """Realised totals (and optional monthly statistics) from one plan run."""
+    """Realised totals (and optional monthly statistics) from one plan run.
 
-    totals: list  # per-account arrays of realised totals
+    Totals are stored flat, account by account, in compressed sparse row
+    layout: account ``i``'s realisations are
+    ``values[offsets[i]:offsets[i + 1]]``.
+    """
+
+    values: np.ndarray  # every realised total, account by account
+    offsets: np.ndarray  # (N + 1,) start of each account's totals in values
     block_totals: dict  # portfolio j -> (r_j,) realised block totals
     horizon: int = HORIZON
     monthly_sum: np.ndarray | None = None  # (N, horizon) sums over realisations
@@ -305,10 +289,28 @@ class SimulationOutput:
 
     @property
     def n(self) -> int:
-        return len(self.totals)
+        return len(self.offsets) - 1
+
+    @cached_property
+    def totals(self) -> list:
+        """Per-account arrays of realised totals, as views into ``values``."""
+        return np.split(self.values, self.offsets[1:-1])
 
     def counts(self) -> np.ndarray:
-        return np.array([len(t) for t in self.totals], dtype=float)
+        return np.diff(self.offsets).astype(float)
+
+    def rows_by_count(self):
+        """Yield ``(ids, rows)`` for each distinct realisation count.
+
+        ``rows[k]`` is a copy of account ``ids[k]``'s totals.  A reduction
+        along a row adds in the same order as on the account's own array, so
+        per-account statistics computed on ``rows`` equal those of
+        ``np.mean``/``np.var`` on each account bitwise.
+        """
+        counts = np.diff(self.offsets)
+        for c in np.unique(counts):
+            ids = np.flatnonzero(counts == c)
+            yield ids, self.values[self.offsets[ids, None] + np.arange(c)]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -319,18 +321,27 @@ class SimulationOutput:
                     w.writerow([i, k, f"{x:.2f}"])
 
     def summary_json(self, path) -> None:
-        from .estimators import sample_moments
+        """Per-account mean, variance (R_i >= 2) and kurtosis (R_i >= 4), as compact JSON.
 
+        The moments are those of :func:`collsim.estimators.row_moments`; the
+        kurtosis is left out for a sample with zero variance.
+        """
+        from .estimators import row_moments  # estimators imports this module
+
+        mean = np.empty(self.n)
+        variance = np.empty(self.n)
+        kurtosis = np.empty(self.n)
+        for ids, x in self.rows_by_count():
+            mean[ids], variance[ids], kurtosis[ids] = row_moments(x)
         rows = []
-        for i, tot in enumerate(self.totals):
-            rec = {"account_id": i, "mean": float(np.mean(tot))}
-            if len(tot) >= 2:
-                rec["variance"] = float(np.var(tot, ddof=1))
-            if len(tot) >= 4 and np.var(tot) > 0:
-                rec["kurtosis"] = sample_moments(tot).kurtosis
+        for i, (mu, v, k) in enumerate(zip(mean.tolist(), variance.tolist(), kurtosis.tolist())):
+            rec = {"account_id": i, "mean": mu}
+            if not math.isnan(v):
+                rec["variance"] = v
+            if not math.isnan(k):
+                rec["kurtosis"] = k
             rows.append(rec)
-        with open(path, "w") as f:
-            json.dump(rows, f, indent=2)
+        Path(path).write_text(json.dumps(rows))
 
 
 def run_plan(
@@ -348,6 +359,12 @@ def run_plan(
     dependent block is simulated jointly, ``r_j`` times.  Realisation ``k`` of
     a unit always uses draw block ``k`` of the stream keyed by
     ``(seed, unit)``, so output is bitwise identical for any worker count.
+
+    Independent accounts are simulated in id order, one chunk of whole
+    accounts of about ``_CHUNK_PATHS`` paths at a time.  Chunks run serially:
+    ``n_workers`` (the CLI's ``--threads``) is accepted but does not change
+    how the plan runs, since worker threads over chunks measured no
+    wall-time gain.
     """
     plan.validate_for(population)
     if not plan.is_integer:
@@ -355,52 +372,52 @@ def run_plan(
     counts = plan.counts.astype(int)
 
     n = population.n
-    totals: list = [None] * n
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    values = np.empty(int(offsets[-1]))
     monthly_sum = np.zeros((n, horizon)) if store_monthly else None
     monthly_sumsq = np.zeros((n, horizon)) if store_monthly else None
 
     indep = population.independent_ids
-    offsets = np.concatenate([[0], np.cumsum(counts[indep])])
-    m = int(offsets[-1])
-    u = np.empty((m, horizon))
-
-    def fill(idx):
-        i = indep[idx]
-        u[offsets[idx] : offsets[idx + 1]] = stream(seed, "sim", int(i)).random((counts[i], horizon))
-
-    if n_workers > 1 and len(indep):
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            list(ex.map(fill, range(len(indep))))
-    else:
-        for idx in range(len(indep)):
-            fill(idx)
-
     p0 = payment_probability(population.credit_score[indep], population.segment[indep], False)
     p1 = payment_probability(population.credit_score[indep], population.segment[indep], True)
+    balance = population.balance[indep]
+    paid0 = population.paid_last_month[indep]
     rep = counts[indep]
-    path_tot, path_monthly = _simulate_paths(
-        np.repeat(p0, rep),
-        np.repeat(p1, rep),
-        np.repeat(population.balance[indep], rep),
-        np.repeat(population.paid_last_month[indep], rep),
-        u,
-        collect_monthly=store_monthly,
-    )
-    for idx, i in enumerate(indep):
-        sl = slice(int(offsets[idx]), int(offsets[idx + 1]))
-        totals[i] = path_tot[sl]
+    # first path of each independent account, counted over the independents in id order
+    first = np.concatenate([[0], np.cumsum(rep)])
+    # a chunk starts at the first account whose first path reaches the next multiple of _CHUNK_PATHS
+    starts = np.searchsorted(first[:-1], np.arange(0, first[-1], _CHUNK_PATHS))
+    edges = np.unique(np.append(starts, len(indep)))
+
+    for a, b in zip(edges[:-1], edges[1:]):
+        ids, r = indep[a:b], rep[a:b]
+        local = first[a:b] - first[a]
+        m = int(first[b] - first[a])
+        u = np.empty((horizon, m))
+        for col, r_i, g in zip(local, r, _unit_streams(seed, "sim", ids=ids)):
+            u[:, col : col + r_i] = g.random((r_i, horizon)).T
+        tot, pay = _simulate_paths(
+            np.repeat(p0[a:b], r),
+            np.repeat(p1[a:b], r),
+            np.repeat(balance[a:b], r),
+            np.repeat(paid0[a:b], r),
+            u,
+            collect_monthly=store_monthly,
+        )
+        values[np.repeat(offsets[ids] - local, r) + np.arange(m)] = tot
         if store_monthly:
-            block = path_monthly[sl]
-            monthly_sum[i] = block.sum(axis=0)
-            monthly_sumsq[i] = (block**2).sum(axis=0)
+            monthly_sum[ids] = np.add.reduceat(pay, local, axis=1).T
+            pay *= pay
+            monthly_sumsq[ids] = np.add.reduceat(pay, local, axis=1).T
 
     block_totals: dict = {}
     block_monthly: dict = {}
-
-    def run_block(j):
-        dep = population.portfolios[j].dependent_ids
+    for j, pf in enumerate(population.portfolios):
+        dep = pf.dependent_ids
+        if not len(dep):
+            continue
         r_j = counts[dep[0]]
-        u_j = stream(seed, "sim", "block", j).random((r_j, horizon, len(dep)))
+        g = stream(seed, "sim", "block", j)
         acc_tot = np.empty((r_j, len(dep)))
         blk_monthly = np.empty((r_j, horizon))
         for k in range(r_j):
@@ -411,25 +428,21 @@ def run_plan(
                 population.eligible[dep],
                 population.paid_last_month[dep],
                 schedule,
-                u_j[k],
+                g.random((horizon, len(dep))),  # draw block k of the block's stream
             )
             acc_tot[k] = monthly.sum(axis=1)
             blk_monthly[k] = monthly.sum(axis=0)
             if store_monthly:
                 monthly_sum[dep] += monthly
                 monthly_sumsq[dep] += monthly**2
-        return j, dep, acc_tot, blk_monthly
-
-    block_js = [j for j, pf in enumerate(population.portfolios) if len(pf.dependent_ids)]
-    for j, dep, acc_tot, blk_monthly in map(run_block, block_js):
-        for pos, i in enumerate(dep):
-            totals[i] = acc_tot[:, pos]
+        values[offsets[dep] + np.arange(r_j)[:, None]] = acc_tot
         block_totals[j] = acc_tot.sum(axis=1)
         if store_monthly:
             block_monthly[j] = blk_monthly
 
     return SimulationOutput(
-        totals=totals,
+        values=values,
+        offsets=offsets,
         block_totals=block_totals,
         horizon=horizon,
         monthly_sum=monthly_sum,

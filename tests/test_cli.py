@@ -2,10 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from collsim.allocator import pilot_block_variance
 from collsim.cli import main
-from collsim.experiments import ExperimentConfig
+from collsim.emulator import GpEmulator
+from collsim.estimators import estimate_mu, prediction_interval
+from collsim.experiments import ExperimentConfig, build_plan, m2_variance_inputs
+from collsim.population import init_population
+from collsim.rng import derive_seed
+from collsim.simulator import DEFAULT_SCHEDULE, run_plan
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +184,36 @@ class TestEmulatorCommands:
         assert rc == 0
         doc = json.loads((tmp_path / "interval.json").read_text())
         assert doc["lower"] < doc["mu_total"] < doc["upper"]
+
+    @pytest.mark.parametrize("plan, budget", [("optimized", None), ("equal", None), ("equal", 200)])
+    def test_interval_m2_matches_shared_assembly(self, emulator_file, tmp_path, plan, budget):
+        # budget 200 gives every unit one realisation, so the block falls back to its pilot variance
+        argv = ["interval", "--out", str(tmp_path), "--n-accounts", "200", "--seed", "2", "--plan", plan]
+        argv += ["--method", "M2", "--emulator", str(emulator_file)]
+        if budget:
+            argv += ["--budget", str(budget)]
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "interval.json").read_text())
+
+        config = ExperimentConfig(
+            n_accounts=200, seed=2, plan_mode=plan, interval_method="M2", budget=budget
+        )
+        emulator = GpEmulator.from_json(emulator_file)
+        pop = init_population(200, (1.0,), seed=derive_seed(2, "pop"))
+        pilot_seed = derive_seed(2, "pilot")
+        int_plan, plan_inputs = build_plan(pop, config, emulator, pilot_seed)
+        output = run_plan(pop, int_plan, seed=derive_seed(2, "estimate"))
+        inputs = m2_variance_inputs(pop, config, emulator, output, pilot_seed, plan_inputs)
+        interval = prediction_interval(estimate_mu(output, int_plan, pop).total, inputs, int_plan, pop)
+        assert (doc["lower"], doc["upper"]) == (interval.lower, interval.upper)
+
+        blk = output.block_totals[0]
+        assert len(pop.portfolios[0].dependent_ids) >= 2
+        if len(blk) >= 2:
+            assert inputs.sigma2_block[0] == np.var(blk, ddof=1)
+        else:
+            pilot = pilot_block_variance(pop, 0, DEFAULT_SCHEDULE, n_pilot=config.n_pilot, seed=pilot_seed)
+            assert inputs.sigma2_block[0] == pilot
 
 
 class TestCoverageStudy:

@@ -15,6 +15,7 @@ from collsim.estimators import (
     monthly_bands,
     normal_quantile,
     prediction_interval,
+    row_moments,
     sample_moments,
     variance_inputs_from_samples,
 )
@@ -47,6 +48,29 @@ class TestSampleMoments:
             sample_moments([1.0])
         with pytest.raises(ValueError):
             sample_moments([1.0, 2.0, 3.0], require="kurtosis")
+
+    def test_row_moments_equal_per_row_scalar_formula(self):
+        # the per-sample scalar formula that sample_moments used on its own, as the oracle;
+        # the data include rows whose scalar m2**2 differs in the last bit from m2 * m2
+        g = np.random.default_rng(4)
+        for c in (1, 2, 3, 4, 7, 25):
+            x = g.gamma(2.0, 40.0, (2000, c))
+            x[0] = 5.0  # zero variance
+            mean, variance, kurt = row_moments(x)
+            for k, row in enumerate(x):
+                assert mean[k] == row.mean()
+                if c < 2:
+                    assert math.isnan(variance[k])
+                    continue
+                assert variance[k] == row.var(ddof=1)
+                m2 = row.var()
+                if c < 4 or m2 == 0.0:
+                    assert math.isnan(kurt[k])
+                else:
+                    assert kurt[k] == float(np.mean((row - float(row.mean())) ** 4)) / m2**2
+                m = sample_moments(row)
+                assert (m.mean, m.variance) == (mean[k], variance[k])
+                assert m.kurtosis == kurt[k] or (math.isnan(m.kurtosis) and math.isnan(kurt[k]))
 
 
 class TestNormalQuantile:

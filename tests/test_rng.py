@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from collsim.rng import derive_seed, stream
+from collsim.rng import _unit_streams, derive_seed, stream
 
 
 def test_same_key_same_stream():
@@ -48,3 +48,16 @@ def test_derive_seed_stable_and_distinct():
 def test_invalid_key_part_type():
     with pytest.raises(TypeError):
         stream(0, 1.5)
+
+
+def test_unit_streams_equal_stream():
+    # more units than a chunk of run_plan holds accounts, mixed id types and draw sizes
+    ids = list(range(5000)) + [np.int64(7), 10**15, 3]
+    for k, (i, g) in enumerate(zip(ids, _unit_streams(9, "sim", ids=ids))):
+        shape = (1 + k % 39, 84)
+        ref = stream(9, "sim", i)
+        assert np.array_equal(g.random(shape), ref.random(shape))
+        assert np.array_equal(g.random(3), ref.random(3))
+    # a multi-part prefix
+    for i, g in zip(range(50), _unit_streams(2, "pilot", "x", 4, ids=range(50))):
+        assert np.array_equal(g.random(7), stream(2, "pilot", "x", 4, i).random(7))

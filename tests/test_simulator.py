@@ -1,20 +1,24 @@
 """Repayment path simulation: hand-traced oracles and draw discipline."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from collsim.estimators import sample_moments
 from collsim.population import Account, init_population
+from collsim.rng import stream
 from collsim.simulator import (
+    _CHUNK_PATHS,
     DEFAULT_SCHEDULE,
     HORIZON,
+    PAYMENT_CAP,
     RealisationPlan,
     TransitionSchedule,
     _simulate_block_realisation,
     payment_probability,
     run_plan,
-    simulate_dependent_block,
     simulate_independent,
 )
 
@@ -77,6 +81,12 @@ class TestIndependentPath:
         assert np.array_equal(path.monthly[:3], [50.0, 50.0, 30.0])
         assert np.all(path.monthly[3:] == 0.0)
         assert path.total == 130.0
+
+    def test_non_positive_balance_never_pays(self):
+        u = np.zeros((1, HORIZON))  # every month would pay
+        for balance in (0.0, -100.0):
+            path = simulate_independent(_account(balance, 3.0, 2), rng=_StubRng(u))
+            assert np.array_equal(path.monthly, np.zeros(HORIZON))
 
     def test_total_never_exceeds_balance(self):
         acc = _account(700.0, 3.0, 2)
@@ -250,3 +260,172 @@ class TestRunPlan:
         assert len(lines) == 11
         # money formatted with two decimals
         assert all(len(line.rsplit(".", 1)[1]) == 2 for line in lines[1:])
+
+
+# --------------------------------------------------------------------------
+# Plans that span several chunks of run_plan, checked against reference loops
+
+
+def _reference_paths(p0, p1, bal0, y0, u):
+    """Month-by-month balance arithmetic over path-major uniforms (M, horizon)."""
+    m, horizon = u.shape
+    bal = np.array(bal0, dtype=float, copy=True)
+    yprev = np.array(y0, dtype=bool, copy=True)
+    totals = np.zeros(m)
+    monthly = np.empty((m, horizon))
+    for t in range(horizon):
+        p = np.where(yprev, p1, p0)
+        y = (u[:, t] < p) & (bal > 0)
+        pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
+        bal -= pay
+        totals += pay
+        yprev = y
+        monthly[:, t] = pay
+    return totals, monthly
+
+
+def _reference_block(balance, credit, segment, eligible, y0, schedule, u):
+    """One block realisation, with the payment probabilities recomputed every month."""
+    horizon, n = u.shape
+    bal = balance.astype(float).copy()
+    seg = segment.astype(int).copy()
+    yprev = y0.astype(bool).copy()
+    monthly = np.zeros((n, horizon))
+    trans = dict(zip(schedule.times, schedule.capacities))
+    for t in range(1, horizon + 1):
+        cap = trans.get(t)
+        if cap:
+            qual = np.flatnonzero(eligible & (seg == 3) & ~yprev)
+            if len(qual):
+                order = qual[np.lexsort((qual, -credit[qual]))]
+                seg[order[:cap]] = 1
+        p = payment_probability(credit, seg, yprev)
+        y = (u[t - 1] < p) & (bal > 0)
+        pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
+        bal -= pay
+        yprev = y
+        monthly[:, t - 1] = pay
+    return monthly
+
+
+def _multi_chunk_plan(pop, seed, extra=None):
+    """Unequal counts in 1..39 with some R_i = 1, equal counts within each block."""
+    g = np.random.default_rng(seed)
+    counts = g.integers(1, 40, pop.n).astype(float)
+    counts[::17] = 1.0
+    if extra is not None:
+        counts += extra
+    for j, pf in enumerate(pop.portfolios):
+        counts[pf.dependent_ids] = 3.0 + 4 * j + (0 if extra is None else 2)
+    return RealisationPlan(counts=counts)
+
+
+@pytest.fixture(scope="module")
+def multi_chunk():
+    pop = init_population(900, (0.5, 0.5), seed=31)
+    plan = _multi_chunk_plan(pop, seed=1)
+    indep = pop.independent_ids
+    assert plan.counts[indep].sum() >= 3 * _CHUNK_PATHS
+    assert all(len(pf.dependent_ids) >= 2 for pf in pop.portfolios)
+    out = run_plan(pop, plan, seed=4, store_monthly=True)
+    return pop, plan, out
+
+
+class TestChunkedRunPlan:
+    def test_matches_reference_loops(self, multi_chunk):
+        pop, plan, out = multi_chunk
+        counts = plan.counts.astype(int)
+        indep = pop.independent_ids
+        rep = counts[indep]
+        u = np.concatenate([stream(4, "sim", int(i)).random((counts[i], HORIZON)) for i in indep])
+        seg, credit = pop.segment[indep], pop.credit_score[indep]
+        totals, monthly = _reference_paths(
+            np.repeat(payment_probability(credit, seg, False), rep),
+            np.repeat(payment_probability(credit, seg, True), rep),
+            np.repeat(pop.balance[indep], rep),
+            np.repeat(pop.paid_last_month[indep], rep),
+            u,
+        )
+        starts = np.concatenate([[0], np.cumsum(rep)])
+        for pos, i in enumerate(indep):
+            sl = slice(starts[pos], starts[pos + 1])
+            assert np.array_equal(out.totals[i], totals[sl])
+            # summation order may differ from the per-account loop
+            np.testing.assert_allclose(out.monthly_sum[i], monthly[sl].sum(axis=0), rtol=1e-12, atol=1e-9)
+            np.testing.assert_allclose(
+                out.monthly_sumsq[i], (monthly[sl] ** 2).sum(axis=0), rtol=1e-12, atol=1e-9
+            )
+        for j, pf in enumerate(pop.portfolios):
+            dep = pf.dependent_ids
+            r_j = counts[dep[0]]
+            u_j = stream(4, "sim", "block", j).random((r_j, HORIZON, len(dep)))
+            ref = np.stack(
+                [
+                    _reference_block(
+                        pop.balance[dep],
+                        pop.credit_score[dep],
+                        pop.segment[dep],
+                        pop.eligible[dep],
+                        pop.paid_last_month[dep],
+                        DEFAULT_SCHEDULE,
+                        u_j[k],
+                    ).sum(axis=1)
+                    for k in range(r_j)
+                ]
+            )
+            assert np.array_equal(out.block_totals[j], ref.sum(axis=1))
+            for pos, i in enumerate(dep):
+                assert np.array_equal(out.totals[i], ref[:, pos])
+
+    def test_bitwise_identical_across_workers(self, multi_chunk):
+        pop, plan, out = multi_chunk
+        for workers in (2, 8):
+            other = run_plan(pop, plan, seed=4, store_monthly=True, n_workers=workers)
+            assert np.array_equal(other.values, out.values)
+            assert np.array_equal(other.offsets, out.offsets)
+            assert np.array_equal(other.monthly_sum, out.monthly_sum)
+            assert np.array_equal(other.monthly_sumsq, out.monthly_sumsq)
+            for j, blk in out.block_totals.items():
+                assert np.array_equal(other.block_totals[j], blk)
+                assert np.array_equal(other.block_monthly[j], out.block_monthly[j])
+
+    def test_common_random_number_prefix(self, multi_chunk):
+        pop, plan, out = multi_chunk
+        extra = np.random.default_rng(2).integers(0, 6, pop.n)
+        larger = run_plan(pop, _multi_chunk_plan(pop, seed=1, extra=extra), seed=4, n_workers=2)
+        for i in range(pop.n):
+            assert np.array_equal(out.totals[i], larger.totals[i][: len(out.totals[i])])
+        for j, blk in out.block_totals.items():
+            assert np.array_equal(blk, larger.block_totals[j][: len(blk)])
+
+    def test_summary_json_matches_per_account_statistics(self, multi_chunk, tmp_path):
+        pop, plan, out = multi_chunk
+        path = tmp_path / "summary.json"
+        out.summary_json(path)
+        rows = json.loads(path.read_text())
+        assert [r["account_id"] for r in rows] == list(range(pop.n))
+        for rec, tot in zip(rows, out.totals):
+            assert rec["mean"] == pytest.approx(np.mean(tot), rel=1e-9)
+            assert ("variance" in rec) == (len(tot) >= 2)
+            if len(tot) >= 2:
+                assert rec["variance"] == pytest.approx(np.var(tot, ddof=1), rel=1e-9)
+            assert ("kurtosis" in rec) == (len(tot) >= 4 and np.var(tot) > 0)
+            if "kurtosis" in rec:
+                assert rec["kurtosis"] == sample_moments(tot).kurtosis
+
+    def test_block_kernel_matches_reference(self):
+        # several transition months, ties in credit score and accounts that pay before a transition
+        g = np.random.default_rng(5)
+        n = 40
+        credit = np.round(g.normal(0.0, 2.0, n), 1)
+        args = (
+            g.uniform(500.0, 6000.0, n),
+            credit,
+            np.full(n, 3),
+            g.random(n) < 0.8,
+            g.random(n) < 0.3,
+            DEFAULT_SCHEDULE,
+        )
+        for k in range(5):
+            u = g.random((HORIZON, n))
+            assert np.array_equal(_simulate_block_realisation(*args, u), _reference_block(*args, u))
