@@ -20,7 +20,7 @@ import numpy as np
 
 from .population import Population
 from .rng import stream
-from .simulator import HORIZON, RealisationPlan, TransitionSchedule, _simulate_block_realisation
+from .simulator import HORIZON, RealisationPlan, TransitionSchedule, _block_batches
 
 __all__ = [
     "AllocationInputs",
@@ -158,16 +158,6 @@ def pilot_block_variance(
     if not len(dep):
         raise ValueError(f"portfolio {portfolio_j} has no dependent block")
     g = stream(seed, "pilot", portfolio_j)
-    totals = np.empty(n_pilot)
-    for k in range(n_pilot):
-        monthly = _simulate_block_realisation(
-            population.balance[dep],
-            population.credit_score[dep],
-            population.segment[dep],
-            population.eligible[dep],
-            population.paid_last_month[dep],
-            schedule,
-            g.random((horizon, len(dep))),  # draw block k of the pilot stream
-        )
-        totals[k] = monthly.sum()
+    batches = _block_batches(population, dep, schedule, g, n_pilot, horizon)
+    totals = np.concatenate([m.reshape(len(m), -1).sum(axis=1) for _, m in batches])
     return float(totals.var(ddof=1))

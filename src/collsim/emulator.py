@@ -7,11 +7,9 @@ simulated many times to obtain a sample variance of the total collections; the
 log of that variance is the GP response, observed with heteroscedastic noise
 (kappa - 1)/K fixed from the sample kurtosis.
 
-The default emulator fits one GP per segment with a Matern-5/2 kernel over
+The emulator fits one GP per segment with a Matern-5/2 kernel over
 three features: transformed balance, transformed credit score and the standard
-deviation sqrt(p1 (1 - p1)) of the first-month payment indicator.  An
-alternative mode fits one GP per (segment, prior-payment) slice on the two
-transformed covariates only; it is kept for comparison but is not the default.
+deviation sqrt(p1 (1 - p1)) of the first-month payment indicator.
 
 Predictions are exp(posterior mean of the log variance) - the posterior median
 under log-normality - so they are strictly positive by construction.
@@ -28,6 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.optimize import minimize
 
+from .estimators import normal_quantile, row_moments
 from .population import Account, balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv
 from .rng import stream
 from .simulator import HORIZON, _simulate_paths, payment_probability
@@ -52,6 +51,9 @@ SLICES = tuple((s, y) for s in (1, 2, 3) for y in (0, 1))
 
 _JITTER = 1e-8
 _FORMAT_VERSION = 1
+# Written to and required in every stored emulator: one GP per segment,
+# predicting the posterior median.
+_STORED_SETTINGS = {"mode": "segment", "prediction": "median"}
 
 
 # --------------------------------------------------------------------------
@@ -132,14 +134,24 @@ def _simulate_point(b_tilde, c_tilde, s, y, n_real, g):
     return totals
 
 
-def _degenerate_variance(totals: np.ndarray, v: float) -> bool:
-    """True when the sample variance is zero up to floating-point noise.
+def _point_moments(design_slice, s, y, n_real, seed, domain):
+    """Yield ``(b_tilde, c_tilde, variance, kurtosis)`` of each design point of one slice.
 
-    Paths that always collect the full balance produce identical totals; the
+    Point ``l`` is simulated from the stream ``(seed, domain, s, y, l)``; the
+    moments are those of :func:`collsim.estimators.row_moments`.  Points whose
+    sample variance is zero up to floating-point noise are left out: paths
+    that always collect the full balance produce identical totals, and the
     computed variance is then rounding jitter around zero, not a response.
     """
-    scale = max(float(np.mean(totals)) ** 2, 1.0)
-    return v <= 1e-12 * scale
+    totals = np.array(
+        [
+            _simulate_point(b_t, c_t, s, y, n_real, stream(seed, domain, s, y, l))
+            for l, (b_t, c_t) in enumerate(design_slice)
+        ]
+    )
+    for (b_t, c_t), mean, v, kurt in zip(design_slice, *(m.tolist() for m in row_moments(totals))):
+        if v > 1e-12 * max(mean**2, 1.0):
+            yield b_t, c_t, v, kurt
 
 
 def generate_training_data(design: dict, n_realisations: int = 1000, seed: int = 0) -> list:
@@ -155,16 +167,7 @@ def generate_training_data(design: dict, n_realisations: int = 1000, seed: int =
     dropped = 0
     for (s, y), pts in design.items():
         kept = 0
-        for l, (b_t, c_t) in enumerate(pts):
-            g = stream(seed, "train", s, y, l)
-            totals = _simulate_point(b_t, c_t, s, y, n_realisations, g)
-            v = float(totals.var(ddof=1))
-            if _degenerate_variance(totals, v):
-                dropped += 1
-                continue
-            m2 = float(totals.var())
-            m4 = float(np.mean((totals - totals.mean()) ** 4))
-            kurt = m4 / m2**2
+        for b_t, c_t, v, kurt in _point_moments(pts, s, y, n_realisations, seed, "train"):
             observations.append(
                 TrainingObservation(
                     b_tilde=float(b_t),
@@ -178,6 +181,7 @@ def generate_training_data(design: dict, n_realisations: int = 1000, seed: int =
                 )
             )
             kept += 1
+        dropped += len(pts) - kept
         if kept == 0:
             raise ValueError(f"all design points in slice (segment={s}, y0={y}) were zero-variance")
     if dropped:
@@ -325,32 +329,19 @@ def _fit_single(x, y, noise, n_starts: int = 8, tol: float = 1e-8) -> SegmentGP:
 
 @dataclass
 class GpEmulator:
-    """Per-segment (default) or per-slice GP models of log account variance."""
+    """Per-segment GP models of log account variance."""
 
-    models: dict  # segment -> SegmentGP, or (segment, y0) -> SegmentGP in slice mode
-    mode: str = "segment"  # "segment" (3 GPs, 3 features) or "slice" (6 GPs, 2 features)
-    prediction: str = "median"  # "median" -> exp(m); "mean" -> exp(m + s^2/2)
-
-    def features_for(self, b_tilde, c_tilde, segment, y0, credit=None):
-        if self.mode == "segment":
-            return _features(b_tilde, c_tilde, segment, y0, credit=credit)
-        return np.column_stack([np.atleast_1d(b_tilde), np.atleast_1d(c_tilde)])
-
-    def _model_key(self, segment: int, y0: int):
-        return segment if self.mode == "segment" else (segment, y0)
+    models: dict  # segment -> SegmentGP
 
     def predict_log(self, b_tilde, c_tilde, segment: int, y0, credit=None):
         """Log-scale posterior mean and variance for points in one segment."""
-        key = self._model_key(segment, int(np.atleast_1d(y0)[0]) if self.mode == "slice" else 0)
-        if key not in self.models:
-            raise ValueError(f"no fitted model for {key!r}")
-        x = self.features_for(b_tilde, c_tilde, segment, y0, credit=credit)
-        return self.models[key].predict(x)
+        if segment not in self.models:
+            raise ValueError(f"no fitted model for {segment!r}")
+        return self.models[segment].predict(_features(b_tilde, c_tilde, segment, y0, credit=credit))
 
     def predict_sigma2(self, b_tilde, c_tilde, segment: int, y0, credit=None):
-        mean, var = self.predict_log(b_tilde, c_tilde, segment, y0, credit=credit)
-        if self.prediction == "mean":
-            return np.exp(mean + 0.5 * var)
+        """Posterior median of the variance: exp of the log-scale posterior mean."""
+        mean, _ = self.predict_log(b_tilde, c_tilde, segment, y0, credit=credit)
         return np.exp(mean)
 
     # -------------------------------------------------------------- storage
@@ -369,12 +360,8 @@ class GpEmulator:
 
         doc = {
             "format_version": _FORMAT_VERSION,
-            "mode": self.mode,
-            "prediction": self.prediction,
-            "models": {
-                (str(k) if isinstance(k, int) else f"{k[0]},{k[1]}"): pack(m)
-                for k, m in self.models.items()
-            },
+            **_STORED_SETTINGS,
+            "models": {str(k): pack(m) for k, m in self.models.items()},
         }
         if path is not None:
             Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -385,10 +372,12 @@ class GpEmulator:
         doc = path_or_doc if isinstance(path_or_doc, dict) else json.loads(Path(path_or_doc).read_text())
         if doc.get("format_version") != _FORMAT_VERSION:
             raise ValueError(f"unsupported emulator format: {doc.get('format_version')}")
+        for name, value in _STORED_SETTINGS.items():
+            if doc.get(name) != value:
+                raise ValueError(f"unsupported emulator {name}: {doc.get(name)!r}, expected {value!r}")
         models = {}
         for key, m in doc["models"].items():
-            k = tuple(int(v) for v in key.split(",")) if "," in key else int(key)
-            models[k] = SegmentGP(
+            models[int(key)] = SegmentGP(
                 x_train=np.asarray(m["x_train"]),
                 y_train=np.asarray(m["y_train"]),
                 noise=np.asarray(m["noise"]),
@@ -397,38 +386,30 @@ class GpEmulator:
                 beta=m["beta"],
                 log_marginal_likelihood=m["log_marginal_likelihood"],
             )
-        return cls(models=models, mode=doc["mode"], prediction=doc["prediction"])
+        return cls(models=models)
 
 
-def fit_gp(observations, mode: str = "segment", prediction: str = "median") -> GpEmulator:
+def fit_gp(observations) -> GpEmulator:
     """Fit the emulator from training observations.
 
     Hyperparameters maximize the log marginal likelihood (multi-start local
     search with the constant mean profiled out); per-point noise variances are
     fixed from the kurtosis law and never re-estimated.
     """
-    if mode not in ("segment", "slice"):
-        raise ValueError(f"unknown emulator mode {mode!r}")
     groups: dict = {}
     for o in observations:
-        key = o.segment if mode == "segment" else (o.segment, o.y0)
-        groups.setdefault(key, []).append(o)
+        groups.setdefault(o.segment, []).append(o)
     models = {}
-    for key, obs in sorted(groups.items(), key=str):
+    for seg, obs in sorted(groups.items()):
         if len(obs) < 5:
-            raise ValueError(f"segment group {key!r} has only {len(obs)} observations; need >= 5")
+            raise ValueError(f"segment group {seg!r} has only {len(obs)} observations; need >= 5")
         b = np.array([o.b_tilde for o in obs])
         c = np.array([o.c_tilde for o in obs])
         y0 = np.array([o.y0 for o in obs])
-        if mode == "segment":
-            seg = obs[0].segment
-            x = _features(b, c, seg, y0)
-        else:
-            x = np.column_stack([b, c])
         y = np.array([o.log_variance for o in obs])
         noise = np.array([o.noise_variance for o in obs])
-        models[key] = _fit_single(x, y, noise)
-    return GpEmulator(models=models, mode=mode, prediction=prediction)
+        models[seg] = _fit_single(_features(b, c, seg, y0), y, noise)
+    return GpEmulator(models=models)
 
 
 def predict_variance(emulator: GpEmulator, account: Account):
@@ -468,17 +449,10 @@ def validate_emulator(emulator: GpEmulator, test_design: dict, n_realisations: i
     noise variance.
     """
     per_segment: dict = {s: {"log_err": [], "pred_sd": [], "samp_sd": [], "covered": []} for s in (1, 2, 3)}
-    z975 = 1.959963984540054
+    z975 = normal_quantile(0.975)
     for (s, y), pts in test_design.items():
-        for l, (b_t, c_t) in enumerate(pts):
-            g = stream(seed, "validate", s, y, l)
-            totals = _simulate_point(b_t, c_t, s, y, n_realisations, g)
-            v = float(totals.var(ddof=1))
-            if _degenerate_variance(totals, v):
-                continue
-            m2 = float(totals.var())
-            m4 = float(np.mean((totals - totals.mean()) ** 4))
-            noise = max((m4 / m2**2 - 1.0) / n_realisations, 0.0)
+        for b_t, c_t, v, kurt in _point_moments(pts, s, y, n_realisations, seed, "validate"):
+            noise = max((kurt - 1.0) / n_realisations, 0.0)
             mean, var = emulator.predict_log(b_t, c_t, s, np.array([y]))
             mean, var = float(mean[0]), float(var[0])
             rec = per_segment[s]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtri
 
 from .population import Population
 from .simulator import RealisationPlan, SimulationOutput
@@ -100,56 +100,11 @@ def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, variance, kurt
 
 
-# --------------------------------------------------------------------------
-# Inverse normal CDF: Acklam's rational approximation plus one Newton step.
-# Absolute error below 1e-9 over (0, 1).
-
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
 def normal_quantile(q: float) -> float:
     """Quantile of the standard normal distribution."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if q < p_low:
-        r = np.sqrt(-2 * np.log(q))
-        x = (((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / (
-            (((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1
-        )
-    elif q <= p_high:
-        r = q - 0.5
-        s = r * r
-        x = (
-            (((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5])
-            * r
-            / (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1)
-        )
-    else:
-        r = np.sqrt(-2 * np.log(1 - q))
-        x = -(((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / (
-            (((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1
-        )
-    # one Newton refinement against the exact CDF
-    err = ndtr(x) - q
-    x -= err * np.sqrt(2 * np.pi) * np.exp(0.5 * x * x)
-    return float(x)
+    return float(ndtri(q))
 
 
 # --------------------------------------------------------------------------

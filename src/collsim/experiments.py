@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -155,25 +156,18 @@ def reference_sigmas(
         u = g.random((n_realisations, HORIZON))
         totals, _ = _simulate_paths(p0[i], p1[i], population.balance[i], population.paid_last_month[i], u.T)
         sigma[i] = totals.std(ddof=1)
-    sigma_block = np.full(population.n_portfolios, np.nan)
-    for j, pf in enumerate(population.portfolios):
-        if len(pf.dependent_ids):
-            sigma[pf.dependent_ids] = 0.0  # covered by the block sigma
-            sigma_block[j] = np.sqrt(
-                pilot_block_variance(
-                    population, j, schedule, n_pilot=n_realisations, seed=derive_seed(seed, "sigma-ref-block")
-                )
-            )
-    return sigma, sigma_block
+    for pf in population.portfolios:
+        sigma[pf.dependent_ids] = 0.0  # covered by the block sigma
+    block_seed = derive_seed(seed, "sigma-ref-block")
+    return sigma, _pilot_block_sigmas(population, n_realisations, block_seed, schedule)
 
 
-def _pilot_block_sigmas(population, config, seed):
+def _pilot_block_sigmas(population, n_pilot, seed, schedule=DEFAULT_SCHEDULE):
+    """Per-portfolio block sigma from ``n_pilot`` pilot realisations (NaN without a block)."""
     out = np.full(population.n_portfolios, np.nan)
     for j, pf in enumerate(population.portfolios):
         if len(pf.dependent_ids):
-            out[j] = np.sqrt(
-                pilot_block_variance(population, j, DEFAULT_SCHEDULE, n_pilot=config.n_pilot, seed=seed)
-            )
+            out[j] = np.sqrt(pilot_block_variance(population, j, schedule, n_pilot=n_pilot, seed=seed))
     return out
 
 
@@ -187,7 +181,7 @@ def optimized_plan(population: Population, config: ExperimentConfig, emulator: G
     if emulator is None:
         raise ValueError("optimized plans need a trained emulator")
     sigma2 = sigma2_for_population(emulator, population)
-    sigma_block = _pilot_block_sigmas(population, config, seed)
+    sigma_block = _pilot_block_sigmas(population, config.n_pilot, seed)
     real = plan_for_population(population, np.sqrt(sigma2), sigma_block, config.effective_budget)
     inputs = VarianceInputs(
         sigma2_independent=sigma2, sigma2_block=sigma_block**2, source=VarianceSource.EMULATOR
@@ -286,7 +280,8 @@ def coverage_study(
 
     Reports empirical coverage, mean interval length and relative uncertainty
     (mean of width over midpoint).  Checkpoints every 100 repetitions when a
-    checkpoint path is given, and resumes from it.
+    checkpoint path is given (atomically: a temporary file in the same
+    directory, then a rename), and resumes from it.
     """
     records = []
     start_rep = 0
@@ -299,9 +294,9 @@ def coverage_study(
     for rep in range(start_rep, config.repetitions):
         records.append(_coverage_repetition(config, emulator, rep))
         if checkpoint_path and (rep + 1) % 100 == 0:
-            Path(checkpoint_path).write_text(
-                json.dumps({"config_hash": config.config_hash(), "records": records})
-            )
+            tmp = Path(f"{checkpoint_path}.tmp")
+            tmp.write_text(json.dumps({"config_hash": config.config_hash(), "records": records}))
+            os.replace(tmp, checkpoint_path)
         if progress:
             progress(rep + 1, config.repetitions)
     lengths = np.array([r["length"] for r in records])
@@ -368,7 +363,7 @@ def protect_experiment(
     if sigma is None:
         if emulator is not None:
             sigma = np.sqrt(sigma2_for_population(emulator, pop))
-            sigma_block = _pilot_block_sigmas(pop, config, derive_seed(config.seed, "pilot"))
+            sigma_block = _pilot_block_sigmas(pop, config.n_pilot, derive_seed(config.seed, "pilot"))
         else:
             sigma, sigma_block = reference_sigmas(
                 pop, config.sigma_reference_realisations, seed=derive_seed(config.seed, "sigma")

@@ -47,6 +47,8 @@ PROB_PAID_BEFORE_START = 0.2
 SEGMENT_PROBS = (0.2, 0.2, 0.6)
 PROB_ELIGIBLE = 0.1
 
+_CSV_HEADER = ("id", "balance", "credit_score", "segment", "eligible", "paid_last_month", "portfolio")
+
 _A = (BALANCE_LO - BALANCE_MEAN) / BALANCE_SD
 _B = (BALANCE_HI - BALANCE_MEAN) / BALANCE_SD
 _PHI_A = ndtr(_A)
@@ -215,38 +217,52 @@ class Population:
     # ------------------------------------------------------------------ I/O
 
     def to_csv(self, path) -> None:
+        int_columns = (self.segment, self.eligible, self.paid_last_month, self.portfolio)
+        ints = (np.asarray(c).astype(int).tolist() for c in int_columns)
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(
-                ["id", "balance", "credit_score", "segment", "eligible", "paid_last_month", "portfolio"]
-            )
-            for i in range(self.n):
-                w.writerow(
-                    [
-                        i,
-                        repr(float(self.balance[i])),
-                        repr(float(self.credit_score[i])),
-                        int(self.segment[i]),
-                        int(self.eligible[i]),
-                        int(self.paid_last_month[i]),
-                        int(self.portfolio[i]),
-                    ]
-                )
+            w.writerow(_CSV_HEADER)
+            w.writerows(zip(range(self.n), self.balance.tolist(), self.credit_score.tolist(), *ints))
 
     @classmethod
     def from_csv(cls, path, n_portfolios: int | None = None) -> "Population":
-        rows = list(csv.DictReader(open(path, newline="")))
+        """Read a population written by :meth:`to_csv`.
+
+        Rejects a row with a NaN, a segment outside {1, 2, 3}, a balance
+        outside the support or a portfolio id outside ``range(n_portfolios)``,
+        naming the first such row's line.
+        """
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
         if not rows:
             raise ValueError(f"empty population file: {path}")
-        portfolio = np.array([int(r["portfolio"]) for r in rows])
+        try:
+            cols = {name: np.array([float(r[name]) for r in rows]) for name in _CSV_HEADER[1:]}
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: every row needs the numeric fields {_CSV_HEADER[1:]} ({e})") from None
+
+        def reject(bad, message):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{path}, line {i + 2}: {message}; row {rows[i]}")
+
+        reject(np.isnan(np.column_stack(list(cols.values()))).any(axis=1), "a field is NaN")
+        portfolio = cols["portfolio"]
+        if n_portfolios is None:
+            n_portfolios = int(portfolio.max()) + 1
+        reject(~np.isin(cols["segment"], (1, 2, 3)), "segment must be 1, 2 or 3")
+        balance = cols["balance"]
+        outside = (balance < BALANCE_LO) | (balance > BALANCE_HI)
+        reject(outside, f"balance outside [{BALANCE_LO}, {BALANCE_HI}]")
+        reject(~np.isin(portfolio, np.arange(n_portfolios)), f"portfolio id outside range({n_portfolios})")
         return cls(
-            balance=np.array([float(r["balance"]) for r in rows]),
-            credit_score=np.array([float(r["credit_score"]) for r in rows]),
-            segment=np.array([int(r["segment"]) for r in rows]),
-            eligible=np.array([int(r["eligible"]) for r in rows], dtype=bool),
-            paid_last_month=np.array([int(r["paid_last_month"]) for r in rows], dtype=bool),
-            portfolio=portfolio,
-            n_portfolios=n_portfolios if n_portfolios is not None else int(portfolio.max()) + 1,
+            balance=balance,
+            credit_score=cols["credit_score"],
+            segment=cols["segment"].astype(int),
+            eligible=cols["eligible"].astype(bool),
+            paid_last_month=cols["paid_last_month"].astype(bool),
+            portfolio=portfolio.astype(int),
+            n_portfolios=n_portfolios,
         )
 
     def write_manifest(self, path) -> None:

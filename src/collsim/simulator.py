@@ -16,8 +16,9 @@ regardless of early absorption, so realisation ``k`` of a unit always occupies
 draw block ``k`` of the unit's stream.
 
 :func:`run_plan` streams the independent accounts in chunks of about
-``_CHUNK_PATHS`` paths, so its memory does not grow with the number of paths
-beyond the flat array of realised totals.
+``_CHUNK_PATHS`` paths, and each dependent block's realisations in batches of
+about as many account-realisations, so its memory does not grow with the
+number of paths beyond the flat array of realised totals.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ PAYMENT_CAP = 50.0
 _INTERCEPTS = np.array([-1.0, 0.0, -4.0])
 _SLOPES = np.array([0.1, 0.4, 0.2])
 
-# Independent paths per chunk of run_plan.  A chunk's month-major uniform
+# Independent paths per chunk of run_plan, and account-realisations per batch
+# of a dependent block (at least one realisation).  A chunk's month-major uniform
 # buffer holds about this many columns of ``horizon`` doubles (2.75 MB at 84
 # months), so it stays in cache-sized pieces and below the whole-plan buffer
 # of a 1000-account coverage repetition.
@@ -150,34 +152,66 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False):
 
 
 def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule, u):
-    """One joint realisation of a dependent block.
+    """Joint realisations of a dependent block.
 
-    ``u`` has shape (horizon, n_accounts).  Returns the (n, horizon) matrix of
-    monthly collections.  Ties in credit score at a transition are broken in
-    favour of the lower position index (callers pass accounts in id order).
+    ``u`` has shape (horizon, n_accounts) for one realisation, or (r, horizon,
+    n_accounts) for r of them.  Returns the (n, horizon) or (r, n, horizon)
+    monthly collections to match.  At a transition, the qualifying accounts of
+    each realisation move in one fixed order, by descending credit score with
+    ties broken in favour of the lower position index (callers pass accounts
+    in id order), until the capacity is used.
     """
-    horizon, n = u.shape
-    bal = balance.astype(float).copy()
-    seg = segment.astype(int).copy()
-    terms = _segment_terms(credit, seg)  # updated only where a transition moves an account
-    yprev = y0.astype(bool).copy()
-    monthly = np.zeros((n, horizon))
+    single = u.ndim == 2
+    if single:
+        u = u[None]
+    r, horizon, n = u.shape
+    bal = np.tile(balance.astype(float), (r, 1))
+    seg = np.tile(segment.astype(int), (r, 1))
+    # intercept plus slope terms, updated only where a transition moves an account
+    terms = np.tile(_segment_terms(credit, segment), (r, 1))
+    terms_moved = _segment_terms(credit, 1)
+    yprev = np.tile(y0.astype(bool), (r, 1))
+    order = np.lexsort((np.arange(n), -credit))
+    monthly = np.zeros((r, n, horizon))
     trans = dict(zip(schedule.times, schedule.capacities))
     for t in range(1, horizon + 1):
         cap = trans.get(t)
         if cap:
-            qual = np.flatnonzero(eligible & (seg == 3) & ~yprev)
-            if len(qual):
-                moved = qual[np.lexsort((qual, -credit[qual]))][:cap]
-                seg[moved] = 1
-                terms[moved] = _segment_terms(credit[moved], 1)
+            qual = (eligible & (seg == 3) & ~yprev)[:, order]
+            moved = np.empty_like(qual)
+            moved[:, order] = qual & (np.cumsum(qual, axis=-1) <= cap)
+            seg[moved] = 1
+            terms = np.where(moved, terms_moved, terms)
         p = expit(terms + 2.0 * yprev)
-        y = (u[t - 1] < p) & (bal > 0)
+        y = (u[:, t - 1] < p) & (bal > 0)
         pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
         bal -= pay
         yprev = y
-        monthly[:, t - 1] = pay
-    return monthly
+        monthly[:, :, t - 1] = pay
+    return monthly[0] if single else monthly
+
+
+def _block_batches(population: Population, dep, schedule, g, r: int, horizon: int = HORIZON):
+    """Yield ``(rows, monthly)`` for ``r`` joint realisations of the block ``dep``.
+
+    Realisation ``k`` uses draw block ``k`` of the stream ``g``.  The
+    realisations run in batches of about ``_CHUNK_PATHS`` account-realisations
+    (at least one realisation each); ``monthly`` is the (k, |D|, horizon)
+    output of a batch and ``rows`` the slice of realisations it holds.
+    """
+    per_batch = max(1, _CHUNK_PATHS // len(dep))
+    covariates = (
+        population.balance[dep],
+        population.credit_score[dep],
+        population.segment[dep],
+        population.eligible[dep],
+        population.paid_last_month[dep],
+        schedule,
+    )
+    for start in range(0, r, per_batch):
+        k = min(per_batch, r - start)
+        u = g.random((k, horizon, len(dep)))  # draw blocks start .. start + k - 1
+        yield slice(start, start + k), _simulate_block_realisation(*covariates, u)
 
 
 # --------------------------------------------------------------------------
@@ -417,24 +451,16 @@ def run_plan(
         if not len(dep):
             continue
         r_j = counts[dep[0]]
-        g = stream(seed, "sim", "block", j)
         acc_tot = np.empty((r_j, len(dep)))
         blk_monthly = np.empty((r_j, horizon))
-        for k in range(r_j):
-            monthly = _simulate_block_realisation(
-                population.balance[dep],
-                population.credit_score[dep],
-                population.segment[dep],
-                population.eligible[dep],
-                population.paid_last_month[dep],
-                schedule,
-                g.random((horizon, len(dep))),  # draw block k of the block's stream
-            )
-            acc_tot[k] = monthly.sum(axis=1)
-            blk_monthly[k] = monthly.sum(axis=0)
+        g = stream(seed, "sim", "block", j)
+        for rows, monthly in _block_batches(population, dep, schedule, g, r_j, horizon):
+            acc_tot[rows] = monthly.sum(axis=2)
+            blk_monthly[rows] = monthly.sum(axis=1)
             if store_monthly:
-                monthly_sum[dep] += monthly
-                monthly_sumsq[dep] += monthly**2
+                for m in monthly:  # one realisation at a time, in draw order
+                    monthly_sum[dep] += m
+                    monthly_sumsq[dep] += m**2
         values[offsets[dep] + np.arange(r_j)[:, None]] = acc_tot
         block_totals[j] = acc_tot.sum(axis=1)
         if store_monthly:

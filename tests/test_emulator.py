@@ -193,6 +193,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match="format"):
             GpEmulator.from_json({"format_version": 999, "models": {}})
 
+    def test_only_segment_mode_and_median_prediction_load(self, tiny_emulator):
+        doc = tiny_emulator[0].to_json()
+        assert (doc["mode"], doc["prediction"]) == ("segment", "median")
+        for field, value in (("mode", "slice"), ("prediction", "mean")):
+            with pytest.raises(ValueError, match=field):
+                GpEmulator.from_json({**doc, field: value})
+
 
 class TestFitValidation:
     def test_too_few_observations_per_group(self):
@@ -210,7 +217,3 @@ class TestFitValidation:
         ] * 3
         with pytest.raises(ValueError, match="observations"):
             fit_gp(obs)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            fit_gp([], mode="nope")

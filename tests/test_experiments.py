@@ -71,6 +71,19 @@ class TestCoverageStudy:
         out = coverage_study(cfg_other, checkpoint_path=ck)
         assert out["repetitions"] == 3
 
+    def test_resume_from_atomic_checkpoint_gives_same_report(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        cfg = ExperimentConfig(name="t", n_accounts=5, repetitions=103, seed=5)
+        first = coverage_study(cfg, checkpoint_path=ck)
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]  # no temporary file left behind
+        assert len(json.loads(ck.read_text())["records"]) == 100
+        done = []
+        resumed = coverage_study(cfg, checkpoint_path=ck, progress=lambda k, n: done.append(k))
+        assert done == [101, 102, 103]  # repetitions 1-100 came from the checkpoint
+        for report in (first, resumed):
+            report.pop("elapsed_seconds")
+        assert resumed == first
+
 
 class TestReferenceSigmas:
     def test_reference_sigma_accuracy(self):

@@ -157,6 +157,29 @@ class TestIO:
         assert np.array_equal(pop.eligible, back.eligible)
         assert np.array_equal(pop.portfolio, back.portfolio)
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("segment", "4", "segment"),
+            ("balance", "499.0", "balance"),
+            ("balance", "10000.5", "balance"),
+            ("portfolio", "2", "portfolio"),
+            ("credit_score", "nan", "NaN"),
+        ],
+    )
+    def test_csv_rejects_bad_row(self, tmp_path, column, value, message):
+        pop = init_population(10, (0.8, 0.2), seed=11)
+        path = tmp_path / "pop.csv"
+        pop.to_csv(path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        fields = lines[4].split(",")  # the fourth data row, account 3
+        fields[header.index(column)] = value
+        lines[4] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 5: .*{message}"):
+            Population.from_csv(path, n_portfolios=2)
+
     def test_manifest(self, tmp_path):
         import json
 

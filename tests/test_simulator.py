@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from collsim.allocator import pilot_block_variance
 from collsim.estimators import sample_moments
 from collsim.population import Account, init_population
 from collsim.rng import stream
@@ -429,3 +430,57 @@ class TestChunkedRunPlan:
         for k in range(5):
             u = g.random((HORIZON, n))
             assert np.array_equal(_simulate_block_realisation(*args, u), _reference_block(*args, u))
+        # stacked realisations: each row of the batch is ranked and simulated on its own
+        for r in (1, 2, 7):
+            u = g.random((r, HORIZON, n))
+            monthly = _simulate_block_realisation(*args, u)
+            assert monthly.shape == (r, n, HORIZON)
+            for k in range(r):
+                assert np.array_equal(monthly[k], _reference_block(*args, u[k]))
+
+
+def _reference_block_runs(pop, dep, g, r):
+    """``r`` block realisations from stream ``g``, one oracle call per realisation."""
+    covariates = (
+        pop.balance[dep],
+        pop.credit_score[dep],
+        pop.segment[dep],
+        pop.eligible[dep],
+        pop.paid_last_month[dep],
+        DEFAULT_SCHEDULE,
+    )
+    return [_reference_block(*covariates, g.random((HORIZON, len(dep)))) for _ in range(r)]
+
+
+class TestBlockBatches:
+    """Blocks whose realisations span several batches of about _CHUNK_PATHS account-realisations."""
+
+    @pytest.fixture(scope="class")
+    def pop(self):
+        pop = init_population(600, (1.0,), seed=8)
+        assert len(pop.portfolios[0].dependent_ids) >= 20
+        return pop
+
+    def test_run_plan_matches_per_realisation_oracle(self, pop):
+        dep = pop.portfolios[0].dependent_ids
+        r_j = 3 * _CHUNK_PATHS // len(dep) + 5  # three full batches and a partial one
+        counts = np.ones(pop.n)
+        counts[dep] = r_j
+        out = run_plan(pop, RealisationPlan(counts=counts), seed=6, store_monthly=True)
+        ref = _reference_block_runs(pop, dep, stream(6, "sim", "block", 0), r_j)
+        acc_tot = np.stack([m.sum(axis=1) for m in ref])
+        assert np.array_equal(out.block_totals[0], acc_tot.sum(axis=1))
+        for pos, i in enumerate(dep):
+            assert np.array_equal(out.totals[i], acc_tot[:, pos])
+        assert np.array_equal(out.block_monthly[0], np.stack([m.sum(axis=0) for m in ref]))
+        monthly_sum = np.zeros((len(dep), HORIZON))
+        for m in ref:
+            monthly_sum += m
+        assert np.array_equal(out.monthly_sum[dep], monthly_sum)
+
+    def test_pilot_variance_matches_per_realisation_oracle(self, pop):
+        dep = pop.portfolios[0].dependent_ids
+        n_pilot = 2 * _CHUNK_PATHS // len(dep) + 3
+        ref = _reference_block_runs(pop, dep, stream(9, "pilot", 0), n_pilot)
+        expected = float(np.array([m.sum() for m in ref]).var(ddof=1))
+        assert pilot_block_variance(pop, 0, DEFAULT_SCHEDULE, n_pilot=n_pilot, seed=9) == expected
