@@ -9,13 +9,12 @@ the remainder optimally.
 import numpy as np
 
 from collsim import active_set_solve, check_slater
-from collsim.experiments import (
-    ExperimentConfig,
+from collsim.allocator import (
     constrained_plan_for_population,
     constrained_problem_for_population,
-    reference_sigmas,
+    round_plan,
 )
-from collsim.allocator import round_plan
+from collsim.experiments import reference_sigmas
 from collsim.population import init_population
 
 pop = init_population(500, portfolio_probs=(0.98, 0.02), seed=2)
@@ -32,7 +31,7 @@ holds, margin = check_slater(problem)
 print(f"strict feasibility holds with budget margin {margin:,.0f}")
 
 solution = active_set_solve(problem)
-plan = round_plan(constrained_plan_for_population(pop, solution), pop)
+plan = round_plan(constrained_plan_for_population(pop, solution.plan), pop)
 
 variances = solution.plan.portfolio_variances(problem)
 print(f"\nactive caps: {sorted(solution.active) or 'none'}")

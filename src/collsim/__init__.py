@@ -4,22 +4,14 @@ The package simulates account-level repayment over an 84-month horizon,
 estimates expected collections with calibrated prediction intervals, and
 allocates a fixed simulation budget across accounts to minimize estimator
 variance, optionally under per-portfolio variance caps solved by an
-active-set method.  A Gaussian-process emulator predicts per-account
+active-set method (the uncapped plan is its stationary plan with no caps).  A Gaussian-process emulator predicts per-account
 collection variance from covariates so that optimized plans do not need
 per-account pilot runs.
 """
 
 __version__ = "0.1.0"
 
-from .allocator import (
-    AllocationInputs,
-    RealAllocation,
-    optimal_allocation,
-    pilot_block_variance,
-    plan_for_population,
-    round_counts,
-    round_plan,
-)
+from .allocator import pilot_block_variance, plan_for_population, round_plan
 from .constrained import (
     ActiveSetSolution,
     ConstrainedPlan,
@@ -30,6 +22,7 @@ from .constrained import (
     brute_force_oracle,
     check_slater,
     kkt_report,
+    round_counts,
     stationarity_solution,
 )
 from .emulator import (

@@ -1,102 +1,40 @@
-"""Variance-minimizing allocation of the simulation budget.
+"""Variance-minimizing allocation of the simulation budget over a population.
 
-Given per-account standard deviations sigma_i, per-block standard deviations
-sigma_D,j and a total budget C, the real-valued optimum assigns
+The allocation problem is the one of :mod:`collsim.constrained`; this module
+maps a population onto it and back.  With no caps the optimum is the
+stationarity solution with an empty active set:
 
     R*_i = sigma_i * C / G          (independent account i)
     r*_j = (sigma_D,j / sqrt(|D_j|)) * C / G    (dependent block j)
 
-with G = sum_j sqrt(|D_j|) sigma_D,j + sum_i sigma_i.  Real-valued plans are
-rounded to integers: values in (0, 1) round up to one; everything else rounds
-half away from zero.  Dependent-block variances are pre-estimated from pilot
+with G = sum_j gamma_j, gamma_j = sqrt(|D_j|) sigma_D,j + sum_{i in I_j} sigma_i.
+Real-valued plans are rounded to integers (:func:`collsim.constrained.round_counts`),
+one count per block.  Dependent-block variances are pre-estimated from pilot
 realisations that are excluded from the final estimator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .constrained import (
+    ConstrainedPlan,
+    ConstrainedProblem,
+    PortfolioInputs,
+    round_counts,
+    stationarity_solution,
+)
 from .population import Population
 from .rng import stream
 from .simulator import HORIZON, RealisationPlan, TransitionSchedule, _block_batches
 
 __all__ = [
-    "AllocationInputs",
-    "RealAllocation",
-    "optimal_allocation",
-    "round_counts",
     "round_plan",
+    "constrained_problem_for_population",
+    "constrained_plan_for_population",
     "plan_for_population",
     "pilot_block_variance",
 ]
-
-
-@dataclass(frozen=True)
-class AllocationInputs:
-    """Pooled allocation problem: all independents plus the dependent blocks."""
-
-    sigma_independent: np.ndarray  # per independent account
-    sigma_block: np.ndarray  # per dependent block (may be empty)
-    block_size: np.ndarray  # |D_j| per dependent block
-    budget: float
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if np.any(np.asarray(self.sigma_independent) < 0) or np.any(np.asarray(self.sigma_block) < 0):
-            raise ValueError("standard deviations must be non-negative")
-        if len(self.sigma_block) != len(self.block_size):
-            raise ValueError("sigma_block and block_size must align")
-        if np.any(np.asarray(self.block_size) <= 0) and len(self.block_size):
-            raise ValueError("block sizes must be positive")
-
-    @property
-    def weight(self) -> float:
-        """sqrt(|D|)-weighted total standard deviation, the allocation denominator."""
-        return float(
-            (np.sqrt(np.asarray(self.block_size, dtype=float)) * self.sigma_block).sum()
-            + np.asarray(self.sigma_independent).sum()
-        )
-
-
-@dataclass(frozen=True)
-class RealAllocation:
-    """Real-valued realisation counts, aligned with the inputs."""
-
-    r_independent: np.ndarray
-    r_block: np.ndarray
-
-    def total_cost(self, block_size) -> float:
-        return float(self.r_independent.sum() + (self.r_block * np.asarray(block_size)).sum())
-
-
-def optimal_allocation(inputs: AllocationInputs) -> RealAllocation:
-    """Closed-form variance-minimizing real-valued allocation."""
-    g = inputs.weight
-    if g <= 0:
-        raise ValueError("degenerate problem: all standard deviations are zero")
-    scale = inputs.budget / g
-    return RealAllocation(
-        r_independent=np.asarray(inputs.sigma_independent, dtype=float) * scale,
-        r_block=np.asarray(inputs.sigma_block, dtype=float)
-        / np.sqrt(np.asarray(inputs.block_size, dtype=float))
-        * scale,
-    )
-
-
-def round_counts(counts) -> np.ndarray:
-    """Round real counts: [0, 1) -> 1, else half away from zero.
-
-    A zero count arises only for zero-variance units, which still need one
-    realisation to estimate their (deterministic) total.
-    """
-    c = np.asarray(counts, dtype=float)
-    if np.any(c < 0):
-        raise ValueError("counts must be non-negative before rounding")
-    rounded = np.floor(c + 0.5)
-    return np.where(c < 1.0, 1.0, rounded)
 
 
 def round_plan(plan: RealisationPlan, population: Population | None = None) -> RealisationPlan:
@@ -110,33 +48,51 @@ def round_plan(plan: RealisationPlan, population: Population | None = None) -> R
     return RealisationPlan(counts=counts)
 
 
+def constrained_problem_for_population(
+    population: Population, sigma: np.ndarray, sigma_block: np.ndarray, caps, budget: float
+) -> ConstrainedProblem:
+    """One :class:`PortfolioInputs` per portfolio of ``population``.
+
+    ``sigma`` is indexed by account id (dependent entries are ignored);
+    ``sigma_block`` is indexed by portfolio, NaN where a portfolio has no
+    dependent block.
+    """
+    sigma = np.asarray(sigma)
+    portfolios = []
+    for j, pf in enumerate(population.portfolios):
+        portfolios.append(
+            PortfolioInputs(
+                sigma_independent=sigma[pf.independent_ids],
+                sigma_block=float(sigma_block[j]) if len(pf.dependent_ids) else 0.0,
+                block_size=len(pf.dependent_ids),
+            )
+        )
+    return ConstrainedProblem(portfolios=tuple(portfolios), caps=np.asarray(caps, dtype=float), budget=budget)
+
+
+def constrained_plan_for_population(population: Population, plan: ConstrainedPlan) -> RealisationPlan:
+    """Per-account real-valued counts of a per-portfolio plan."""
+    counts = np.empty(population.n)
+    for j, pf in enumerate(population.portfolios):
+        counts[pf.independent_ids] = plan.r_independent[j]
+        if len(pf.dependent_ids):
+            counts[pf.dependent_ids] = plan.r_block[j]
+    return RealisationPlan(counts=counts)
+
+
 def plan_for_population(
     population: Population,
     sigma_independent: np.ndarray,
     sigma_block: np.ndarray,
     budget: float,
 ) -> RealisationPlan:
-    """Real-valued optimal plan expressed per account id.
+    """Real-valued optimal plan per account id: the stationary plan with no caps.
 
-    ``sigma_independent`` is indexed by account id (dependent entries are
-    ignored); ``sigma_block`` is indexed by portfolio, NaN where a portfolio
-    has no dependent block.
+    Arguments are indexed as in :func:`constrained_problem_for_population`.
     """
-    pfs = population.portfolios
-    block_js = [j for j, pf in enumerate(pfs) if len(pf.dependent_ids)]
-    indep = population.independent_ids
-    inputs = AllocationInputs(
-        sigma_independent=np.asarray(sigma_independent)[indep],
-        sigma_block=np.array([sigma_block[j] for j in block_js]),
-        block_size=np.array([len(pfs[j].dependent_ids) for j in block_js]),
-        budget=budget,
-    )
-    alloc = optimal_allocation(inputs)
-    counts = np.empty(population.n)
-    counts[indep] = alloc.r_independent
-    for pos, j in enumerate(block_js):
-        counts[pfs[j].dependent_ids] = alloc.r_block[pos]
-    return RealisationPlan(counts=counts)
+    caps = np.full(population.n_portfolios, np.inf)
+    problem = constrained_problem_for_population(population, sigma_independent, sigma_block, caps, budget)
+    return constrained_plan_for_population(population, stationarity_solution(problem, frozenset()))
 
 
 def pilot_block_variance(

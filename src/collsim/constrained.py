@@ -1,8 +1,8 @@
-"""Budget allocation under per-portfolio variance caps.
+"""Budget allocation, optionally under per-portfolio variance caps.
 
 Minimizes the total estimator variance subject to the budget constraint and
-upper bounds V_j on each portfolio's estimator variance.  The key per-portfolio
-constants are
+upper bounds V_j on each portfolio's estimator variance (``np.inf`` for no
+cap).  The key per-portfolio constants are
 
     gamma_j = sqrt(|D_j|) sigma_D,j + sum_{i in I_j} sigma_i
     eps_j   = gamma_j / V_j
@@ -13,6 +13,11 @@ member), and e_j = eps_j for active portfolios or the common multiplier
 alpha(B) = C_Rem / d_B for inactive ones, where C_Rem = C - sum_{j in B}
 gamma_j eps_j and d_B = sum_{j not in B} gamma_j.  A portfolio's variance under
 such a plan is gamma_j / e_j, so active portfolios meet their caps exactly.
+
+The uncapped optimum, every count sigma-proportional with e_j = C / sum_j
+gamma_j, is the stationarity solution with no caps and B = {}.  A portfolio
+with gamma_j = 0 has variance 0 under any plan: it is never active, adds
+nothing to d_B and gets zero counts.
 
 The active-set iteration starts from B = {} and, after each re-solve, adds
 every portfolio whose cap is violated, stopping when a full pass adds nothing.
@@ -28,7 +33,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +43,7 @@ __all__ = [
     "ConstrainedPlan",
     "ActiveSetSolution",
     "InfeasibleProblemError",
+    "round_counts",
     "stationarity_solution",
     "active_set_solve",
     "check_slater",
@@ -54,6 +60,19 @@ class InfeasibleProblemError(ValueError):
     """The caps cannot all be met within the budget."""
 
 
+def round_counts(counts) -> np.ndarray:
+    """Round real counts: [0, 1) -> 1, else half away from zero.
+
+    A zero count arises only for zero-variance units, which still need one
+    realisation to estimate their (deterministic) total.
+    """
+    c = np.asarray(counts, dtype=float)
+    if np.any(c < 0):
+        raise ValueError("counts must be non-negative before rounding")
+    rounded = np.floor(c + 0.5)
+    return np.where(c < 1.0, 1.0, rounded)
+
+
 @dataclass(frozen=True)
 class PortfolioInputs:
     """Standard deviations of one portfolio's accounts."""
@@ -65,7 +84,7 @@ class PortfolioInputs:
     def __post_init__(self):
         if np.any(np.asarray(self.sigma_independent) < 0) or self.sigma_block < 0:
             raise ValueError("standard deviations must be non-negative")
-        if (self.block_size == 0) != (self.sigma_block == 0.0) and self.block_size == 0:
+        if self.block_size == 0 and self.sigma_block != 0.0:
             raise ValueError("a block standard deviation needs a positive block size")
 
     @property
@@ -73,14 +92,6 @@ class PortfolioInputs:
         return float(
             np.sqrt(self.block_size) * self.sigma_block + np.asarray(self.sigma_independent).sum()
         )
-
-    @property
-    def unit_scales(self) -> np.ndarray:
-        """c_i for every unit: independents first, then one entry per block member."""
-        c = list(np.asarray(self.sigma_independent, dtype=float))
-        if self.block_size:
-            c += [self.sigma_block / np.sqrt(self.block_size)] * self.block_size
-        return np.asarray(c)
 
 
 @dataclass(frozen=True)
@@ -97,9 +108,8 @@ class ConstrainedProblem:
             raise ValueError("caps must be positive (use np.inf for no cap)")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        for j, pf in enumerate(self.portfolios):
-            if pf.gamma <= 0:
-                raise ValueError(f"portfolio {j} has gamma = 0 (no variability)")
+        if not np.any(self.gamma > 0):
+            raise ValueError("degenerate problem: all standard deviations are zero")
 
     @property
     def n_portfolios(self) -> int:
@@ -136,7 +146,7 @@ class ConstrainedPlan:
             s2 = np.asarray(pf.sigma_independent) ** 2
             with np.errstate(divide="ignore", invalid="ignore"):
                 v = float(np.where(s2 > 0, s2 / self.r_independent[j], 0.0).sum())
-            if pf.block_size:
+            if pf.sigma_block > 0:
                 v += pf.sigma_block**2 / float(self.r_block[j])
             out[j] = v
         return out
@@ -174,7 +184,8 @@ def stationarity_solution(problem: ConstrainedProblem, active) -> ConstrainedPla
     gamma, eps = problem.gamma, problem.eps
     act = np.array([j in active for j in range(problem.n_portfolios)])
     c_rem = problem.budget - float((gamma[act] * eps[act]).sum())
-    if act.all():
+    d = float(gamma[~act].sum())
+    if d == 0:  # every portfolio with variability is active
         if c_rem < 0:
             raise InfeasibleProblemError(
                 f"active caps alone need {problem.budget - c_rem:.6g} > budget {problem.budget:.6g}"
@@ -185,9 +196,8 @@ def stationarity_solution(problem: ConstrainedProblem, active) -> ConstrainedPla
             raise InfeasibleProblemError(
                 f"budget exhausted by active constraints (C_Rem = {c_rem:.6g})"
             )
-        d = float(gamma[~act].sum())
         alpha = c_rem / d
-    e = np.where(act, eps, alpha)
+    e = np.where(act | (gamma == 0), eps, alpha)
     r_indep, r_block = [], np.full(problem.n_portfolios, np.nan)
     for j, pf in enumerate(problem.portfolios):
         r_indep.append(np.asarray(pf.sigma_independent, dtype=float) * e[j])
@@ -205,13 +215,14 @@ def active_set_solve(problem: ConstrainedProblem) -> ActiveSetSolution:
         )
     n = problem.n_portfolios
     gamma, eps = problem.gamma, problem.eps
+    live = gamma > 0  # a portfolio without variability never binds its cap
     active: set = set()
     alpha_trace: list = []
     iterations = 0
     while True:
         iterations += 1
         plan = stationarity_solution(problem, active)
-        inactive = [j for j in range(n) if j not in active]
+        inactive = [j for j in range(n) if j not in active and live[j]]
         if inactive:
             alpha_trace.append(float(plan.multiplier[inactive[0]]))
         variances = plan.portfolio_variances(problem)
@@ -224,11 +235,10 @@ def active_set_solve(problem: ConstrainedProblem) -> ActiveSetSolution:
         active.update(violated)
 
     slack = 0.0
-    if len(active) == n:
+    if not inactive:
         slack = problem.budget - float((gamma * eps).sum())
         lam = np.nan
-        delta = np.zeros(n)
-        delta[:] = np.nan  # multipliers undefined without an interior alpha
+        delta = np.full(n, np.nan)  # multipliers undefined without an interior alpha
     else:
         alpha = alpha_trace[-1]
         lam = 1.0 / alpha**2
@@ -260,7 +270,7 @@ def kkt_report(problem: ConstrainedProblem, solution: ActiveSetSolution) -> dict
         if pos.any():
             grad = lam - (1.0 + delta[j]) * sig2[pos] / r[pos] ** 2
             stationarity = max(stationarity, float(np.abs(grad).max() / max(lam, 1e-300)))
-        if pf.block_size:
+        if pf.sigma_block > 0:
             grad_b = lam * pf.block_size - (1.0 + delta[j]) * pf.sigma_block**2 / plan.r_block[j] ** 2
             stationarity = max(stationarity, abs(grad_b) / max(lam * pf.block_size, 1e-300))
 
@@ -288,7 +298,7 @@ def brute_force_oracle(problem: ConstrainedProblem, rtol: float = 1e-9):
     if n > 12:
         raise ValueError(f"brute force limited to 12 portfolios, got {n}")
     caps = np.asarray(problem.caps, dtype=float)
-    eps = problem.eps
+    gamma, eps = problem.gamma, problem.eps
     best = None
     for r in range(n + 1):
         for combo in itertools.combinations(range(n), r):
@@ -300,8 +310,9 @@ def brute_force_oracle(problem: ConstrainedProblem, rtol: float = 1e-9):
             variances = plan.portfolio_variances(problem)
             if np.any(variances > caps * (1.0 + rtol)):
                 continue
-            if len(active) < n:
-                alpha = float(plan.multiplier[[j for j in range(n) if j not in active][0]])
+            inactive = [j for j in range(n) if j not in active and gamma[j] > 0]
+            if inactive:
+                alpha = float(plan.multiplier[inactive[0]])
                 delta = np.array(
                     [(eps[j] / alpha) ** 2 - 1.0 if j in active else 0.0 for j in range(n)]
                 )
@@ -370,8 +381,6 @@ def plan_to_csv(problem: ConstrainedProblem, solution: ActiveSetSolution, path) 
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["unit_id", "kind", "count_real", "count_int"])
-        from .allocator import round_counts
-
         for j, pf in enumerate(problem.portfolios):
             if pf.block_size:
                 r = float(solution.plan.r_block[j])

@@ -13,21 +13,20 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .allocator import pilot_block_variance, plan_for_population, round_plan
-from .constrained import (
-    ActiveSetSolution,
-    ConstrainedProblem,
-    PortfolioInputs,
-    active_set_solve,
-    kkt_report,
-    solution_to_json,
+from .allocator import (
+    constrained_plan_for_population,
+    constrained_problem_for_population,
+    pilot_block_variance,
+    plan_for_population,
+    round_plan,
 )
+from .constrained import active_set_solve, kkt_report, solution_to_json
 from .emulator import (
     GpEmulator,
     fit_gp,
@@ -109,6 +108,9 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
         doc = json.loads(Path(path).read_text())
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
         for k, v in doc.items():
             if isinstance(v, list):
                 doc[k] = tuple(v)
@@ -116,8 +118,12 @@ class ExperimentConfig:
         return cls(**doc)
 
     def config_hash(self) -> str:
-        canon = json.dumps(asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return _digest(asdict(self))
+
+
+def _digest(doc: dict) -> str:
+    canon = json.dumps(doc, sort_keys=True, default=str)
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def write_sidecar(out_path, config: ExperimentConfig) -> None:
@@ -171,20 +177,35 @@ def _pilot_block_sigmas(population, n_pilot, seed, schedule=DEFAULT_SCHEDULE):
     return out
 
 
+def _m2_pre_estimates(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
+    """Method M2 variance pre-estimates for a plan.
+
+    Each account takes the emulator's variance; each block takes the variance
+    of ``config.n_pilot`` pilot realisations drawn with ``seed``, stored as
+    the square of its sigma, so ``sqrt`` gives back that sigma exactly.
+    """
+    if emulator is None:
+        raise ValueError("optimized plans need a trained emulator")
+    sigma_block = _pilot_block_sigmas(population, config.n_pilot, seed)
+    return VarianceInputs(
+        sigma2_independent=sigma2_for_population(emulator, population),
+        sigma2_block=sigma_block**2,
+        source=VarianceSource.EMULATOR,
+    )
+
+
 def optimized_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
     """Real-valued variance-minimizing plan from emulator variances and block pilots.
 
     Returns ``(plan, inputs)``: the plan and the M2 variance pre-estimates
-    that produced it (emulator variance per account, variance of
-    ``config.n_pilot`` pilot realisations drawn with ``seed`` per block).
+    that produced it (see :func:`_m2_pre_estimates`).
     """
-    if emulator is None:
-        raise ValueError("optimized plans need a trained emulator")
-    sigma2 = sigma2_for_population(emulator, population)
-    sigma_block = _pilot_block_sigmas(population, config.n_pilot, seed)
-    real = plan_for_population(population, np.sqrt(sigma2), sigma_block, config.effective_budget)
-    inputs = VarianceInputs(
-        sigma2_independent=sigma2, sigma2_block=sigma_block**2, source=VarianceSource.EMULATOR
+    inputs = _m2_pre_estimates(population, config, emulator, seed)
+    real = plan_for_population(
+        population,
+        np.sqrt(inputs.sigma2_independent),
+        np.sqrt(inputs.sigma2_block),
+        config.effective_budget,
     )
     return real, inputs
 
@@ -281,21 +302,22 @@ def coverage_study(
     Reports empirical coverage, mean interval length and relative uncertainty
     (mean of width over midpoint).  Checkpoints every 100 repetitions when a
     checkpoint path is given (atomically: a temporary file in the same
-    directory, then a rename), and resumes from it.
+    directory, then a rename), and resumes from it.  A checkpoint is keyed on
+    the config apart from its repetition count, and on the tool version: a
+    study of any length resumes from the first repetitions of another.
     """
+    key = _digest({**asdict(config), "repetitions": None, "tool_version": __version__})
     records = []
-    start_rep = 0
     if checkpoint_path and Path(checkpoint_path).exists():
         saved = json.loads(Path(checkpoint_path).read_text())
-        if saved.get("config_hash") == config.config_hash():
-            records = saved["records"]
-            start_rep = len(records)
+        if saved.get("key") == key:
+            records = saved["records"][: config.repetitions]
     t0 = time.time()
-    for rep in range(start_rep, config.repetitions):
+    for rep in range(len(records), config.repetitions):
         records.append(_coverage_repetition(config, emulator, rep))
         if checkpoint_path and (rep + 1) % 100 == 0:
             tmp = Path(f"{checkpoint_path}.tmp")
-            tmp.write_text(json.dumps({"config_hash": config.config_hash(), "records": records}))
+            tmp.write_text(json.dumps({"key": key, "records": records}))
             os.replace(tmp, checkpoint_path)
         if progress:
             progress(rep + 1, config.repetitions)
@@ -319,32 +341,6 @@ def coverage_study(
 # Portfolio protection
 
 
-def constrained_problem_for_population(
-    population: Population, sigma: np.ndarray, sigma_block: np.ndarray, caps, budget: float
-) -> ConstrainedProblem:
-    portfolios = []
-    for j, pf in enumerate(population.portfolios):
-        portfolios.append(
-            PortfolioInputs(
-                sigma_independent=sigma[pf.independent_ids],
-                sigma_block=float(sigma_block[j]) if len(pf.dependent_ids) else 0.0,
-                block_size=len(pf.dependent_ids),
-            )
-        )
-    return ConstrainedProblem(portfolios=tuple(portfolios), caps=np.asarray(caps, dtype=float), budget=budget)
-
-
-def constrained_plan_for_population(
-    population: Population, solution: ActiveSetSolution
-) -> RealisationPlan:
-    counts = np.empty(population.n)
-    for j, pf in enumerate(population.portfolios):
-        counts[pf.independent_ids] = solution.plan.r_independent[j]
-        if len(pf.dependent_ids):
-            counts[pf.dependent_ids] = solution.plan.r_block[j]
-    return RealisationPlan(counts=counts)
-
-
 def protect_experiment(
     config: ExperimentConfig,
     emulator: GpEmulator | None = None,
@@ -360,26 +356,26 @@ def protect_experiment(
     if config.caps is None:
         raise ValueError("protect experiments need per-portfolio caps")
     pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
-    if sigma is None:
-        if emulator is not None:
-            sigma = np.sqrt(sigma2_for_population(emulator, pop))
-            sigma_block = _pilot_block_sigmas(pop, config.n_pilot, derive_seed(config.seed, "pilot"))
-        else:
+    if sigma is None and emulator is not None:
+        inputs = _m2_pre_estimates(pop, config, emulator, derive_seed(config.seed, "pilot"))
+        sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
+    else:
+        if sigma is None:
             sigma, sigma_block = reference_sigmas(
                 pop, config.sigma_reference_realisations, seed=derive_seed(config.seed, "sigma")
             )
+        inputs = VarianceInputs(
+            sigma2_independent=sigma**2,
+            sigma2_block=np.asarray(sigma_block) ** 2,
+            source=VarianceSource.REFERENCE,
+        )
     problem = constrained_problem_for_population(
         pop, sigma, sigma_block, config.caps, config.effective_budget
     )
     solution = active_set_solve(problem)
-    real_plan = constrained_plan_for_population(pop, solution)
+    real_plan = constrained_plan_for_population(pop, solution.plan)
     int_plan = round_plan(real_plan, pop)
 
-    sigma2_indep = sigma**2
-    sigma2_blk = np.asarray(sigma_block) ** 2
-    inputs = VarianceInputs(
-        sigma2_independent=sigma2_indep, sigma2_block=sigma2_blk, source=VarianceSource.REFERENCE
-    )
     var_real, _ = estimator_variance(inputs, real_plan, pop)
     var_int, _ = estimator_variance(inputs, int_plan, pop)
 
@@ -449,13 +445,8 @@ def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None = 
     """Simulate one plan over one population and write the standard outputs."""
     pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
     plan, _ = build_plan(pop, config, emulator, derive_seed(config.seed, "pilot"))
-    store_monthly = True
     output = run_plan(
-        pop,
-        plan,
-        seed=derive_seed(config.seed, "estimate"),
-        store_monthly=store_monthly,
-        n_workers=config.threads,
+        pop, plan, seed=derive_seed(config.seed, "estimate"), store_monthly=True, n_workers=config.threads
     )
     mu = estimate_mu(output, plan, pop)
     report = {

@@ -229,8 +229,8 @@ class Population:
         """Read a population written by :meth:`to_csv`.
 
         Rejects a row with a NaN, a segment outside {1, 2, 3}, a balance
-        outside the support or a portfolio id outside ``range(n_portfolios)``,
-        naming the first such row's line.
+        outside the support, a flag other than 0 or 1 or a portfolio id
+        outside ``range(n_portfolios)``, naming the first such row's line.
         """
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
@@ -254,6 +254,8 @@ class Population:
         balance = cols["balance"]
         outside = (balance < BALANCE_LO) | (balance > BALANCE_HI)
         reject(outside, f"balance outside [{BALANCE_LO}, {BALANCE_HI}]")
+        for flag in ("eligible", "paid_last_month"):
+            reject(~np.isin(cols[flag], (0, 1)), f"{flag} must be 0 or 1")
         reject(~np.isin(portfolio, np.arange(n_portfolios)), f"portfolio id outside range({n_portfolios})")
         return cls(
             balance=balance,

@@ -268,12 +268,6 @@ class RealisationPlan:
             if len(dep) and len(np.unique(self.counts[dep])) > 1:
                 raise ValueError(f"dependent block of portfolio {j} has unequal counts")
 
-    def block_count(self, population: Population, j: int) -> float:
-        dep = population.portfolios[j].dependent_ids
-        if not len(dep):
-            raise ValueError(f"portfolio {j} has no dependent block")
-        return float(self.counts[dep[0]])
-
     def to_csv(self, population: Population, path, int_counts: np.ndarray | None = None) -> None:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
@@ -345,14 +339,6 @@ class SimulationOutput:
         for c in np.unique(counts):
             ids = np.flatnonzero(counts == c)
             yield ids, self.values[self.offsets[ids, None] + np.arange(c)]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["account_id", "realisation", "total"])
-            for i, tot in enumerate(self.totals):
-                for k, x in enumerate(tot):
-                    w.writerow([i, k, f"{x:.2f}"])
 
     def summary_json(self, path) -> None:
         """Per-account mean, variance (R_i >= 2) and kurtosis (R_i >= 4), as compact JSON.

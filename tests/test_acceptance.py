@@ -10,15 +10,24 @@ import math
 import numpy as np
 import pytest
 
-from collsim.allocator import AllocationInputs, optimal_allocation, round_plan
+from collsim.allocator import (
+    constrained_plan_for_population,
+    constrained_problem_for_population,
+    round_plan,
+)
 from collsim.cli import _random_problem
-from collsim.constrained import active_set_solve, brute_force_oracle, kkt_report
+from collsim.constrained import (
+    ConstrainedProblem,
+    PortfolioInputs,
+    active_set_solve,
+    brute_force_oracle,
+    kkt_report,
+    stationarity_solution,
+)
 from collsim.emulator import SegmentGP, _simulate_point, validate_emulator
 from collsim.estimators import VarianceInputs, VarianceSource, estimator_variance
 from collsim.experiments import (
     ExperimentConfig,
-    constrained_plan_for_population,
-    constrained_problem_for_population,
     coverage_study,
     reference_sigmas,
     train_emulator_experiment,
@@ -145,7 +154,7 @@ def test_criterion_4_portfolio_protection(capsys, population_99_1, reference):
     caps = (1000.0**2, 50.0**2)
     problem = constrained_problem_for_population(pop, sigma, sigma_block, caps, budget=25.0 * pop.n)
     solution = active_set_solve(problem)
-    real_plan = constrained_plan_for_population(pop, solution)
+    real_plan = constrained_plan_for_population(pop, solution.plan)
     int_plan = round_plan(real_plan, pop)
     inputs = VarianceInputs(
         sigma2_independent=sigma**2,
@@ -173,23 +182,24 @@ def test_criterion_4_portfolio_protection(capsys, population_99_1, reference):
 
 
 def test_criterion_5_closed_form_optimality(capsys):
-    """On 100 random 5-account problems the closed-form allocation beats 10^4
-    random budget splits and equalizes sigma_i^2 / R_i^2 across accounts."""
+    """On 100 random 5-account problems the closed-form allocation (the
+    stationary plan with no caps) beats 10^4 random budget splits and
+    equalizes sigma_i^2 / R_i^2 across accounts."""
     g = stream(ACC_SEED, "acceptance-allocation")
     worst_margin = np.inf
     worst_ratio_spread = 0.0
     for _ in range(100):
         sigma = g.uniform(1.0, 100.0, size=5)
         budget = float(g.uniform(50.0, 500.0))
-        inputs = AllocationInputs(
-            sigma_independent=sigma, sigma_block=np.array([]), block_size=np.array([]), budget=budget
+        problem = ConstrainedProblem(
+            (PortfolioInputs(sigma_independent=sigma),), caps=np.array([np.inf]), budget=budget
         )
-        alloc = optimal_allocation(inputs)
-        v_opt = float((sigma**2 / alloc.r_independent).sum())
+        r = stationarity_solution(problem, frozenset()).r_independent[0]
+        v_opt = float((sigma**2 / r).sum())
         w = g.dirichlet(np.ones(5), size=10000)
         v_rand = (sigma**2 / (budget * w)).sum(axis=1)
         worst_margin = min(worst_margin, float(v_rand.min() / v_opt))
-        ratios = sigma**2 / alloc.r_independent**2
+        ratios = sigma**2 / r**2
         worst_ratio_spread = max(worst_ratio_spread, float(np.ptp(ratios) / ratios[0]))
     beats_ok = worst_margin >= 1.0 - 1e-12
     ratio_ok = worst_ratio_spread < 1e-9

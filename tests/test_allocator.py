@@ -1,97 +1,83 @@
-"""Closed-form budget allocation and rounding."""
+"""Uncapped optimal allocation, population mapping and rounding."""
 
 import numpy as np
 import pytest
 
 from collsim.allocator import (
-    AllocationInputs,
-    optimal_allocation,
+    constrained_problem_for_population,
     pilot_block_variance,
     plan_for_population,
-    round_counts,
     round_plan,
+)
+from collsim.constrained import (
+    ConstrainedProblem,
+    PortfolioInputs,
+    active_set_solve,
+    round_counts,
+    stationarity_solution,
 )
 from collsim.population import init_population
 from collsim.simulator import DEFAULT_SCHEDULE, RealisationPlan
 
 
-def _variance(inputs: AllocationInputs, r_ind, r_blk):
-    v = float((np.asarray(inputs.sigma_independent) ** 2 / r_ind).sum())
-    if len(inputs.sigma_block):
-        v += float((np.asarray(inputs.sigma_block) ** 2 / r_blk).sum())
-    return v
+def _uncapped(budget, *portfolios):
+    """The problem with no caps and its stationary plan with an empty active set."""
+    problem = ConstrainedProblem(portfolios=portfolios, caps=np.full(len(portfolios), np.inf), budget=budget)
+    return problem, stationarity_solution(problem, frozenset())
 
 
 class TestOptimalAllocation:
     def test_hand_instance(self):
         # sigmas (3, 4), one block with sigma 6 and 4 members:
         # G = 3 + 4 + 2*6 = 19; C = 38 -> scale 2
-        inputs = AllocationInputs(
-            sigma_independent=np.array([3.0, 4.0]),
-            sigma_block=np.array([6.0]),
-            block_size=np.array([4]),
-            budget=38.0,
+        problem, plan = _uncapped(
+            38.0, PortfolioInputs(sigma_independent=np.array([3.0, 4.0]), sigma_block=6.0, block_size=4)
         )
-        alloc = optimal_allocation(inputs)
-        assert alloc.r_independent == pytest.approx([6.0, 8.0])
-        assert alloc.r_block == pytest.approx([6.0])  # (6/2) * 2
-        assert alloc.total_cost(inputs.block_size) == pytest.approx(38.0)
+        assert plan.r_independent[0] == pytest.approx([6.0, 8.0])
+        assert plan.r_block == pytest.approx([6.0])  # (6/2) * 2
+        assert plan.cost(problem) == pytest.approx(38.0)
 
     def test_kkt_ratio_constant(self):
         # at the optimum, sigma_i^2 / R_i^2 is the same for every unit
         g = np.random.Generator(np.random.Philox(key=5))
-        inputs = AllocationInputs(
-            sigma_independent=g.uniform(1, 50, size=8),
-            sigma_block=g.uniform(1, 50, size=2),
-            block_size=np.array([3, 5]),
-            budget=500.0,
+        sigma = g.uniform(1, 50, size=8)
+        sigma_block = g.uniform(1, 50, size=2)
+        block_size = np.array([3, 5])
+        _, plan = _uncapped(
+            500.0,
+            PortfolioInputs(sigma_independent=sigma, sigma_block=sigma_block[0], block_size=3),
+            PortfolioInputs(sigma_independent=np.array([]), sigma_block=sigma_block[1], block_size=5),
         )
-        alloc = optimal_allocation(inputs)
         ratios = np.concatenate(
-            [
-                inputs.sigma_independent**2 / alloc.r_independent**2,
-                inputs.sigma_block**2 / (np.asarray(inputs.block_size) * alloc.r_block**2),
-            ]
+            [sigma**2 / plan.r_independent[0] ** 2, sigma_block**2 / (block_size * plan.r_block**2)]
         )
         assert np.ptp(ratios) / ratios[0] < 1e-12
 
     def test_beats_random_plans(self):
         g = np.random.Generator(np.random.Philox(key=6))
-        inputs = AllocationInputs(
-            sigma_independent=g.uniform(1, 100, size=5),
-            sigma_block=np.array([]),
-            block_size=np.array([]),
-            budget=100.0,
-        )
-        alloc = optimal_allocation(inputs)
-        v_opt = _variance(inputs, alloc.r_independent, alloc.r_block)
+        sigma = g.uniform(1, 100, size=5)
+        problem, plan = _uncapped(100.0, PortfolioInputs(sigma_independent=sigma))
+        v_opt = plan.objective(problem)
         for _ in range(2000):
             w = g.dirichlet(np.ones(5))
-            v = _variance(inputs, 100.0 * w, np.array([]))
+            v = float((sigma**2 / (100.0 * w)).sum())
             assert v >= v_opt * (1 - 1e-12)
 
     def test_exhausts_budget(self):
-        inputs = AllocationInputs(
-            sigma_independent=np.array([1.0, 2.0, 3.0]),
-            sigma_block=np.array([5.0]),
-            block_size=np.array([7]),
-            budget=123.0,
+        problem, plan = _uncapped(
+            123.0, PortfolioInputs(sigma_independent=np.array([1.0, 2.0, 3.0]), sigma_block=5.0, block_size=7)
         )
-        alloc = optimal_allocation(inputs)
-        assert alloc.total_cost(inputs.block_size) == pytest.approx(123.0)
+        assert plan.cost(problem) == pytest.approx(123.0)
 
     def test_degenerate_raises(self):
-        inputs = AllocationInputs(
-            sigma_independent=np.zeros(3), sigma_block=np.array([]), block_size=np.array([]), budget=10.0
-        )
         with pytest.raises(ValueError, match="degenerate"):
-            optimal_allocation(inputs)
+            _uncapped(10.0, PortfolioInputs(sigma_independent=np.zeros(3)))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            AllocationInputs(np.array([1.0]), np.array([]), np.array([]), budget=0.0)
+            _uncapped(0.0, PortfolioInputs(sigma_independent=np.array([1.0])))
         with pytest.raises(ValueError):
-            AllocationInputs(np.array([-1.0]), np.array([]), np.array([]), budget=1.0)
+            _uncapped(1.0, PortfolioInputs(sigma_independent=np.array([-1.0])))
 
 
 class TestRounding:
@@ -136,6 +122,29 @@ class TestPlanForPopulation:
         assert np.ptp(ratio) / ratio[0] < 1e-12
         plan_int = round_plan(plan, pop)
         plan_int.validate_for(pop)
+        # the closed form R_i = sigma_i C / G, G summed over units
+        block_weight = sum(
+            np.sqrt(len(pf.dependent_ids)) * sigma_block[j]
+            for j, pf in enumerate(pop.portfolios)
+            if len(pf.dependent_ids)
+        )
+        scale = 5000.0 / (sigma[indep].sum() + block_weight)
+        assert plan.counts[indep] == pytest.approx(sigma[indep] * scale, rel=1e-14)
+
+    def test_empty_portfolio(self):
+        # a portfolio with no accounts has gamma = 0: it gets no budget and never binds a cap
+        pop = init_population(100, (0.99, 0.01), seed=4)
+        assert not (pop.portfolio == 1).any()
+        sigma = np.random.Generator(np.random.Philox(key=8)).uniform(1, 10, size=100)
+        sigma_block = np.array([30.0 if len(pop.portfolios[0].dependent_ids) else np.nan, np.nan])
+        plan = plan_for_population(pop, sigma, sigma_block, budget=2500.0)
+        assert plan.cost == pytest.approx(2500.0)
+        round_plan(plan, pop).validate_for(pop)
+        problem = constrained_problem_for_population(pop, sigma, sigma_block, caps=(1e9, 1e-6), budget=2500.0)
+        solution = active_set_solve(problem)
+        assert solution.active == frozenset()
+        assert solution.plan.portfolio_variances(problem)[1] == 0.0
+        assert solution.plan.cost(problem) == pytest.approx(2500.0)
 
 
 class TestPilotBlockVariance:

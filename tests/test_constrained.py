@@ -18,27 +18,8 @@ from collsim.constrained import (
     solution_to_json,
     stationarity_solution,
 )
+from collsim.cli import _random_problem
 from collsim.rng import stream
-
-
-def _random_problem(g, n_portfolios):
-    portfolios, gammas = [], []
-    for _ in range(n_portfolios):
-        n_i = int(g.integers(1, 6))
-        has_block = g.random() < 0.5
-        size = int(g.integers(2, 6)) if has_block else 0
-        pf = PortfolioInputs(
-            sigma_independent=g.uniform(10.0, 300.0, size=n_i),
-            sigma_block=float(g.uniform(20.0, 500.0)) if has_block else 0.0,
-            block_size=size,
-        )
-        portfolios.append(pf)
-        gammas.append(pf.gamma)
-    gammas = np.array(gammas)
-    eps = g.uniform(0.05, 2.0, size=n_portfolios)
-    caps = gammas / eps
-    budget = float((gammas * eps).sum() * g.uniform(1.05, 3.0))
-    return ConstrainedProblem(portfolios=tuple(portfolios), caps=caps, budget=budget)
 
 
 class TestProblemConstants:
@@ -49,10 +30,6 @@ class TestProblemConstants:
         assert pf.gamma == pytest.approx(3 + 4 + 2 * 6)
         problem = ConstrainedProblem(portfolios=(pf,), caps=np.array([19.0 / 2]), budget=100.0)
         assert problem.eps == pytest.approx([2.0])
-
-    def test_unit_scales(self):
-        pf = PortfolioInputs(sigma_independent=np.array([3.0]), sigma_block=6.0, block_size=4)
-        assert pf.unit_scales == pytest.approx([3.0, 3.0, 3.0, 3.0, 3.0])
 
     def test_validation(self):
         pf = PortfolioInputs(sigma_independent=np.array([1.0]))
@@ -91,6 +68,25 @@ class TestStationaritySolution:
         variances = plan.portfolio_variances(problem)
         assert variances[0] == pytest.approx(2.0, rel=1e-12)
         assert plan.cost(problem) == pytest.approx(100.0)
+
+    def test_zero_gamma_portfolio_gets_nothing(self):
+        # gamma = 0 adds nothing to d_B, has variance 0 (not NaN) and never binds its cap
+        zero = PortfolioInputs(sigma_independent=np.zeros(2), sigma_block=0.0, block_size=3)
+        pf = PortfolioInputs(sigma_independent=np.array([3.0, 4.0]))
+        problem = ConstrainedProblem(portfolios=(zero, pf), caps=np.array([1e-9, 2.0]), budget=70.0)
+        plan = stationarity_solution(problem, frozenset())
+        assert plan.r_independent[1] == pytest.approx([30.0, 40.0])
+        assert list(plan.r_independent[0]) == [0.0, 0.0] and plan.r_block[0] == 0.0
+        assert list(plan.portfolio_variances(problem)) == pytest.approx([0.0, 0.7])  # gamma / alpha = 7 / 10
+        # with every portfolio that has variability active, the zero one keeps zero counts
+        capped = stationarity_solution(problem, frozenset({1}))
+        assert list(capped.r_independent[0]) == [0.0, 0.0] and capped.r_block[0] == 0.0
+        assert capped.portfolio_variances(problem)[1] == pytest.approx(2.0)
+        solution = active_set_solve(problem)
+        assert solution.active == frozenset()
+        assert kkt_report(problem, solution)["stationarity_residual"] < 1e-12
+        _, o_obj, _ = brute_force_oracle(problem)
+        assert solution.plan.objective(problem) == pytest.approx(o_obj, rel=1e-12)
 
     def test_budget_exhaustion_raises(self):
         pf1 = PortfolioInputs(sigma_independent=np.array([10.0]))

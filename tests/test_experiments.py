@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import collsim.experiments
+from collsim.allocator import constrained_plan_for_population, constrained_problem_for_population
 from collsim.experiments import (
     ExperimentConfig,
     build_plan,
-    constrained_plan_for_population,
-    constrained_problem_for_population,
     coverage_study,
     protect_experiment,
     reference_sigmas,
@@ -39,6 +39,16 @@ class TestConfig:
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == ExperimentConfig(seed=1).config_hash()
 
+    def test_from_file_names_unknown_keys(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_accounts": 10, "n_acounts": 5, "sed": 1}))
+        with pytest.raises(ValueError, match=r"cfg\.json: unknown config keys \['n_acounts', 'sed'\]"):
+            ExperimentConfig.from_file(path)
+        path.write_text(json.dumps({"n_accounts": 10, "portfolio_probs": [0.5, 0.5]}))
+        assert ExperimentConfig.from_file(path, seed=3) == ExperimentConfig(
+            n_accounts=10, portfolio_probs=(0.5, 0.5), seed=3
+        )
+
 
 class TestSeedDomains:
     def test_truth_independent_of_estimation(self):
@@ -58,7 +68,7 @@ class TestCoverageStudy:
         assert a["coverage"] == b["coverage"]
         assert a["mean_length"] == b["mean_length"]
 
-    def test_checkpoint_resume(self, tmp_path):
+    def test_checkpoint_resume(self, tmp_path, monkeypatch):
         # run 100 reps so a checkpoint is cut, then resume into 103
         cfg100 = ExperimentConfig(name="t", n_accounts=5, repetitions=100, seed=5)
         ck = tmp_path / "ck.json"
@@ -66,10 +76,27 @@ class TestCoverageStudy:
         assert ck.exists()
         saved = json.loads(ck.read_text())
         assert len(saved["records"]) == 100
+        cfg103 = ExperimentConfig(name="t", n_accounts=5, repetitions=103, seed=5)
+        done = []
+        resumed = coverage_study(cfg103, checkpoint_path=ck, progress=lambda k, n: done.append(k))
+        assert done == [101, 102, 103]  # repetitions 1-100 came from the 100-repetition study
+        uninterrupted = coverage_study(cfg103)
+        for report in (resumed, uninterrupted):
+            report.pop("elapsed_seconds")
+        assert resumed == uninterrupted
+        # a shorter study takes the first records of a longer checkpoint
+        cfg40 = ExperimentConfig(name="t", n_accounts=5, repetitions=40, seed=5)
+        short = coverage_study(cfg40, checkpoint_path=ck, progress=lambda k, n: done.append(k))
+        assert done == [101, 102, 103] and short["repetitions"] == 40
         # a different config must not resume from this checkpoint
         cfg_other = ExperimentConfig(name="t", n_accounts=6, repetitions=3, seed=5)
         out = coverage_study(cfg_other, checkpoint_path=ck)
         assert out["repetitions"] == 3
+        # nor may another tool version
+        done.clear()
+        monkeypatch.setattr(collsim.experiments, "__version__", "0.0.0-other")
+        coverage_study(cfg100, checkpoint_path=ck, progress=lambda k, n: done.append(k))
+        assert done == list(range(1, 101))
 
     def test_resume_from_atomic_checkpoint_gives_same_report(self, tmp_path):
         ck = tmp_path / "ck.json"
@@ -108,7 +135,7 @@ class TestProtect:
             pop, sigma, sigma_block, caps=(1e9, 1e9), budget=1500.0
         )
         solution = active_set_solve(problem)
-        plan = constrained_plan_for_population(pop, solution)
+        plan = constrained_plan_for_population(pop, solution.plan)
         assert plan.cost == pytest.approx(1500.0)
         # block members share one count
         for j, pf in enumerate(pop.portfolios):

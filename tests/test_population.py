@@ -165,6 +165,10 @@ class TestIO:
             ("balance", "10000.5", "balance"),
             ("portfolio", "2", "portfolio"),
             ("credit_score", "nan", "NaN"),
+            ("eligible", "7", "eligible must be 0 or 1"),
+            ("eligible", "-3", "eligible must be 0 or 1"),
+            ("paid_last_month", "0.5", "paid_last_month must be 0 or 1"),
+            ("paid_last_month", "2", "paid_last_month must be 0 or 1"),
         ],
     )
     def test_csv_rejects_bad_row(self, tmp_path, column, value, message):

@@ -251,17 +251,6 @@ class TestRunPlan:
         for i in range(40):
             assert out.monthly_sum[i].sum() == pytest.approx(out.totals[i].sum(), abs=1e-6)
 
-    def test_output_csv(self, tmp_path):
-        pop = init_population(5, (1.0,), seed=5)
-        out = run_plan(pop, RealisationPlan.equal(5, 2), seed=9)
-        path = tmp_path / "totals.csv"
-        out.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "account_id,realisation,total"
-        assert len(lines) == 11
-        # money formatted with two decimals
-        assert all(len(line.rsplit(".", 1)[1]) == 2 for line in lines[1:])
-
 
 # --------------------------------------------------------------------------
 # Plans that span several chunks of run_plan, checked against reference loops
