@@ -302,7 +302,7 @@ def cmd_oracle_check(args) -> int:
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; explicit flags override its values")
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=None, help="simulation worker threads (accepted; chunks currently run serially)")
+    p.add_argument("--threads", type=int, default=None, help="worker processes for the independent-account chunks (default 1)")
     p.add_argument("--out", default=None, help="output directory (default ./out)")
 
 

@@ -275,8 +275,10 @@ def kkt_report(problem: ConstrainedProblem, solution: ActiveSetSolution) -> dict
             stationarity = max(stationarity, abs(grad_b) / max(lam * pf.block_size, 1e-300))
 
     primal_cost = abs(plan.cost(problem) - problem.budget) / problem.budget
-    primal_caps = float(np.max((variances - caps) / caps, initial=0.0))
-    comp_slack = float(np.max(np.abs(delta * (variances - caps)) / caps, initial=0.0))
+    capped = np.isfinite(caps)  # an infinite cap can be neither violated nor tight
+    gap, caps = variances[capped] - caps[capped], caps[capped]
+    primal_caps = float(np.max(gap / caps, initial=0.0))
+    comp_slack = float(np.max(np.abs(delta[capped] * gap) / caps, initial=0.0))
     return {
         "stationarity_residual": stationarity,
         "primal_cost_residual": primal_cost,

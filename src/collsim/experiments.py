@@ -85,7 +85,7 @@ class ExperimentConfig:
     coverage_p: float = 0.95
     repetitions: int = 1000
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # worker processes of run_plan
     out_dir: str = "out"
     emulator_path: str | None = None
     n_pilot: int = 50
@@ -100,6 +100,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown plan mode {self.plan_mode!r}")
         if self.interval_method not in ("M1", "M2"):
             raise ValueError(f"unknown interval method {self.interval_method!r}")
+        if self.plan_mode == "constrained" and self.caps is None:
+            raise ValueError("constrained plans need per-portfolio caps")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     @property
     def effective_budget(self) -> float:
@@ -210,16 +214,32 @@ def optimized_plan(population: Population, config: ExperimentConfig, emulator: G
     return real, inputs
 
 
+def _capped_solution(population: Population, sigma, sigma_block, config: ExperimentConfig):
+    """Active-set solution under ``config.caps``: ``(problem, solution, real plan)``."""
+    problem = constrained_problem_for_population(
+        population, sigma, sigma_block, config.caps, config.effective_budget
+    )
+    solution = active_set_solve(problem)
+    return problem, solution, constrained_plan_for_population(population, solution.plan)
+
+
 def build_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
     """Integer plan plus the variance pre-estimates that produced it.
 
     Returns ``(plan, inputs)``; ``inputs`` is None for the equal plan, else
-    the pre-estimates of :func:`optimized_plan`.
+    the M2 pre-estimates of :func:`_m2_pre_estimates`.  The optimized plan
+    is the uncapped optimum; the constrained plan is the active-set solution
+    under ``config.caps``.
     """
     if config.plan_mode == "equal":
         r = int(round(config.effective_budget / population.n))
         return RealisationPlan.equal(population.n, max(r, 1)), None
-    real, inputs = optimized_plan(population, config, emulator, seed)
+    if config.plan_mode == "optimized":
+        real, inputs = optimized_plan(population, config, emulator, seed)
+    else:
+        inputs = _m2_pre_estimates(population, config, emulator, seed)
+        sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
+        _, _, real = _capped_solution(population, sigma, sigma_block, config)
     return round_plan(real, population), inputs
 
 
@@ -369,11 +389,7 @@ def protect_experiment(
             sigma2_block=np.asarray(sigma_block) ** 2,
             source=VarianceSource.REFERENCE,
         )
-    problem = constrained_problem_for_population(
-        pop, sigma, sigma_block, config.caps, config.effective_budget
-    )
-    solution = active_set_solve(problem)
-    real_plan = constrained_plan_for_population(pop, solution.plan)
+    problem, solution, real_plan = _capped_solution(pop, sigma, sigma_block, config)
     int_plan = round_plan(real_plan, pop)
 
     var_real, _ = estimator_variance(inputs, real_plan, pop)

@@ -4,7 +4,7 @@ Every stochastic component of the package draws from a Philox generator whose
 key is a hash of ``(seed, *key_parts)``.  This gives each logical unit (an
 account, a dependent block, a repetition of an experiment, ...) its own
 independent stream, so results do not depend on generation order or on the
-number of worker threads.
+number of worker processes.
 
 Realisation-level streams use fixed-size draw blocks: realisation ``k`` of a
 unit consumes draw block ``k`` of the unit's stream, so two plans that assign

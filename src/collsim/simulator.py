@@ -23,9 +23,11 @@ number of paths beyond the flat array of realised totals.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -189,6 +191,39 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
         yprev = y
         monthly[:, :, t - 1] = pay
     return monthly[0] if single else monthly
+
+
+def _simulate_chunk(chunk):
+    """Realised totals of one chunk of independent accounts of :func:`run_plan`.
+
+    ``chunk`` is ``(seed, ids, counts, p0, p1, balance, paid0, horizon,
+    store_monthly)``: the accounts' ids in id order, their realisation counts
+    and their model inputs.  It carries everything the chunk needs, so the
+    result is the same in any process.  Realisation ``k`` of account ``i``
+    uses draw block ``k`` of the stream ``(seed, "sim", i)``.
+
+    Returns the chunk's totals, account by account, and with
+    ``store_monthly`` the (len(ids), horizon) per-account sums of the monthly
+    payments and of their squares over the realisations (else None, None).
+    """
+    seed, ids, r, p0, p1, balance, paid0, horizon, store_monthly = chunk
+    local = np.concatenate([[0], np.cumsum(r[:-1])])  # each account's first column
+    u = np.empty((horizon, int(r.sum())))
+    for col, r_i, g in zip(local, r, _unit_streams(seed, "sim", ids=ids)):
+        u[:, col : col + r_i] = g.random((r_i, horizon)).T
+    tot, pay = _simulate_paths(
+        np.repeat(p0, r),
+        np.repeat(p1, r),
+        np.repeat(balance, r),
+        np.repeat(paid0, r),
+        u,
+        collect_monthly=store_monthly,
+    )
+    if not store_monthly:
+        return tot, None, None
+    pay_sum = np.add.reduceat(pay, local, axis=1).T
+    pay *= pay
+    return tot, pay_sum, np.add.reduceat(pay, local, axis=1).T
 
 
 def _block_batches(population: Population, dep, schedule, g, r: int, horizon: int = HORIZON):
@@ -380,12 +415,16 @@ def run_plan(
     a unit always uses draw block ``k`` of the stream keyed by
     ``(seed, unit)``, so output is bitwise identical for any worker count.
 
-    Independent accounts are simulated in id order, one chunk of whole
-    accounts of about ``_CHUNK_PATHS`` paths at a time.  Chunks run serially:
-    ``n_workers`` (the CLI's ``--threads``) is accepted but does not change
-    how the plan runs, since worker threads over chunks measured no
-    wall-time gain.
+    Independent accounts are simulated in chunks of whole accounts of about
+    ``_CHUNK_PATHS`` paths, in id order.  With ``n_workers`` > 1 (the CLI's
+    ``--threads``) the chunks run on a pool of
+    ``min(n_workers, chunks, os.cpu_count())`` worker processes, which ends
+    with the call; dependent blocks always run in this process.  The workers
+    are forked, so they start without importing anything again; a caller
+    that runs threads of its own should keep ``n_workers`` at 1.
     """
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     plan.validate_for(population)
     if not plan.is_integer:
         raise ValueError("run_plan requires an integer plan; round it first")
@@ -408,27 +447,32 @@ def run_plan(
     # a chunk starts at the first account whose first path reaches the next multiple of _CHUNK_PATHS
     starts = np.searchsorted(first[:-1], np.arange(0, first[-1], _CHUNK_PATHS))
     edges = np.unique(np.append(starts, len(indep)))
+    chunks = [
+        (seed, indep[a:b], rep[a:b], p0[a:b], p1[a:b], balance[a:b], paid0[a:b], horizon, store_monthly)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
 
-    for a, b in zip(edges[:-1], edges[1:]):
-        ids, r = indep[a:b], rep[a:b]
-        local = first[a:b] - first[a]
-        m = int(first[b] - first[a])
-        u = np.empty((horizon, m))
-        for col, r_i, g in zip(local, r, _unit_streams(seed, "sim", ids=ids)):
-            u[:, col : col + r_i] = g.random((r_i, horizon)).T
-        tot, pay = _simulate_paths(
-            np.repeat(p0[a:b], r),
-            np.repeat(p1[a:b], r),
-            np.repeat(balance[a:b], r),
-            np.repeat(paid0[a:b], r),
-            u,
-            collect_monthly=store_monthly,
-        )
-        values[np.repeat(offsets[ids] - local, r) + np.arange(m)] = tot
-        if store_monthly:
-            monthly_sum[ids] = np.add.reduceat(pay, local, axis=1).T
-            pay *= pay
-            monthly_sumsq[ids] = np.add.reduceat(pay, local, axis=1).T
+    workers = min(n_workers, len(chunks), os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported on first use, to keep multiprocessing out of `import collsim`
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            # On leaving, even by an error, wait for the running chunks and cancel the rest.  A
+            # multiprocessing.Pool would terminate its workers instead, and a worker killed while
+            # writing a result can leave the result queue locked, hanging the shutdown.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_simulate_chunk, chunks)
+        else:
+            results = map(_simulate_chunk, chunks)
+        for a, b, (tot, pay_sum, pay_sumsq) in zip(edges[:-1], edges[1:], results):
+            ids, local = indep[a:b], first[a:b] - first[a]
+            values[np.repeat(offsets[ids] - local, rep[a:b]) + np.arange(len(tot))] = tot
+            if store_monthly:
+                monthly_sum[ids] = pay_sum
+                monthly_sumsq[ids] = pay_sumsq
 
     block_totals: dict = {}
     block_monthly: dict = {}

@@ -297,7 +297,7 @@ def test_criterion_7_emulator_quality(capsys):
 
 
 def test_criterion_8_determinism_across_workers(capsys):
-    """A plan run is bitwise identical with 1 and 8 worker threads."""
+    """A plan run is bitwise identical with 1 and 8 worker processes."""
     pop = init_population(1000, (0.99, 0.01), seed=2)
     plan = RealisationPlan.equal(1000, 5)
     o1 = run_plan(pop, plan, seed=ACC_SEED, n_workers=1, store_monthly=True)

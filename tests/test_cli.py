@@ -88,6 +88,12 @@ class TestErrors:
         assert rc == 1
         assert "Slater" in capsys.readouterr().err
 
+    def test_zero_threads_rejected(self, tmp_path, capsys):
+        rc = main(["simulate", "--out", str(tmp_path), "--n-accounts", "10", "--threads", "0"])
+        assert rc == 1
+        assert "threads must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "population.csv").exists()
+
 
 class TestProtect:
     def test_problem_file_solve(self, tmp_path):

@@ -136,6 +136,21 @@ class TestActiveSetSolve:
             assert report["min_delta"] >= -1e-12, k
             assert report["max_complementary_slackness"] < 1e-9, k
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cap", [100.0, 1.0])
+    def test_kkt_report_ignores_infinite_caps(self, cap):
+        # sigmas (1, 2) and (5) at budget 30: the cap of 100 is slack, the cap of 1 binds
+        problem = ConstrainedProblem(
+            portfolios=(PortfolioInputs(np.array([1.0, 2.0])), PortfolioInputs(np.array([5.0]))),
+            caps=np.array([np.inf, cap]),
+            budget=30.0,
+        )
+        solution = active_set_solve(problem)
+        assert solution.active == (frozenset({1}) if cap == 1.0 else frozenset())
+        report = kkt_report(problem, solution)
+        assert 0.0 <= report["max_cap_violation"] < 1e-12
+        assert 0.0 <= report["max_complementary_slackness"] < 1e-12
+
     def test_alpha_strictly_decreases(self):
         g = stream(97, "constrained-tests")
         seen_multi = 0

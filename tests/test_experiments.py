@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import collsim.experiments
-from collsim.allocator import constrained_plan_for_population, constrained_problem_for_population
+from collsim.allocator import constrained_plan_for_population, constrained_problem_for_population, round_plan
+from collsim.emulator import fit_gp, generate_training_data, sliced_lhd
+from collsim.estimators import estimator_variance
 from collsim.experiments import (
     ExperimentConfig,
     build_plan,
@@ -32,6 +34,11 @@ class TestConfig:
             ExperimentConfig(interval_method="M3")
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
+        with pytest.raises(ValueError, match="caps"):
+            ExperimentConfig(plan_mode="constrained")
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+                ExperimentConfig(threads=threads)
 
     def test_config_hash_changes_with_content(self):
         a = ExperimentConfig(seed=1)
@@ -125,6 +132,33 @@ class TestReferenceSigmas:
             sd = float(np.std(out.totals[i], ddof=1))
             if sd > 1.0:
                 assert s1[i] == pytest.approx(sd, rel=0.25)
+
+
+@pytest.fixture(scope="module")
+def small_emulator():
+    return fit_gp(generate_training_data(sliced_lhd(8, seed=1), n_realisations=100, seed=2))
+
+
+class TestBuildPlan:
+    def test_constrained_plan_meets_caps(self, small_emulator):
+        pop = init_population(200, (0.9, 0.1), seed=3)
+        # a cap of 1.0 on portfolio 1 needs about 4.1e6 realisations, hence the budget
+        common = dict(n_accounts=200, portfolio_probs=(0.9, 0.1), budget=1e7)
+        optimized, _ = build_plan(pop, ExperimentConfig(plan_mode="optimized", **common), small_emulator, 5)
+        config = ExperimentConfig(plan_mode="constrained", caps=(1e12, 1.0), **common)
+        plan, inputs = build_plan(pop, config, small_emulator, 5)
+        assert plan.is_integer
+        assert not np.array_equal(plan.counts, optimized.counts)
+        sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
+        problem = constrained_problem_for_population(pop, sigma, sigma_block, config.caps, config.effective_budget)
+        solution = active_set_solve(problem)
+        assert solution.active == frozenset({1})
+        real = constrained_plan_for_population(pop, solution.plan)
+        assert np.array_equal(plan.counts, round_plan(real, pop).counts)
+        variances, _ = estimator_variance(inputs, real, pop)
+        assert variances[1] <= 1.0 * (1 + 1e-9)
+        # rounding counts of about 1e5 moves the variance by a few parts in 1e6
+        assert estimator_variance(inputs, plan, pop)[0][1] <= 1.0 * (1 + 1e-5)
 
 
 class TestProtect:

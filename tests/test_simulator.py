@@ -1,11 +1,17 @@
 """Repayment path simulation: hand-traced oracles and draw discipline."""
 
+import concurrent.futures
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import collsim.simulator as simulator
 from collsim.allocator import pilot_block_variance
 from collsim.estimators import sample_moments
 from collsim.population import Account, init_population
@@ -426,6 +432,103 @@ class TestChunkedRunPlan:
             assert monthly.shape == (r, n, HORIZON)
             for k in range(r):
                 assert np.array_equal(monthly[k], _reference_block(*args, u[k]))
+
+
+class TestWorkerPool:
+    """Chunks on a process pool: worker counts, pool size and pool lifetime."""
+
+    def test_rejects_fewer_than_one_worker(self):
+        pop = init_population(20, (1.0,), seed=1)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match=f"n_workers must be at least 1, got {workers}"):
+                run_plan(pop, RealisationPlan.equal(20, 2), n_workers=workers)
+
+    def test_pool_size_is_capped_by_cpus_and_chunks(self, monkeypatch, multi_chunk):
+        pop, plan, _ = multi_chunk  # at least three chunks
+        sizes = []
+
+        class NoPool(Exception):
+            pass
+
+        def record(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            raise NoPool  # starts no process
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        with pytest.raises(NoPool):
+            run_plan(pop, plan, seed=4, n_workers=10_000)
+        two_chunks = init_population(200, (1.0,), seed=2)
+        with pytest.raises(NoPool):
+            run_plan(two_chunks, RealisationPlan.equal(200, 25), seed=4, n_workers=10_000)
+        assert sizes == [3, 2]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="with one CPU the chunks run in this process")
+    def test_no_worker_outlives_the_call(self, multi_chunk):
+        pop, plan, out = multi_chunk
+        other = run_plan(pop, plan, seed=4, n_workers=2)
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(other.values, out.values)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="with one CPU the chunks run in this process")
+    def test_worker_error_reaches_the_caller(self, monkeypatch, multi_chunk):
+        pop, plan, _ = multi_chunk
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(simulator, "_simulate_paths", fail)
+        with pytest.raises(RuntimeError, match="kernel failed") as excinfo:
+            run_plan(pop, plan, seed=4, n_workers=2)
+        assert "RemoteTraceback" in type(excinfo.value.__cause__).__name__  # raised in a worker
+        assert multiprocessing.active_children() == []
+
+
+@st.composite
+def _populations_and_plans(draw):
+    """A small population with blocks and an unequal plan whose independents span two chunks or more."""
+    n = draw(st.integers(250, 500))
+    share = draw(st.floats(0.5, 0.95))
+    pop = init_population(n, (share, 1.0 - share), seed=draw(st.integers(0, 10**6)))
+    g = np.random.default_rng(draw(st.integers(0, 10**6)))
+    counts = g.integers(1, 60, n).astype(float)
+    for pf in pop.portfolios:
+        counts[pf.dependent_ids] = g.integers(1, 12)
+    assume(counts[pop.independent_ids].sum() > _CHUNK_PATHS)
+    return pop, RealisationPlan(counts=counts), draw(st.integers(0, 10**6))
+
+
+_properties = settings(max_examples=15, deadline=None)
+
+
+class TestRunPlanProperties:
+    @_properties
+    @given(_populations_and_plans())
+    def test_worker_count_does_not_change_outputs(self, case):
+        pop, plan, seed = case
+        one = run_plan(pop, plan, seed=seed, store_monthly=True, n_workers=1)
+        two = run_plan(pop, plan, seed=seed, store_monthly=True, n_workers=2)
+        for name in ("values", "offsets", "monthly_sum", "monthly_sumsq"):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+        assert one.block_totals.keys() == two.block_totals.keys()
+        for j, blk in one.block_totals.items():
+            assert np.array_equal(blk, two.block_totals[j])
+            assert np.array_equal(one.block_monthly[j], two.block_monthly[j])
+
+    @_properties
+    @given(_populations_and_plans(), st.integers(0, 10**6))
+    def test_common_random_number_prefix(self, case, extra_seed):
+        pop, plan, seed = case
+        g = np.random.default_rng(extra_seed)
+        extra = g.integers(0, 8, pop.n).astype(float)
+        for pf in pop.portfolios:
+            extra[pf.dependent_ids] = g.integers(0, 8)
+        small = run_plan(pop, plan, seed=seed)
+        large = run_plan(pop, RealisationPlan(counts=plan.counts + extra), seed=seed, n_workers=2)
+        for i in range(pop.n):
+            assert np.array_equal(small.totals[i], large.totals[i][: len(small.totals[i])])
+        for j, blk in small.block_totals.items():
+            assert np.array_equal(blk, large.block_totals[j][: len(blk)])
 
 
 def _reference_block_runs(pop, dep, g, r):
