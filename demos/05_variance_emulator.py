@@ -11,7 +11,6 @@ from collsim import (
     fit_gp,
     generate_training_data,
     init_population,
-    predict_variance,
     random_design,
     sigma2_for_population,
     sliced_lhd,
@@ -38,10 +37,10 @@ print(f"  log-scale RMSE:    {pooled['log_rmse']:.3f}")
 print(f"  credible coverage: {pooled['credible_coverage']:.2f} (nominal 0.95)")
 
 pop = init_population(5, (1.0,), seed=40)
+sds = np.sqrt(sigma2_for_population(emulator, pop))
 print("\npredictions for five sampled accounts:")
-for i in range(5):
+for i, sd in enumerate(sds):
     acc = pop.account(i)
-    sd = np.sqrt(predict_variance(emulator, acc))
     print(
         f"  balance {acc.balance:>8,.0f}, score {acc.credit_score:>6.2f}, "
         f"segment {acc.segment}: predicted sd {sd:>8,.1f}"

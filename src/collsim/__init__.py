@@ -30,7 +30,6 @@ from .emulator import (
     fit_gp,
     generate_training_data,
     matern52,
-    predict_variance,
     random_design,
     sigma2_for_population,
     sliced_lhd,

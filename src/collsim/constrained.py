@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,29 +331,64 @@ def brute_force_oracle(problem: ConstrainedProblem, rtol: float = 1e-9):
 # Wire formats
 
 
+def _json_number(v) -> float:
+    x = float(v)
+    if np.isnan(x):
+        raise ValueError("NaN")
+    return x
+
+
+def _json_vector(v) -> np.ndarray:
+    x = np.asarray(v, dtype=float)
+    if x.ndim != 1 or np.isnan(x).any():
+        raise ValueError("not a list of numbers")
+    return x
+
+
 def problem_from_json(path_or_dict) -> ConstrainedProblem:
     """Read a problem from a JSON document.
 
     Schema: ``{"budget": C, "portfolios": [{"sigma_independent": [...],
     "sigma_block": s, "block_size": n, "cap": V}, ...]}``; ``cap`` may be the
-    string ``"inf"``.
+    string ``"inf"``.  A missing, non-numeric, NaN or (for ``block_size``)
+    non-integral field raises one ``ValueError`` naming the file, the
+    portfolio index and the field.
     """
     if isinstance(path_or_dict, dict):
-        doc = path_or_dict
+        doc, where = path_or_dict, "problem"
     else:
         with open(path_or_dict) as f:
             doc = json.load(f)
+        where = str(path_or_dict)
+
+    def field(obj, key, convert, what, context, default=None):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{context}: expected a JSON object, got {obj!r}")
+        if key not in obj:
+            if default is None:
+                raise ValueError(f"{context}: missing field {key!r}")
+            return default
+        try:
+            return convert(obj[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"{context}: field {key!r} must be {what}, got {obj[key]!r}") from None
+
+    budget = field(doc, "budget", _json_number, "a number", where)
+    entries = doc.get("portfolios")
+    if not isinstance(entries, list):
+        raise ValueError(f"{where}: field 'portfolios' must be a list of portfolio objects, got {entries!r}")
     portfolios, caps = [], []
-    for p in doc["portfolios"]:
-        portfolios.append(
-            PortfolioInputs(
-                sigma_independent=np.asarray(p.get("sigma_independent", []), dtype=float),
-                sigma_block=float(p.get("sigma_block", 0.0)),
-                block_size=int(p.get("block_size", 0)),
-            )
-        )
-        caps.append(float(p["cap"]))
-    return ConstrainedProblem(portfolios=tuple(portfolios), caps=np.array(caps), budget=float(doc["budget"]))
+    for j, p in enumerate(entries):
+        context = f"{where}, portfolio {j}"
+        sigma = field(p, "sigma_independent", _json_vector, "a list of numbers", context, np.array([]))
+        sigma_block = field(p, "sigma_block", _json_number, "a number", context, 0.0)
+        block_size = field(p, "block_size", operator.index, "an integer", context, 0)
+        caps.append(field(p, "cap", _json_number, "a number or \"inf\"", context))
+        try:
+            portfolios.append(PortfolioInputs(sigma_independent=sigma, sigma_block=sigma_block, block_size=block_size))
+        except ValueError as e:
+            raise ValueError(f"{context}: {e}") from None
+    return ConstrainedProblem(portfolios=tuple(portfolios), caps=np.array(caps), budget=budget)
 
 
 def solution_to_json(problem: ConstrainedProblem, solution: ActiveSetSolution, path=None):

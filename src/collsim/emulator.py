@@ -27,7 +27,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.optimize import minimize
 
 from .estimators import normal_quantile, row_moments
-from .population import Account, balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv
+from .population import balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv
 from .rng import stream
 from .simulator import HORIZON, _simulate_paths, payment_probability
 
@@ -43,7 +43,6 @@ __all__ = [
     "generate_training_data",
     "matern52",
     "fit_gp",
-    "predict_variance",
     "validate_emulator",
 ]
 
@@ -60,11 +59,9 @@ _STORED_SETTINGS = {"mode": "segment", "prediction": "median"}
 # Experimental design
 
 
-def _min_dist2(pts: np.ndarray) -> float:
-    d = pts[:, None, :] - pts[None, :, :]
-    dist2 = (d**2).sum(axis=-1)
-    np.fill_diagonal(dist2, np.inf)
-    return float(dist2.min())
+def _dist2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every row of ``a`` and every row of ``b``."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
 
 
 def sliced_lhd(points_per_slice: int, seed: int = 0, exchange_iters: int = 2000) -> dict:
@@ -72,7 +69,9 @@ def sliced_lhd(points_per_slice: int, seed: int = 0, exchange_iters: int = 2000)
 
     Each slice gets a 2-D Latin hypercube on the transformed-covariate square,
     improved by maximin point exchange: random within-column swaps are kept
-    only when they do not decrease the minimum inter-point distance.
+    only when they increase the minimum inter-point distance.  A swap moves
+    two points, so only their rows and columns of the slice's squared-distance
+    matrix are recomputed, and restored when the swap is undone.
     """
     if points_per_slice < 2:
         raise ValueError("need at least 2 points per slice")
@@ -83,18 +82,27 @@ def sliced_lhd(points_per_slice: int, seed: int = 0, exchange_iters: int = 2000)
         pts = np.empty((n, 2))
         for d in range(2):
             pts[:, d] = (g.permutation(n) + g.random(n)) / n
-        best = _min_dist2(pts)
+        dist2 = _dist2(pts, pts)
+        np.fill_diagonal(dist2, np.inf)
+        best = dist2.min()
         for _ in range(exchange_iters):
             d = int(g.integers(2))
-            i, k = g.integers(n, size=2)
+            i, k = g.integers(n, size=2).tolist()
             if i == k:
                 continue
-            pts[[i, k], d] = pts[[k, i], d]
-            cand = _min_dist2(pts)
+            saved_i, saved_k = dist2[i].copy(), dist2[k].copy()
+            pts[i, d], pts[k, d] = pts[k, d], pts[i, d]
+            for m in (i, k):
+                row = _dist2(pts[m : m + 1], pts)[0]
+                row[m] = np.inf
+                dist2[m] = dist2[:, m] = row
+            cand = dist2.min()
             if cand > best:
                 best = cand
             else:
-                pts[[i, k], d] = pts[[k, i], d]
+                pts[i, d], pts[k, d] = pts[k, d], pts[i, d]
+                dist2[i] = dist2[:, i] = saved_i
+                dist2[k] = dist2[:, k] = saved_k
         design[(s, y)] = pts
     return design
 
@@ -205,6 +213,22 @@ def training_data_to_csv(observations, path) -> None:
 # Gaussian process core
 
 
+_SQRT5 = np.sqrt(5.0)
+
+
+def _matern52_parts(a, b, lengthscales, signal_variance):
+    """Matern-5/2 cross-kernel of the rows of ``a`` and ``b``, with its pieces.
+
+    Returns ``(k, r, d2)``: the kernel matrix, the scaled distances ``r`` and
+    the per-dimension scaled squared differences ``d2[i, j, d] = (delta_d /
+    ell_d) ** 2``, which the likelihood gradient needs.
+    """
+    d2 = ((a[:, None, :] - b[None, :, :]) / lengthscales) ** 2
+    r = np.sqrt(d2.sum(axis=-1))
+    k = signal_variance * (1.0 + _SQRT5 * r + 5.0 * r**2 / 3.0) * np.exp(-_SQRT5 * r)
+    return k, r, d2
+
+
 def matern52(x, x_prime, lengthscales, signal_variance):
     """Matern-5/2 kernel with per-dimension lengthscales.
 
@@ -215,10 +239,7 @@ def matern52(x, x_prime, lengthscales, signal_variance):
     b = np.atleast_2d(np.asarray(x_prime, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValueError("input dimensions disagree")
-    ell = np.asarray(lengthscales, dtype=float)
-    diff = (a[:, None, :] - b[None, :, :]) / ell
-    r = np.sqrt((diff**2).sum(axis=-1))
-    k = signal_variance * (1.0 + np.sqrt(5.0) * r + 5.0 * r**2 / 3.0) * np.exp(-np.sqrt(5.0) * r)
+    k, _, _ = _matern52_parts(a, b, np.asarray(lengthscales, dtype=float), signal_variance)
     if np.ndim(x) == 1 and np.ndim(x_prime) == 1:
         return float(k[0, 0])
     return k
@@ -264,25 +285,40 @@ class SegmentGP:
         return mean, np.maximum(var, 0.0)
 
 
-def _nll_and_beta(theta, x, y, noise):
-    """Negative log marginal likelihood with the constant mean profiled out."""
+def _nll_grad_beta(theta, x, y, noise):
+    """Negative log marginal likelihood, its gradient in ``theta`` and the profiled mean.
+
+    ``theta`` is ``(log ell_1, ..., log ell_D, log tau^2)``.  The gradient is
+    1/2 tr((A^-1 - alpha alpha^T) dA/dtheta) with ``alpha = A^-1 (y - beta)``
+    (Rasmussen & Williams 2006, eq. 5.9); profiling out the constant mean
+    ``beta`` leaves it unchanged, because ``beta`` minimizes the NLL.  Where
+    the kernel matrix is not positive definite the NLL is ``inf``, with a
+    zero gradient so the optimizer stops there.
+    """
     ell = np.exp(theta[:-1])
     tau2 = np.exp(theta[-1])
-    a = matern52(x, x, ell, tau2) + np.diag(noise + _JITTER)
+    k, r, d2 = _matern52_parts(x, x, ell, tau2)
+    a = k + np.diag(noise + _JITTER)
     try:
         low = cholesky(a, lower=True)
     except np.linalg.LinAlgError:
-        return np.inf, 0.0
+        return np.inf, np.zeros_like(theta), 0.0
     c = (low, True)
     ones = np.ones(len(y))
     ainv_y = cho_solve(c, y)
     ainv_1 = cho_solve(c, ones)
     beta = float(ones @ ainv_y) / float(ones @ ainv_1)
     resid = y - beta
-    nll = 0.5 * float(resid @ cho_solve(c, resid))
+    alpha = cho_solve(c, resid)
+    nll = 0.5 * float(resid @ alpha)
     nll += float(np.log(np.diag(low)).sum())
     nll += 0.5 * len(y) * np.log(2.0 * np.pi)
-    return nll, beta
+
+    w = cho_solve(c, np.eye(len(y))) - np.outer(alpha, alpha)
+    # dk/dlog ell_d = tau^2 (5/3) (1 + sqrt5 r) exp(-sqrt5 r) d2[..., d];  dk/dlog tau^2 = k
+    w_ell = w * (tau2 * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r))
+    grad = np.append(0.5 * np.einsum("ij,ijd->d", w_ell, d2), 0.5 * float(np.sum(w * k)))
+    return nll, grad, beta
 
 
 def _fit_single(x, y, noise, n_starts: int = 8, tol: float = 1e-8) -> SegmentGP:
@@ -301,8 +337,9 @@ def _fit_single(x, y, noise, n_starts: int = 8, tol: float = 1e-8) -> SegmentGP:
     best = None
     for theta0 in starts:
         res = minimize(
-            lambda th: _nll_and_beta(th, x, y, noise)[0],
+            lambda th: _nll_grad_beta(th, x, y, noise)[:2],
             theta0,
+            jac=True,
             method="L-BFGS-B",
             bounds=bounds,
             options={"ftol": tol, "gtol": 1e-10, "maxiter": 500},
@@ -311,7 +348,7 @@ def _fit_single(x, y, noise, n_starts: int = 8, tol: float = 1e-8) -> SegmentGP:
             best = res
     if not np.isfinite(best.fun):
         raise ValueError("GP fit failed: kernel matrix indefinite at every start")
-    nll, beta = _nll_and_beta(best.x, x, y, noise)
+    nll, _, beta = _nll_grad_beta(best.x, x, y, noise)
     return SegmentGP(
         x_train=x,
         y_train=y,
@@ -412,16 +449,6 @@ def fit_gp(observations) -> GpEmulator:
     return GpEmulator(models=models)
 
 
-def predict_variance(emulator: GpEmulator, account: Account):
-    """Predicted collection variance for one account, from its covariates."""
-    b_t = balance_cdf(account.balance)
-    c_t = credit_cdf(account.credit_score)
-    out = emulator.predict_sigma2(
-        b_t, c_t, account.segment, int(account.paid_last_month), credit=account.credit_score
-    )
-    return float(np.atleast_1d(out)[0])
-
-
 def sigma2_for_population(emulator: GpEmulator, population) -> np.ndarray:
     """Vectorized variance predictions for every account in a population.
 
@@ -451,16 +478,18 @@ def validate_emulator(emulator: GpEmulator, test_design: dict, n_realisations: i
     per_segment: dict = {s: {"log_err": [], "pred_sd": [], "samp_sd": [], "covered": []} for s in (1, 2, 3)}
     z975 = normal_quantile(0.975)
     for (s, y), pts in test_design.items():
-        for b_t, c_t, v, kurt in _point_moments(pts, s, y, n_realisations, seed, "validate"):
-            noise = max((kurt - 1.0) / n_realisations, 0.0)
-            mean, var = emulator.predict_log(b_t, c_t, s, np.array([y]))
-            mean, var = float(mean[0]), float(var[0])
-            rec = per_segment[s]
-            rec["log_err"].append(mean - np.log(v))
-            rec["pred_sd"].append(np.sqrt(float(np.atleast_1d(emulator.predict_sigma2(b_t, c_t, s, np.array([y])))[0])))
-            rec["samp_sd"].append(np.sqrt(v))
-            half = z975 * np.sqrt(var + noise)
-            rec["covered"].append(abs(np.log(v) - mean) <= half)
+        kept = list(_point_moments(pts, s, y, n_realisations, seed, "validate"))
+        if not kept:
+            continue
+        b_t, c_t, v, kurt = (np.array(col) for col in zip(*kept))
+        mean, var = emulator.predict_log(b_t, c_t, s, np.full(len(kept), y))
+        noise = np.maximum((kurt - 1.0) / n_realisations, 0.0)
+        log_v = np.log(v)
+        rec = per_segment[s]
+        rec["log_err"].extend((mean - log_v).tolist())
+        rec["pred_sd"].extend(np.sqrt(np.exp(mean)).tolist())
+        rec["samp_sd"].extend(np.sqrt(v).tolist())
+        rec["covered"].extend((np.abs(log_v - mean) <= z975 * np.sqrt(var + noise)).tolist())
 
     def summarize(rec):
         if not rec["log_err"]:

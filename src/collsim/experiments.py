@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import time
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -115,7 +116,9 @@ class ExperimentConfig:
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")
+        hints = typing.get_type_hints(cls)
         for k, v in doc.items():
+            _check_json_value(path, k, hints[k], v)
             if isinstance(v, list):
                 doc[k] = tuple(v)
         doc.update({k: v for k, v in overrides.items() if v is not None})
@@ -123,6 +126,29 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return _digest(asdict(self))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_JSON_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
+def _check_json_value(path, key, hint, value) -> None:
+    """Reject a config file value whose JSON type does not fit the field's annotation."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if value is None and optional:
+        return
+    what, ok = _JSON_KINDS[args[0] if args else hint]
+    if not ok(value):
+        raise ValueError(f"{path}: config key {key!r} must be {what}{' or null' if optional else ''}, got {value!r}")
 
 
 def _digest(doc: dict) -> str:

@@ -95,6 +95,57 @@ class TestErrors:
         assert not (tmp_path / "population.csv").exists()
 
 
+    def test_config_value_type_named_with_file(self, tmp_path, capsys):
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"threads": "2"}))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--n-accounts", "10"])
+        assert rc == 1
+        assert f"error: {cfg}: config key 'threads' must be an integer, got '2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            ({"portfolios": [{"sigma_independent": [1], "cap": 5}]}, ": missing field 'budget'"),
+            ({"budget": "ten", "portfolios": []}, ": field 'budget' must be a number, got 'ten'"),
+            ({"budget": 10}, ": field 'portfolios' must be a list of portfolio objects, got None"),
+            ({"budget": 10, "portfolios": {"cap": 5}}, ": field 'portfolios' must be a list of portfolio objects"),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [1], "cap": 5}, {"sigma_independent": [1, "x"], "cap": 5}]},
+                ", portfolio 1: field 'sigma_independent' must be a list of numbers, got [1, 'x']",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [1], "sigma_block": "x", "block_size": 2, "cap": 5}]},
+                ", portfolio 0: field 'sigma_block' must be a number, got 'x'",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [1], "block_size": "two", "cap": 5}]},
+                ", portfolio 0: field 'block_size' must be an integer, got 'two'",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [1], "sigma_block": 3, "block_size": 2.5, "cap": 5}]},
+                ", portfolio 0: field 'block_size' must be an integer, got 2.5",
+            ),
+            ({"budget": 10, "portfolios": [{"sigma_independent": [1]}]}, ", portfolio 0: missing field 'cap'"),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [1], "cap": "lots"}]},
+                ", portfolio 0: field 'cap' must be a number or \"inf\", got 'lots'",
+            ),
+            ({"budget": 10, "portfolios": [3]}, ", portfolio 0: expected a JSON object, got 3"),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [-1], "cap": "inf"}]},
+                ", portfolio 0: standard deviations must be non-negative",
+            ),
+        ],
+    )
+    def test_bad_problem_file_named(self, tmp_path, capsys, doc, expected):
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps(doc))
+        rc = main(["protect", "--out", str(tmp_path), "--problem", str(prob)])
+        assert rc == 1
+        assert f"error: {prob}{expected}" in capsys.readouterr().err
+        assert not (tmp_path / "protect_report.json").exists()
+
+
 class TestProtect:
     def test_problem_file_solve(self, tmp_path):
         prob = tmp_path / "prob.json"

@@ -4,22 +4,64 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import collsim.emulator
 from collsim.emulator import (
+    _JITTER,
     SLICES,
     GpEmulator,
     SegmentGP,
     TrainingObservation,
     _features,
+    _fit_single,
+    _matern52_parts,
+    _nll_grad_beta,
+    _point_moments,
     fit_gp,
     generate_training_data,
     matern52,
-    predict_variance,
     random_design,
     sigma2_for_population,
     sliced_lhd,
+    validate_emulator,
 )
-from collsim.population import init_population
+from collsim.population import balance_cdf, credit_cdf, init_population
+from collsim.rng import stream
+
+
+def _min_dist2(pts: np.ndarray) -> float:
+    d = pts[:, None, :] - pts[None, :, :]
+    dist2 = (d**2).sum(axis=-1)
+    np.fill_diagonal(dist2, np.inf)
+    return float(dist2.min())
+
+
+def _sliced_lhd_full_recompute(points_per_slice, seed=0, exchange_iters=2000):
+    """Reference maximin exchange that recomputes every distance after each swap."""
+    n = points_per_slice
+    design = {}
+    for s, y in SLICES:
+        g = stream(seed, "design", s, y)
+        pts = np.empty((n, 2))
+        for d in range(2):
+            pts[:, d] = (g.permutation(n) + g.random(n)) / n
+        best = _min_dist2(pts)
+        for _ in range(exchange_iters):
+            d = int(g.integers(2))
+            i, k = g.integers(n, size=2)
+            if i == k:
+                continue
+            pts[[i, k], d] = pts[[k, i], d]
+            cand = _min_dist2(pts)
+            if cand > best:
+                best = cand
+            else:
+                pts[[i, k], d] = pts[[k, i], d]
+        design[(s, y)] = pts
+    return design
 
 
 class TestDesign:
@@ -36,12 +78,18 @@ class TestDesign:
                 assert sorted(cells) == list(range(n))  # one point per stratum
 
     def test_exchange_never_worsens_maximin(self):
-        from collsim.emulator import _min_dist2
-
         raw = sliced_lhd(15, seed=4, exchange_iters=0)
         improved = sliced_lhd(15, seed=4, exchange_iters=500)
         for key in raw:
             assert _min_dist2(improved[key]) >= _min_dist2(raw[key]) - 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 15, 50])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_incremental_exchange_matches_full_recompute(self, seed, n):
+        got = sliced_lhd(n, seed=seed, exchange_iters=500)
+        want = _sliced_lhd_full_recompute(n, seed=seed, exchange_iters=500)
+        for key in SLICES:
+            assert got[key].tobytes() == want[key].tobytes()
 
     def test_deterministic(self):
         a = sliced_lhd(10, seed=4, exchange_iters=50)
@@ -80,6 +128,51 @@ class TestMatern52:
         k_along_0 = matern52(np.zeros(2), np.array([0.5, 0.0]), np.array([5.0, 0.2]), 1.0)
         k_along_1 = matern52(np.zeros(2), np.array([0.0, 0.5]), np.array([5.0, 0.2]), 1.0)
         assert k_along_0 > k_along_1
+
+
+class TestLikelihoodGradient:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=st.integers(3, 12).flatmap(lambda n: arrays(float, (n, 3), elements=st.floats(0.0, 1.0))),
+        y_scale=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+        position=arrays(float, 4, elements=st.floats(0.0, 1.0)),
+    )
+    def test_matches_central_differences(self, x, y_scale, seed, position):
+        """At random theta inside the fit's bounds, the analytic gradient equals a
+        five-point central difference to 1e-5 relative.  Kernel matrices with a
+        condition number above 1e6 are skipped: there the NLL's rounding noise,
+        not the gradient, sets the difference quotient's error."""
+        rng = np.random.default_rng(seed)
+        n = len(x)
+        y = y_scale * rng.standard_normal(n)
+        noise = rng.uniform(1e-3, 0.1, n)
+        var_y = max(float(np.var(y)), 1e-6)
+        lo = np.array([np.log(1e-2)] * 3 + [np.log(var_y * 1e-4)])
+        hi = np.array([np.log(1e2)] * 3 + [np.log(var_y * 1e4)])
+        theta = lo + (hi - lo) * position
+        k, _, _ = _matern52_parts(x, x, np.exp(theta[:-1]), np.exp(theta[-1]))
+        assume(np.linalg.cond(k + np.diag(noise + _JITTER)) < 1e6)
+
+        def nll(t):
+            return _nll_grad_beta(t, x, y, noise)[0]
+
+        h = 1e-3
+        numeric = np.array(
+            [(8 * (nll(theta + h * e) - nll(theta - h * e)) - (nll(theta + 2 * h * e) - nll(theta - 2 * h * e))) / (12 * h)
+             for e in np.eye(4)]
+        )
+        _, grad, _ = _nll_grad_beta(theta, x, y, noise)
+        assert np.max(np.abs(grad - numeric)) <= 1e-5 * np.max(np.abs(numeric))
+
+    def test_failed_cholesky_at_every_start_raises(self, monkeypatch):
+        def indefinite(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(collsim.emulator, "cholesky", indefinite)
+        x = np.random.default_rng(0).random((6, 3))
+        with pytest.raises(ValueError, match="indefinite at every start"):
+            _fit_single(x, np.arange(6.0), np.full(6, 0.01))
 
 
 class TestGpAlgebra:
@@ -169,7 +262,33 @@ class TestEmulatorPredictions:
         pop = init_population(20, (1.0,), seed=41)
         sigma2 = sigma2_for_population(emulator, pop)
         for i in (0, 7, 13):
-            assert predict_variance(emulator, pop.account(i)) == pytest.approx(sigma2[i], rel=1e-9)
+            acc = pop.account(i)
+            one = emulator.predict_sigma2(
+                balance_cdf(acc.balance),
+                credit_cdf(acc.credit_score),
+                acc.segment,
+                int(acc.paid_last_month),
+                credit=acc.credit_score,
+            )
+            assert float(np.atleast_1d(one)[0]) == pytest.approx(sigma2[i], rel=1e-9)
+
+    def test_validation_matches_point_by_point_prediction(self, tiny_emulator):
+        emulator, _ = tiny_emulator
+        test = random_design(6, seed=43)
+        metrics = validate_emulator(emulator, test, n_realisations=200, seed=44)
+        log_err, pred_sd, samp_sd = [], [], []
+        for (s, y), pts in test.items():
+            if s != 2:
+                continue
+            for b_t, c_t, v, _ in _point_moments(pts, s, y, 200, 44, "validate"):
+                mean, _ = emulator.predict_log(b_t, c_t, s, np.array([y]))
+                log_err.append(float(mean[0]) - np.log(v))
+                pred_sd.append(np.sqrt(np.exp(float(mean[0]))))
+                samp_sd.append(np.sqrt(v))
+        seg = metrics["per_segment"][2]
+        assert seg["n"] == len(log_err)
+        assert seg["log_rmse"] == pytest.approx(np.sqrt(np.mean(np.square(log_err))), rel=1e-9)
+        assert seg["sd_correlation"] == pytest.approx(np.corrcoef(pred_sd, samp_sd)[0, 1], rel=1e-9)
 
     def test_features(self):
         f = _features(0.2, 0.5, 1, 0)

@@ -57,6 +57,32 @@ class TestConfig:
         )
 
 
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("threads", "2", "must be an integer"),
+            ("n_accounts", 10.5, "must be an integer"),
+            ("seed", True, "must be an integer"),
+            ("coverage_p", "0.9", "must be a number"),
+            ("budget", [5], "must be a number or null"),
+            ("portfolio_probs", [0.5, "0.5"], "must be a list of numbers"),
+            ("caps", 3, "must be a list of numbers or null"),
+            ("plan_mode", 1, "must be a string"),
+            ("emulator_path", 7, "must be a string or null"),
+        ],
+    )
+    def test_from_file_checks_value_types(self, tmp_path, key, value, expected):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=rf"cfg\.json: config key '{key}' {expected}, got"):
+            ExperimentConfig.from_file(path)
+
+    def test_from_file_accepts_ints_for_floats_and_nulls_for_optionals(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"budget": 700, "coverage_p": 0.9, "caps": None, "portfolio_probs": [1]}))
+        assert ExperimentConfig.from_file(path) == ExperimentConfig(budget=700, coverage_p=0.9, portfolio_probs=(1,))
+
+
 class TestSeedDomains:
     def test_truth_independent_of_estimation(self):
         # the truth realisation must not share draws with the estimation run
