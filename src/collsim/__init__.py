@@ -63,11 +63,9 @@ from .rng import derive_seed, stream
 from .simulator import (
     DEFAULT_SCHEDULE,
     HORIZON,
-    CollectionsPath,
     RealisationPlan,
     SimulationOutput,
     TransitionSchedule,
     payment_probability,
     run_plan,
-    simulate_independent,
 )

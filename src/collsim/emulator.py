@@ -274,14 +274,20 @@ class SegmentGP:
             self._chol = cho_factor(a, lower=True)
         return self._chol
 
+    def _mean(self, x):
+        """Posterior mean at ``x`` and the cross-covariances ``k_star`` it was made from."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        k_star = matern52(x, self.x_train, self.lengthscales, self.signal_variance)
+        return self.beta + k_star @ cho_solve(self._factor(), self.y_train - self.beta), k_star
+
+    def predict_mean(self, x):
+        """Posterior mean of the log-variance surface at ``x``, without the variance's O(m n^2) solve."""
+        return self._mean(x)[0]
+
     def predict(self, x):
         """Posterior mean and variance of the log-variance surface at ``x``."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        c = self._factor()
-        k_star = matern52(x, self.x_train, self.lengthscales, self.signal_variance)
-        resid = self.y_train - self.beta
-        mean = self.beta + k_star @ cho_solve(c, resid)
-        var = self.signal_variance - np.einsum("ij,ji->i", k_star, cho_solve(c, k_star.T))
+        mean, k_star = self._mean(x)
+        var = self.signal_variance - np.einsum("ij,ji->i", k_star, cho_solve(self._factor(), k_star.T))
         return mean, np.maximum(var, 0.0)
 
 
@@ -370,16 +376,19 @@ class GpEmulator:
 
     models: dict  # segment -> SegmentGP
 
-    def predict_log(self, b_tilde, c_tilde, segment: int, y0, credit=None):
-        """Log-scale posterior mean and variance for points in one segment."""
+    def _model(self, segment: int) -> SegmentGP:
         if segment not in self.models:
             raise ValueError(f"no fitted model for {segment!r}")
-        return self.models[segment].predict(_features(b_tilde, c_tilde, segment, y0, credit=credit))
+        return self.models[segment]
+
+    def predict_log(self, b_tilde, c_tilde, segment: int, y0, credit=None):
+        """Log-scale posterior mean and variance for points in one segment."""
+        return self._model(segment).predict(_features(b_tilde, c_tilde, segment, y0, credit=credit))
 
     def predict_sigma2(self, b_tilde, c_tilde, segment: int, y0, credit=None):
         """Posterior median of the variance: exp of the log-scale posterior mean."""
-        mean, _ = self.predict_log(b_tilde, c_tilde, segment, y0, credit=credit)
-        return np.exp(mean)
+        model = self._model(segment)
+        return np.exp(model.predict_mean(_features(b_tilde, c_tilde, segment, y0, credit=credit)))
 
     # -------------------------------------------------------------- storage
 

@@ -136,10 +136,16 @@ def estimate_mu(output: SimulationOutput, plan: RealisationPlan, population: Pop
     per_portfolio = np.array(
         [means[population.portfolio == j].sum() for j in range(population.n_portfolios)]
     )
-    per_month = None
-    if output.monthly_sum is not None:
-        per_month = (output.monthly_sum / plan.counts[:, None]).sum(axis=0)
+    per_month = None if output.indep_monthly_mean is None else _monthly_means(output)
     return MuEstimate(total=float(means.sum()), per_portfolio=per_portfolio, per_month=per_month)
+
+
+def _monthly_means(output: SimulationOutput) -> np.ndarray:
+    """Expected collections per month: the independent accounts' sum plus each block's mean."""
+    per_month = output.indep_monthly_mean.copy()
+    for blk in output.block_monthly.values():
+        per_month += blk.mean(axis=0)
+    return per_month
 
 
 @dataclass(frozen=True)
@@ -278,8 +284,11 @@ def monthly_bands(
 
     Only defined for M1 with an equal-realisations plan, mirroring the fact
     that the variance emulator predicts total-collection variances only.
+    The centres are :func:`estimate_mu`'s ``per_month``; the variance of
+    month ``t`` is the run's ``indep_monthly_var[t]`` plus, for each block,
+    its sample variance over realisations times ``1 + 1/r_j``.
     """
-    if output.monthly_sum is None:
+    if output.indep_monthly_mean is None:
         raise ValueError("monthly bands need a run with store_monthly=True")
     counts = plan.counts
     if np.any(counts < 2):
@@ -288,26 +297,12 @@ def monthly_bands(
         raise ValueError(f"monthly bands need R_i >= 2 for every account; offenders: {head}")
     if len(np.unique(counts)) != 1:
         raise ValueError("monthly bands require an equal-realisations plan")
-    r = counts[0]
 
-    indep = population.independent_ids
-    # month-major (horizon, N), so each month's accounts are one contiguous row
-    mean_t = np.divide(output.monthly_sum.T, counts, order="C")
-    var_t = mean_t**2
-    var_t *= counts
-    np.subtract(output.monthly_sumsq.T, var_t, out=var_t)
-    var_t /= counts - 1.0
-    np.maximum(var_t, 0.0, out=var_t)
-    weight = 1.0 + 1.0 / counts[indep]
-
+    var = output.indep_monthly_var.copy()
+    for blk in output.block_monthly.values():
+        var += blk.var(axis=0, ddof=1) * (1.0 + 1.0 / len(blk))
     z = normal_quantile((1.0 + p) / 2.0)
-    bands = []
-    for t in range(output.horizon):
-        v = float((var_t[t, indep] * weight).sum())
-        center = float(mean_t[t, indep].sum())
-        for j, blk in output.block_monthly.items():
-            s2d = float(blk[:, t].var(ddof=1))
-            v += s2d * (1.0 + 1.0 / len(blk))
-            center += float(blk[:, t].mean())
-        bands.append(PredictionInterval(center=center, half_width=z * float(np.sqrt(v)), coverage_p=p))
-    return bands
+    return [
+        PredictionInterval(center=float(c), half_width=z * float(np.sqrt(v)), coverage_p=p)
+        for c, v in zip(_monthly_means(output), var)
+    ]

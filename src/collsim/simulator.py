@@ -18,7 +18,10 @@ draw block ``k`` of the unit's stream.
 :func:`run_plan` streams the independent accounts in chunks of about
 ``_CHUNK_PATHS`` paths, and each dependent block's realisations in batches of
 about as many account-realisations, so its memory does not grow with the
-number of paths beyond the flat array of realised totals.
+number of paths beyond the flat array of realised totals.  With
+``store_monthly`` each chunk reduces its accounts' monthly payments to two
+(horizon,) vectors before it returns, so no per-account monthly array
+outlives a chunk.
 """
 
 from __future__ import annotations
@@ -30,23 +33,20 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .population import Account, Population
+from .population import Population
 from .rng import _unit_streams, stream
 
 __all__ = [
     "HORIZON",
     "DEFAULT_SCHEDULE",
     "TransitionSchedule",
-    "CollectionsPath",
     "RealisationPlan",
     "SimulationOutput",
     "payment_probability",
-    "simulate_independent",
     "run_plan",
 ]
 
@@ -101,17 +101,6 @@ def payment_probability(credit_score, segment, paid_prev):
     """Probability of a payment this month, given a positive balance."""
     out = expit(_segment_terms(credit_score, segment) + 2.0 * np.asarray(paid_prev, dtype=float))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class CollectionsPath:
-    """Monthly collections of one realisation of one account."""
-
-    monthly: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.monthly.sum())
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +192,12 @@ def _simulate_chunk(chunk):
     uses draw block ``k`` of the stream ``(seed, "sim", i)``.
 
     Returns the chunk's totals, account by account, and with
-    ``store_monthly`` the (len(ids), horizon) per-account sums of the monthly
-    payments and of their squares over the realisations (else None, None).
+    ``store_monthly`` two (horizon,) sums over the chunk's accounts (else
+    None, None): of the monthly means ``m_i,t / R_i`` and of the weighted
+    sample variances ``(1 + 1/R_i) max(s2_i,t, 0)``, with ``m_i,t`` the sum
+    of account ``i``'s payments in month ``t`` and ``s2_i,t`` their unbiased
+    variance over its realisations.  The variance sum is NaN when an account
+    has R_i = 1, which has no sample variance.
     """
     seed, ids, r, p0, p1, balance, paid0, horizon, store_monthly = chunk
     local = np.concatenate([[0], np.cumsum(r[:-1])])  # each account's first column
@@ -221,9 +214,18 @@ def _simulate_chunk(chunk):
     )
     if not store_monthly:
         return tot, None, None
-    pay_sum = np.add.reduceat(pay, local, axis=1).T
+    # (horizon, accounts): month t of each account in row t
+    mean = np.add.reduceat(pay, local, axis=1) / r
     pay *= pay
-    return tot, pay_sum, np.add.reduceat(pay, local, axis=1).T
+    var = mean**2
+    var *= r
+    np.subtract(np.add.reduceat(pay, local, axis=1), var, out=var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var /= r - 1.0
+    np.maximum(var, 0.0, out=var)
+    var *= 1.0 + 1.0 / r
+    var[:, r < 2] = np.nan
+    return tot, mean.sum(axis=1), var.sum(axis=1)
 
 
 def _block_batches(population: Population, dep, schedule, g, r: int, horizon: int = HORIZON):
@@ -247,24 +249,6 @@ def _block_batches(population: Population, dep, schedule, g, r: int, horizon: in
         k = min(per_batch, r - start)
         u = g.random((k, horizon, len(dep)))  # draw blocks start .. start + k - 1
         yield slice(start, start + k), _simulate_block_realisation(*covariates, u)
-
-
-# --------------------------------------------------------------------------
-# Single-unit API
-
-
-def simulate_independent(account: Account, horizon: int = HORIZON, rng=None, *, seed=None, realisation=0):
-    """Simulate one realisation of an account that is not in a dependent block."""
-    if rng is None:
-        if seed is None:
-            raise ValueError("provide either rng or seed")
-        rng = stream(seed, "sim", account.id)
-        rng.random(realisation * horizon)  # skip earlier realisations' draw blocks
-    u = rng.random((1, horizon))
-    p0 = payment_probability(account.credit_score, account.segment, False)
-    p1 = payment_probability(account.credit_score, account.segment, True)
-    _, monthly = _simulate_paths(p0, p1, account.balance, account.paid_last_month, u.T, collect_monthly=True)
-    return CollectionsPath(monthly=monthly[:, 0])
 
 
 # --------------------------------------------------------------------------
@@ -340,14 +324,22 @@ class SimulationOutput:
     Totals are stored flat, account by account, in compressed sparse row
     layout: account ``i``'s realisations are
     ``values[offsets[i]:offsets[i + 1]]``.
+
+    The monthly statistics of a ``store_monthly`` run are already summed over
+    accounts: ``indep_monthly_mean[t]`` is the sum over independent accounts
+    of ``m_i,t / R_i`` and ``indep_monthly_var[t]`` the sum of
+    ``(1 + 1/R_i) max(s2_i,t, 0)`` (NaN if some R_i = 1), where ``m_i,t`` and
+    ``s2_i,t`` are the sum and unbiased variance of account ``i``'s month-t
+    payments over its realisations.  Each dependent block keeps its monthly
+    collections per realisation in ``block_monthly``.
     """
 
     values: np.ndarray  # every realised total, account by account
     offsets: np.ndarray  # (N + 1,) start of each account's totals in values
     block_totals: dict  # portfolio j -> (r_j,) realised block totals
     horizon: int = HORIZON
-    monthly_sum: np.ndarray | None = None  # (N, horizon) sums over realisations
-    monthly_sumsq: np.ndarray | None = None
+    indep_monthly_mean: np.ndarray | None = None  # (horizon,)
+    indep_monthly_var: np.ndarray | None = None  # (horizon,)
     block_monthly: dict = field(default_factory=dict)  # j -> (r_j, horizon)
 
     @property
@@ -363,23 +355,36 @@ class SimulationOutput:
         return np.diff(self.offsets).astype(float)
 
     def rows_by_count(self):
-        """Yield ``(ids, rows)`` for each distinct realisation count.
+        """Yield ``(ids, rows)`` for the accounts of each distinct realisation count.
 
-        ``rows[k]`` is a copy of account ``ids[k]``'s totals.  A reduction
-        along a row adds in the same order as on the account's own array, so
-        per-account statistics computed on ``rows`` equal those of
-        ``np.mean``/``np.var`` on each account bitwise.
+        ``rows[k]`` holds account ``ids[k]``'s totals: a read-only view of
+        ``values`` when every account has the same count, else a copy.  Each
+        piece covers at most ``_CHUNK_PATHS`` accounts, so a caller's
+        temporaries stay small.  A reduction along a row adds in the same
+        order as on the account's own array, so per-account statistics
+        computed on ``rows`` equal those of ``np.mean``/``np.var`` on each
+        account bitwise.
         """
         counts = np.diff(self.offsets)
         for c in np.unique(counts):
             ids = np.flatnonzero(counts == c)
-            yield ids, self.values[self.offsets[ids, None] + np.arange(c)]
+            equal = len(ids) == len(counts)
+            for start in range(0, len(ids), _CHUNK_PATHS):
+                piece = ids[start : start + _CHUNK_PATHS]
+                if equal:
+                    rows = self.values[piece[0] * c : (piece[-1] + 1) * c].reshape(len(piece), c)
+                    rows.flags.writeable = False
+                else:
+                    rows = self.values[self.offsets[piece, None] + np.arange(c)]
+                yield piece, rows
 
     def summary_json(self, path) -> None:
         """Per-account mean, variance (R_i >= 2) and kurtosis (R_i >= 4), as compact JSON.
 
         The moments are those of :func:`collsim.estimators.row_moments`; the
-        kurtosis is left out for a sample with zero variance.
+        kurtosis is left out for a sample with zero variance.  Records are
+        made and written ``_CHUNK_PATHS`` accounts at a time, and the file
+        holds the same bytes as ``json.dumps`` of the whole list.
         """
         from .estimators import row_moments  # estimators imports this module
 
@@ -388,15 +393,21 @@ class SimulationOutput:
         kurtosis = np.empty(self.n)
         for ids, x in self.rows_by_count():
             mean[ids], variance[ids], kurtosis[ids] = row_moments(x)
-        rows = []
-        for i, (mu, v, k) in enumerate(zip(mean.tolist(), variance.tolist(), kurtosis.tolist())):
-            rec = {"account_id": i, "mean": mu}
-            if not math.isnan(v):
-                rec["variance"] = v
-            if not math.isnan(k):
-                rec["kurtosis"] = k
-            rows.append(rec)
-        Path(path).write_text(json.dumps(rows))
+        with open(path, "w") as f:
+            f.write("[")
+            for start in range(0, self.n, _CHUNK_PATHS):
+                sl = slice(start, start + _CHUNK_PATHS)
+                piece = []
+                stats = zip(mean[sl].tolist(), variance[sl].tolist(), kurtosis[sl].tolist())
+                for i, (mu, v, k) in enumerate(stats, start):
+                    rec = {"account_id": i, "mean": mu}
+                    if not math.isnan(v):
+                        rec["variance"] = v
+                    if not math.isnan(k):
+                        rec["kurtosis"] = k
+                    piece.append(rec)
+                f.write((", " if start else "") + json.dumps(piece)[1:-1])
+            f.write("]")
 
 
 def run_plan(
@@ -422,6 +433,11 @@ def run_plan(
     with the call; dependent blocks always run in this process.  The workers
     are forked, so they start without importing anything again; a caller
     that runs threads of its own should keep ``n_workers`` at 1.
+
+    With ``store_monthly`` each chunk returns its accounts' monthly
+    statistics already summed (see :class:`SimulationOutput`), and they are
+    added here in chunk order, so they too are bitwise identical for any
+    worker count; each block keeps its (r_j, horizon) monthly collections.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
@@ -430,11 +446,10 @@ def run_plan(
         raise ValueError("run_plan requires an integer plan; round it first")
     counts = plan.counts.astype(int)
 
-    n = population.n
     offsets = np.concatenate([[0], np.cumsum(counts)])
     values = np.empty(int(offsets[-1]))
-    monthly_sum = np.zeros((n, horizon)) if store_monthly else None
-    monthly_sumsq = np.zeros((n, horizon)) if store_monthly else None
+    monthly_mean = np.zeros(horizon) if store_monthly else None
+    monthly_var = np.zeros(horizon) if store_monthly else None
 
     indep = population.independent_ids
     p0 = payment_probability(population.credit_score[indep], population.segment[indep], False)
@@ -467,12 +482,12 @@ def run_plan(
             results = pool.map(_simulate_chunk, chunks)
         else:
             results = map(_simulate_chunk, chunks)
-        for a, b, (tot, pay_sum, pay_sumsq) in zip(edges[:-1], edges[1:], results):
+        for a, b, (tot, mean, var) in zip(edges[:-1], edges[1:], results):
             ids, local = indep[a:b], first[a:b] - first[a]
             values[np.repeat(offsets[ids] - local, rep[a:b]) + np.arange(len(tot))] = tot
             if store_monthly:
-                monthly_sum[ids] = pay_sum
-                monthly_sumsq[ids] = pay_sumsq
+                monthly_mean += mean
+                monthly_var += var
 
     block_totals: dict = {}
     block_monthly: dict = {}
@@ -487,10 +502,6 @@ def run_plan(
         for rows, monthly in _block_batches(population, dep, schedule, g, r_j, horizon):
             acc_tot[rows] = monthly.sum(axis=2)
             blk_monthly[rows] = monthly.sum(axis=1)
-            if store_monthly:
-                for m in monthly:  # one realisation at a time, in draw order
-                    monthly_sum[dep] += m
-                    monthly_sumsq[dep] += m**2
         values[offsets[dep] + np.arange(r_j)[:, None]] = acc_tot
         block_totals[j] = acc_tot.sum(axis=1)
         if store_monthly:
@@ -501,7 +512,7 @@ def run_plan(
         offsets=offsets,
         block_totals=block_totals,
         horizon=horizon,
-        monthly_sum=monthly_sum,
-        monthly_sumsq=monthly_sumsq,
+        indep_monthly_mean=monthly_mean,
+        indep_monthly_var=monthly_var,
         block_monthly=block_monthly,
     )

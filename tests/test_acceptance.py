@@ -303,8 +303,8 @@ def test_criterion_8_determinism_across_workers(capsys):
     o1 = run_plan(pop, plan, seed=ACC_SEED, n_workers=1, store_monthly=True)
     o8 = run_plan(pop, plan, seed=ACC_SEED, n_workers=8, store_monthly=True)
     totals_ok = all(np.array_equal(a, b) for a, b in zip(o1.totals, o8.totals))
-    monthly_ok = np.array_equal(o1.monthly_sum, o8.monthly_sum) and np.array_equal(
-        o1.monthly_sumsq, o8.monthly_sumsq
+    monthly_ok = np.array_equal(o1.indep_monthly_mean, o8.indep_monthly_mean) and np.array_equal(
+        o1.indep_monthly_var, o8.indep_monthly_var
     )
     blocks_ok = all(np.array_equal(o1.block_totals[j], o8.block_totals[j]) for j in o1.block_totals)
     ok = totals_ok and monthly_ok and blocks_ok

@@ -272,6 +272,18 @@ class TestEmulatorPredictions:
             )
             assert float(np.atleast_1d(one)[0]) == pytest.approx(sigma2[i], rel=1e-9)
 
+    def test_mean_only_prediction_equals_full_prediction(self, tiny_emulator, monkeypatch):
+        emulator, _ = tiny_emulator
+        g = np.random.default_rng(45)
+        b_t, c_t, y0 = g.random(40), g.random(40), g.integers(0, 2, 40)
+        for s in (1, 2, 3):
+            x = _features(b_t, c_t, s, y0)
+            full = np.exp(emulator.models[s].predict(x)[0])
+            assert np.array_equal(emulator.predict_sigma2(b_t, c_t, s, y0), full)
+        # the mean-only path never runs the posterior variance
+        monkeypatch.setattr(SegmentGP, "predict", lambda self, x: pytest.fail("variance computed"))
+        sigma2_for_population(emulator, init_population(50, (1.0,), seed=46))
+
     def test_validation_matches_point_by_point_prediction(self, tiny_emulator):
         emulator, _ = tiny_emulator
         test = random_design(6, seed=43)

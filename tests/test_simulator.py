@@ -5,6 +5,8 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from hypothesis import strategies as st
 
 import collsim.simulator as simulator
 from collsim.allocator import pilot_block_variance
-from collsim.estimators import sample_moments
+from collsim.estimators import (
+    estimate_mu,
+    monthly_bands,
+    normal_quantile,
+    row_moments,
+    sample_moments,
+    variance_inputs_from_samples,
+)
 from collsim.population import Account, init_population
 from collsim.rng import stream
 from collsim.simulator import (
@@ -24,9 +33,9 @@ from collsim.simulator import (
     RealisationPlan,
     TransitionSchedule,
     _simulate_block_realisation,
+    _simulate_paths,
     payment_probability,
     run_plan,
-    simulate_independent,
 )
 
 
@@ -43,6 +52,31 @@ class _StubRng:
     def random(self, shape):
         assert self.u.shape == tuple(shape), (self.u.shape, shape)
         return self.u
+
+
+@dataclass(frozen=True)
+class CollectionsPath:
+    """Monthly collections of one realisation of one account."""
+
+    monthly: np.ndarray
+
+    @property
+    def total(self) -> float:
+        return float(self.monthly.sum())
+
+
+def simulate_independent(account: Account, horizon: int = HORIZON, rng=None, *, seed=None, realisation=0):
+    """One realisation of an independent account, through the path kernel: the single-unit oracle."""
+    if rng is None:
+        if seed is None:
+            raise ValueError("provide either rng or seed")
+        rng = stream(seed, "sim", account.id)
+        rng.random(realisation * horizon)  # skip earlier realisations' draw blocks
+    u = rng.random((1, horizon))
+    p0 = payment_probability(account.credit_score, account.segment, False)
+    p1 = payment_probability(account.credit_score, account.segment, True)
+    _, monthly = _simulate_paths(p0, p1, account.balance, account.paid_last_month, u.T, collect_monthly=True)
+    return CollectionsPath(monthly=monthly[:, 0])
 
 
 def _account(balance, credit, segment, y0=False, eligible=False, id=0):
@@ -104,8 +138,6 @@ class TestIndependentPath:
     def test_fixed_draw_consumption(self):
         # realisation k from the unit stream equals row k of one bulk draw
         acc = _account(700.0, 3.0, 2, id=17)
-        from collsim.rng import stream
-
         bulk = stream(5, "sim", 17).random((4, HORIZON))
         for k in range(4):
             direct = simulate_independent(acc, seed=5, realisation=k)
@@ -239,7 +271,8 @@ class TestRunPlan:
         o1 = run_plan(pop, plan, seed=3, n_workers=1, store_monthly=True)
         o8 = run_plan(pop, plan, seed=3, n_workers=8, store_monthly=True)
         assert all(np.array_equal(a, b) for a, b in zip(o1.totals, o8.totals))
-        assert np.array_equal(o1.monthly_sum, o8.monthly_sum)
+        assert np.array_equal(o1.indep_monthly_mean, o8.indep_monthly_mean)
+        assert np.array_equal(o1.indep_monthly_var, o8.indep_monthly_var)
 
     def test_common_random_number_prefix(self):
         pop = init_population(60, (1.0,), seed=10)
@@ -254,8 +287,11 @@ class TestRunPlan:
         pop = init_population(40, (1.0,), seed=5)
         plan = RealisationPlan.equal(40, 6)
         out = run_plan(pop, plan, seed=9, store_monthly=True)
-        for i in range(40):
-            assert out.monthly_sum[i].sum() == pytest.approx(out.totals[i].sum(), abs=1e-6)
+        indep = pop.independent_ids
+        expected = sum(out.totals[i].mean() for i in indep)
+        assert out.indep_monthly_mean.sum() == pytest.approx(expected, abs=1e-6)
+        for j, blk in out.block_monthly.items():
+            assert np.allclose(blk.sum(axis=1), out.block_totals[j], rtol=1e-12, atol=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -343,14 +379,14 @@ class TestChunkedRunPlan:
             u,
         )
         starts = np.concatenate([[0], np.cumsum(rep)])
+        mean = np.zeros(HORIZON)
         for pos, i in enumerate(indep):
             sl = slice(starts[pos], starts[pos + 1])
             assert np.array_equal(out.totals[i], totals[sl])
-            # summation order may differ from the per-account loop
-            np.testing.assert_allclose(out.monthly_sum[i], monthly[sl].sum(axis=0), rtol=1e-12, atol=1e-9)
-            np.testing.assert_allclose(
-                out.monthly_sumsq[i], (monthly[sl] ** 2).sum(axis=0), rtol=1e-12, atol=1e-9
-            )
+            mean += monthly[sl].mean(axis=0)
+        # summation order differs from the per-account loop
+        np.testing.assert_allclose(out.indep_monthly_mean, mean, rtol=1e-12)
+        assert np.all(np.isnan(out.indep_monthly_var))  # some R_i = 1: no sample variance
         for j, pf in enumerate(pop.portfolios):
             dep = pf.dependent_ids
             r_j = counts[dep[0]]
@@ -379,8 +415,8 @@ class TestChunkedRunPlan:
             other = run_plan(pop, plan, seed=4, store_monthly=True, n_workers=workers)
             assert np.array_equal(other.values, out.values)
             assert np.array_equal(other.offsets, out.offsets)
-            assert np.array_equal(other.monthly_sum, out.monthly_sum)
-            assert np.array_equal(other.monthly_sumsq, out.monthly_sumsq)
+            assert np.array_equal(other.indep_monthly_mean, out.indep_monthly_mean)
+            assert np.array_equal(other.indep_monthly_var, out.indep_monthly_var, equal_nan=True)
             for j, blk in out.block_totals.items():
                 assert np.array_equal(other.block_totals[j], blk)
                 assert np.array_equal(other.block_monthly[j], out.block_monthly[j])
@@ -432,6 +468,103 @@ class TestChunkedRunPlan:
             assert monthly.shape == (r, n, HORIZON)
             for k in range(r):
                 assert np.array_equal(monthly[k], _reference_block(*args, u[k]))
+
+
+class TestMonthlyReductions:
+    """The monthly statistics each chunk reduces over its accounts, against per-path oracles."""
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_match_per_path_reference(self, equal):
+        pop = init_population(300, (0.7, 0.3), seed=12)
+        assert all(len(pf.dependent_ids) >= 2 for pf in pop.portfolios)
+        counts = np.full(pop.n, 7.0)
+        if not equal:
+            counts = np.random.default_rng(3).integers(2, 30, pop.n).astype(float)
+            for j, pf in enumerate(pop.portfolios):
+                counts[pf.dependent_ids] = 5.0 + 3 * j
+        plan = RealisationPlan(counts=counts)
+        out = run_plan(pop, plan, seed=8, store_monthly=True)
+
+        mean, var = np.zeros(HORIZON), np.zeros(HORIZON)
+        for i in pop.independent_ids:
+            acc, r = pop.account(i), int(counts[i])
+            _, monthly = _simulate_paths(
+                payment_probability(acc.credit_score, acc.segment, False),
+                payment_probability(acc.credit_score, acc.segment, True),
+                acc.balance,
+                acc.paid_last_month,
+                stream(8, "sim", int(i)).random((r, HORIZON)).T,
+                collect_monthly=True,
+            )
+            mean += monthly.mean(axis=1)
+            var += (1.0 + 1.0 / r) * monthly.var(axis=1, ddof=1)
+        band_var = out.indep_monthly_var.copy()
+        for j, pf in enumerate(pop.portfolios):
+            dep = pf.dependent_ids
+            r_j = int(counts[dep[0]])
+            ref = _reference_block_runs(pop, dep, stream(8, "sim", "block", j), r_j)
+            blk = np.stack([m.sum(axis=0) for m in ref])
+            mean += blk.mean(axis=0)
+            var += (1.0 + 1.0 / r_j) * blk.var(axis=0, ddof=1)
+            band_var += (1.0 + 1.0 / r_j) * out.block_monthly[j].var(axis=0, ddof=1)
+
+        np.testing.assert_allclose(estimate_mu(out, plan, pop).per_month, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(band_var, var, rtol=1e-12, atol=0)
+        if equal:
+            bands = monthly_bands(out, plan, pop)
+            z = normal_quantile(0.975)
+            np.testing.assert_allclose([b.half_width for b in bands], z * np.sqrt(var), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_rows_by_count_keeps_per_account_statistics(self, equal, monkeypatch):
+        pop = init_population(200, (1.0,), seed=4)
+        plan = RealisationPlan.equal(pop.n, 9) if equal else _multi_chunk_plan(pop, seed=2)
+        out = run_plan(pop, plan, seed=3)
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 64)  # several pieces per count
+        pieces = list(out.rows_by_count())
+        assert np.array_equal(np.sort(np.concatenate([ids for ids, _ in pieces])), np.arange(pop.n))
+        for ids, rows in pieces:
+            assert len(ids) <= 64
+            assert np.shares_memory(rows, out.values) == equal  # a view only on an equal plan
+            gathered = out.values[out.offsets[ids, None] + np.arange(rows.shape[1])]
+            for got, want in zip(row_moments(rows), row_moments(gathered)):
+                assert np.array_equal(got, want, equal_nan=True)
+        means = estimate_mu(out, plan, pop)
+        assert means.total == float(np.sum([np.mean(t) for t in out.totals]))
+        if np.all(plan.counts >= 2):
+            sigma2 = variance_inputs_from_samples(out, pop).sigma2_independent
+            assert np.array_equal(sigma2, [np.var(t, ddof=1) for t in out.totals])
+
+    def test_summary_json_written_in_pieces_equals_one_dump(self, multi_chunk, tmp_path, monkeypatch):
+        pop, plan, out = multi_chunk
+        records = []
+        for i, tot in enumerate(out.totals):
+            mean, var, kurt = (float(v[0]) for v in row_moments(tot[None, :]))
+            rec = {"account_id": i, "mean": mean}
+            rec.update({"variance": var} if not math.isnan(var) else {})
+            rec.update({"kurtosis": kurt} if not math.isnan(kurt) else {})
+            records.append(rec)
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 64)
+        out.summary_json(tmp_path / "summary.json")
+        same = (tmp_path / "summary.json").read_text() == json.dumps(records)
+        assert same  # a bool, so a failure does not diff two long strings
+
+    def test_marginal_peak_memory_per_account(self):
+        # the realised totals alone take 25 x 8 = 200 B per account; per-account
+        # monthly sums and sums of squares would add 2 x 84 x 8 = 1344 B
+        peaks = []
+        for n in (20_000, 40_000):
+            pop = init_population(n, (1.0,), seed=1)
+            plan = RealisationPlan.equal(n, 25)
+            pop.portfolios  # the cached partition belongs to the population, not the run
+            tracemalloc.start()
+            try:
+                run_plan(pop, plan, seed=2, store_monthly=True, n_workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_account = (peaks[1] - peaks[0]) / 20_000
+        assert per_account < 400, per_account
 
 
 class TestWorkerPool:
@@ -508,8 +641,8 @@ class TestRunPlanProperties:
         pop, plan, seed = case
         one = run_plan(pop, plan, seed=seed, store_monthly=True, n_workers=1)
         two = run_plan(pop, plan, seed=seed, store_monthly=True, n_workers=2)
-        for name in ("values", "offsets", "monthly_sum", "monthly_sumsq"):
-            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+        for name in ("values", "offsets", "indep_monthly_mean", "indep_monthly_var"):
+            assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True), name
         assert one.block_totals.keys() == two.block_totals.keys()
         for j, blk in one.block_totals.items():
             assert np.array_equal(blk, two.block_totals[j])
@@ -523,8 +656,9 @@ class TestRunPlanProperties:
         extra = g.integers(0, 8, pop.n).astype(float)
         for pf in pop.portfolios:
             extra[pf.dependent_ids] = g.integers(0, 8)
-        small = run_plan(pop, plan, seed=seed)
-        large = run_plan(pop, RealisationPlan(counts=plan.counts + extra), seed=seed, n_workers=2)
+        small = run_plan(pop, plan, seed=seed, store_monthly=True)
+        larger = RealisationPlan(counts=plan.counts + extra)
+        large = run_plan(pop, larger, seed=seed, store_monthly=True, n_workers=2)
         for i in range(pop.n):
             assert np.array_equal(small.totals[i], large.totals[i][: len(small.totals[i])])
         for j, blk in small.block_totals.items():
@@ -565,10 +699,9 @@ class TestBlockBatches:
         for pos, i in enumerate(dep):
             assert np.array_equal(out.totals[i], acc_tot[:, pos])
         assert np.array_equal(out.block_monthly[0], np.stack([m.sum(axis=0) for m in ref]))
-        monthly_sum = np.zeros((len(dep), HORIZON))
-        for m in ref:
-            monthly_sum += m
-        assert np.array_equal(out.monthly_sum[dep], monthly_sum)
+        block_mean = np.mean([m.sum(axis=0) for m in ref], axis=0)
+        per_month = estimate_mu(out, RealisationPlan(counts=counts), pop).per_month
+        np.testing.assert_allclose(per_month, out.indep_monthly_mean + block_mean, rtol=1e-12)
 
     def test_pilot_variance_matches_per_realisation_oracle(self, pop):
         dep = pop.portfolios[0].dependent_ids
