@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .rng import _unit_streams
+from .rng import _philox_uniforms, _unit_keys
 
 __all__ = [
     "Account",
@@ -46,6 +46,10 @@ BALANCE_HI = 10000.0
 PROB_PAID_BEFORE_START = 0.2
 SEGMENT_PROBS = (0.2, 0.2, 0.6)
 PROB_ELIGIBLE = 0.1
+
+# Accounts per piece of init_population's draws and of to_csv's rows: the
+# temporaries of a piece stay under about a megabyte whatever the population size.
+_PIECE = 4096
 
 _CSV_HEADER = ("id", "balance", "credit_score", "segment", "eligible", "paid_last_month", "portfolio")
 
@@ -217,12 +221,16 @@ class Population:
     # ------------------------------------------------------------------ I/O
 
     def to_csv(self, path) -> None:
+        """Write one row per account, ``_PIECE`` accounts at a time."""
         int_columns = (self.segment, self.eligible, self.paid_last_month, self.portfolio)
-        ints = (np.asarray(c).astype(int).tolist() for c in int_columns)
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(_CSV_HEADER)
-            w.writerows(zip(range(self.n), self.balance.tolist(), self.credit_score.tolist(), *ints))
+            for start in range(0, self.n, _PIECE):
+                sl = slice(start, start + _PIECE)
+                ids = range(start, min(start + _PIECE, self.n))
+                ints = (np.asarray(c[sl]).astype(int).tolist() for c in int_columns)
+                w.writerows(zip(ids, self.balance[sl].tolist(), self.credit_score[sl].tolist(), *ints))
 
     @classmethod
     def from_csv(cls, path, n_portfolios: int | None = None) -> "Population":
@@ -289,8 +297,10 @@ def init_population(
 ) -> Population:
     """Draw ``n`` accounts independently from the initialization distributions.
 
-    Each account is generated from its own stream keyed by ``(seed, id)``, so
-    the result is independent of generation order.
+    Account ``i`` takes the first seven uniforms of its own stream
+    ``(seed, "population", i)``, so the result is independent of generation
+    order.  The uniforms of ``_PIECE`` accounts at a time are computed
+    together from their Philox keys, bitwise equal to each stream's draws.
     """
     if n < 1:
         raise ValueError("cannot generate an empty population (n must be >= 1)")
@@ -299,8 +309,9 @@ def init_population(
         raise ValueError(f"portfolio_probs must be a probability vector, got {portfolio_probs}")
 
     u = np.empty((n, 7))
-    for i, g in enumerate(_unit_streams(seed, "population", ids=range(n))):
-        g.random(out=u[i])
+    for start in range(0, n, _PIECE):
+        ids = range(start, min(start + _PIECE, n))
+        u[start : ids.stop] = _philox_uniforms(_unit_keys(seed, "population", ids=ids), 7)
 
     paid0 = u[:, 0] < PROB_PAID_BEFORE_START
     balance = balance_cdf_inv(np.clip(u[:, 1], 1e-15, 1 - 1e-15))

@@ -116,12 +116,15 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False):
     given no payment / a payment in the previous month (segments never change
     for independent accounts, so these two numbers fully describe the model).
 
-    The kernel runs the payment chain without absorption and counts its
-    payment months K.  Payments stop once the balance is paid off, so a path's
-    total is ``min(50 K, balance)``, and month ``t`` pays
-    ``clip(balance - 50 K_t, 0, 50)`` when the chain pays, with ``K_t`` the
-    payments before ``t``.  Both equal the month-by-month balance arithmetic
-    bitwise: ``balance - 50 k`` is exact for any balance below 2**53.
+    The kernel runs the payment chain without absorption: a month's payment
+    is the lower of 50 and the remaining balance when the chain pays, so a
+    paid-off path pays 0 from then on.  Without ``collect_monthly`` it only
+    counts the payment months K, and a path's total is ``min(50 K, balance)``.
+    With it, it tracks the remaining balance ``rem`` (month ``t`` pays
+    ``min(rem, 50)`` if the chain pays, taken off ``rem``) and the total is
+    ``balance - rem``.  Both forms equal the month-by-month balance
+    arithmetic bitwise: every ``rem`` is ``balance - 50 k`` or 0, and
+    ``balance - 50 k`` is exact for a non-negative balance below 2**53.
 
     Returns the (M,) totals and, with ``collect_monthly``, the (horizon, M)
     monthly payments (else None).
@@ -129,17 +132,20 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False):
     horizon, m = u.shape
     balance = np.maximum(balance, 0.0)  # a non-positive balance never pays
     paid = np.asarray(y0, dtype=bool)
-    count = np.zeros(m)
-    monthly = np.empty((horizon, m)) if collect_monthly else None
+    if not collect_monthly:
+        count = np.zeros(m)
+        for t in range(horizon):
+            paid = u[t] < np.where(paid, p1, p0)
+            count += paid
+        return np.minimum(PAYMENT_CAP * count, balance), None
+    rem = np.full(m, balance)
+    monthly = np.empty((horizon, m))
     for t in range(horizon):
         paid = u[t] < np.where(paid, p1, p0)
-        if collect_monthly:
-            pay = monthly[t]
-            np.subtract(balance, PAYMENT_CAP * count, out=pay)
-            np.minimum(np.maximum(pay, 0.0, out=pay), PAYMENT_CAP, out=pay)
-            pay *= paid
-        count += paid
-    return np.minimum(PAYMENT_CAP * count, balance), monthly
+        pay = np.minimum(rem, PAYMENT_CAP, out=monthly[t])
+        pay *= paid
+        rem -= pay
+    return balance - rem, monthly
 
 
 def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule, u):
@@ -151,6 +157,12 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
     each realisation move in one fixed order, by descending credit score with
     ties broken in favour of the lower position index (callers pass accounts
     in id order), until the capacity is used.
+
+    Each account's two payment probabilities, after no payment and after a
+    payment, are computed once, and again only for the accounts a transition
+    moves; a month picks one of them.  They equal ``expit(terms + 2.0 *
+    paid_prev)`` of the linear predictor bitwise, as adding ``2.0 * False``
+    leaves it unchanged.
     """
     single = u.ndim == 2
     if single:
@@ -158,9 +170,11 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
     r, horizon, n = u.shape
     bal = np.tile(balance.astype(float), (r, 1))
     seg = np.tile(segment.astype(int), (r, 1))
-    # intercept plus slope terms, updated only where a transition moves an account
-    terms = np.tile(_segment_terms(credit, segment), (r, 1))
-    terms_moved = _segment_terms(credit, 1)
+    # each account's payment probabilities after no payment (pa) and a payment (pb),
+    # switched to the segment-1 pair only where a transition moves an account
+    terms, terms_moved = _segment_terms(credit, segment), _segment_terms(credit, 1)
+    pa, pb = np.tile(expit(terms), (r, 1)), np.tile(expit(terms + 2.0), (r, 1))
+    pa_moved, pb_moved = expit(terms_moved), expit(terms_moved + 2.0)
     yprev = np.tile(y0.astype(bool), (r, 1))
     order = np.lexsort((np.arange(n), -credit))
     monthly = np.zeros((r, n, horizon))
@@ -172,9 +186,9 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
             moved = np.empty_like(qual)
             moved[:, order] = qual & (np.cumsum(qual, axis=-1) <= cap)
             seg[moved] = 1
-            terms = np.where(moved, terms_moved, terms)
-        p = expit(terms + 2.0 * yprev)
-        y = (u[:, t - 1] < p) & (bal > 0)
+            pa = np.where(moved, pa_moved, pa)
+            pb = np.where(moved, pb_moved, pb)
+        y = (u[:, t - 1] < np.where(yprev, pb, pa)) & (bal > 0)
         pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
         bal -= pay
         yprev = y
@@ -202,7 +216,7 @@ def _simulate_chunk(chunk):
     seed, ids, r, p0, p1, balance, paid0, horizon, store_monthly = chunk
     local = np.concatenate([[0], np.cumsum(r[:-1])])  # each account's first column
     u = np.empty((horizon, int(r.sum())))
-    for col, r_i, g in zip(local, r, _unit_streams(seed, "sim", ids=ids)):
+    for col, r_i, g in zip(local.tolist(), r.tolist(), _unit_streams(seed, "sim", ids=ids.tolist())):
         u[:, col : col + r_i] = g.random((r_i, horizon)).T
     tot, pay = _simulate_paths(
         np.repeat(p0, r),

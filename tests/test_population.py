@@ -5,11 +5,15 @@ normal CDFs (see the inline formulas); they pin the truncated-normal balance
 transform and the credit-score mixture CDF.
 """
 
+import csv
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import collsim.population as population
 from collsim.population import (
     DEFAULT_CREDIT_MIXTURE,
     Account,
@@ -21,6 +25,7 @@ from collsim.population import (
     credit_cdf_inv,
     init_population,
 )
+from collsim.rng import stream
 
 # (Phi((x-2500)/1000) - Phi(-2)) / (Phi(7.5) - Phi(-2)), Phi via math.erf
 BALANCE_CDF_FROZEN = {
@@ -98,7 +103,51 @@ class TestAccount:
             Account(id=0, balance=1000.0, credit_score=0.0, segment=4, eligible=False, paid_last_month=False)
 
 
+def _per_account_population(n, portfolio_probs, seed, mixture=DEFAULT_CREDIT_MIXTURE):
+    """init_population with each account's seven uniforms drawn from its own generator."""
+    u = np.array([stream(seed, "population", i).random(7) for i in range(n)]).reshape(n, 7)
+    probs = np.asarray(portfolio_probs, dtype=float)
+    seg_edges = np.cumsum(population.SEGMENT_PROBS)
+    return dict(
+        paid_last_month=u[:, 0] < population.PROB_PAID_BEFORE_START,
+        balance=balance_cdf_inv(np.clip(u[:, 1], 1e-15, 1 - 1e-15)),
+        segment=np.minimum(np.searchsorted(seg_edges, u[:, 2], side="right"), 2) + 1,
+        credit_score=mixture.sample(u[:, 3], np.clip(u[:, 4], 1e-15, 1 - 1e-15)),
+        eligible=u[:, 5] < population.PROB_ELIGIBLE,
+        portfolio=np.minimum(np.searchsorted(np.cumsum(probs), u[:, 6], side="right"), len(probs) - 1),
+    )
+
+
+def _marginal_peak_per_account(run, sizes=(20_000, 40_000)):
+    """Bytes per account between the ``tracemalloc`` peaks of ``run(n)`` at two sizes."""
+    peaks = []
+    for n in sizes:
+        tracemalloc.start()
+        try:
+            run(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+
+
 class TestInitPopulation:
+    @pytest.mark.parametrize("n", [1, 7, 70_000])
+    def test_equals_per_account_draws(self, n):
+        # 70k accounts cross pieces, the last one partial
+        assert n < population._PIECE or n % population._PIECE
+        pop = init_population(n, (0.5, 0.3, 0.2), seed=17)
+        ref = _per_account_population(n, (0.5, 0.3, 0.2), seed=17)
+        for name, column in ref.items():
+            assert np.array_equal(getattr(pop, name), column), name
+            assert getattr(pop, name).dtype == column.dtype, name
+
+    def test_marginal_peak_memory_per_account(self):
+        # the population's own columns take 8 + 8 + 8 + 1 + 1 + 8 = 34 B per account and the
+        # seven uniforms 56 B; whole-population temporaries of the keystream would add far more
+        per_account = _marginal_peak_per_account(lambda n: init_population(n, (0.7, 0.3), seed=5))
+        assert per_account <= 130, per_account
+
     def test_reproducible(self):
         a = init_population(50, (0.7, 0.3), seed=9)
         b = init_population(50, (0.7, 0.3), seed=9)
@@ -183,6 +232,26 @@ class TestIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line 5: .*{message}"):
             Population.from_csv(path, n_portfolios=2)
+
+    def test_csv_written_in_pieces_equals_one_dump(self, tmp_path):
+        n = 2 * population._PIECE + 123
+        pop = init_population(n, (0.8, 0.2), seed=11)
+        path = tmp_path / "pop.csv"
+        pop.to_csv(path)
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(population._CSV_HEADER)
+        ints = (c.astype(int).tolist() for c in (pop.segment, pop.eligible, pop.paid_last_month, pop.portfolio))
+        w.writerows(zip(range(n), pop.balance.tolist(), pop.credit_score.tolist(), *ints))
+        data = path.read_bytes()
+        assert data.count(b"\r\n") == n + 1
+        same = data == ref.getvalue().encode()
+        assert same  # a bool, so a failure does not diff two long strings
+
+    def test_csv_marginal_peak_memory_per_account(self, tmp_path):
+        pops = {n: init_population(n, (0.8, 0.2), seed=11) for n in (20_000, 40_000)}
+        per_account = _marginal_peak_per_account(lambda n: pops[n].to_csv(tmp_path / "pop.csv"))
+        assert per_account < 10, per_account  # whole-column Python lists take about 100 B
 
     def test_manifest(self, tmp_path):
         import json

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from collsim.rng import _unit_streams, derive_seed, stream
+from collsim.rng import _philox_uniforms, _unit_keys, _unit_streams, derive_seed, stream
 
 
 def test_same_key_same_stream():
@@ -61,3 +63,34 @@ def test_unit_streams_equal_stream():
     # a multi-part prefix
     for i, g in zip(range(50), _unit_streams(2, "pilot", "x", 4, ids=range(50))):
         assert np.array_equal(g.random(7), stream(2, "pilot", "x", 4, i).random(7))
+
+
+def _philox_key(g):
+    return g.bit_generator.state["state"]["key"]
+
+
+def test_unit_keys_equal_stream_keys():
+    ids = [0, 1, 4097, np.int64(7), np.uint32(12), 10**15]
+    for prefix in (("population",), ("sim",), ("pilot", "x", 4)):
+        keys = _unit_keys(3, *prefix, ids=ids)
+        assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
+        for i, key in zip(ids, keys):
+            assert np.array_equal(key, _philox_key(stream(3, *prefix, i)))
+    assert _unit_keys(3, "sim", ids=[]).shape == (0, 2)
+    with pytest.raises(TypeError):
+        _unit_keys(3, "sim", ids=[1.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=5),
+    n_draws=st.integers(1, 12),
+)
+def test_philox_uniforms_equal_generator_draws(keys, n_draws):
+    words = np.array([[k & (2**64 - 1), k >> 64] for k in keys], dtype=np.uint64)
+    u = _philox_uniforms(words, n_draws)
+    assert u.shape == (len(keys), n_draws) and u.dtype == np.float64
+    for k, row in zip(keys, u):
+        ref = np.random.Generator(np.random.Philox(key=k)).random(n_draws)
+        assert row.tobytes() == ref.tobytes()
+

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import collsim.simulator as simulator
 from collsim.allocator import pilot_block_variance
@@ -27,6 +28,8 @@ from collsim.population import Account, init_population
 from collsim.rng import stream
 from collsim.simulator import (
     _CHUNK_PATHS,
+    _INTERCEPTS,
+    _SLOPES,
     DEFAULT_SCHEDULE,
     HORIZON,
     PAYMENT_CAP,
@@ -468,6 +471,118 @@ class TestChunkedRunPlan:
             assert monthly.shape == (r, n, HORIZON)
             for k in range(r):
                 assert np.array_equal(monthly[k], _reference_block(*args, u[k]))
+
+
+def _count_form_paths(p0, p1, balance, y0, u, collect_monthly=False):
+    """The path kernel's count form: month t pays ``clip(balance - 50 K_t, 0, 50)`` if the chain pays."""
+    horizon, m = u.shape
+    balance = np.maximum(balance, 0.0)
+    paid = np.asarray(y0, dtype=bool)
+    count = np.zeros(m)
+    monthly = np.empty((horizon, m)) if collect_monthly else None
+    for t in range(horizon):
+        paid = u[t] < np.where(paid, p1, p0)
+        if collect_monthly:
+            pay = monthly[t]
+            np.subtract(balance, PAYMENT_CAP * count, out=pay)
+            np.minimum(np.maximum(pay, 0.0, out=pay), PAYMENT_CAP, out=pay)
+            pay *= paid
+        count += paid
+    return np.minimum(PAYMENT_CAP * count, balance), monthly
+
+
+def _per_month_expit_block(balance, credit, segment, eligible, y0, schedule, u):
+    """The block kernel with ``expit`` of the linear predictor evaluated for every account every month."""
+    r, horizon, n = u.shape
+    bal = np.tile(balance.astype(float), (r, 1))
+    seg = np.tile(segment.astype(int), (r, 1))
+    terms = np.tile(_INTERCEPTS[segment - 1] + _SLOPES[segment - 1] * credit, (r, 1))
+    terms_moved = _INTERCEPTS[0] + _SLOPES[0] * credit
+    yprev = np.tile(y0.astype(bool), (r, 1))
+    order = np.lexsort((np.arange(n), -credit))
+    monthly = np.zeros((r, n, horizon))
+    trans = dict(zip(schedule.times, schedule.capacities))
+    for t in range(1, horizon + 1):
+        cap = trans.get(t)
+        if cap:
+            qual = (eligible & (seg == 3) & ~yprev)[:, order]
+            moved = np.empty_like(qual)
+            moved[:, order] = qual & (np.cumsum(qual, axis=-1) <= cap)
+            seg[moved] = 1
+            terms = np.where(moved, terms_moved, terms)
+        p = expit(terms + 2.0 * yprev)
+        y = (u[:, t - 1] < p) & (bal > 0)
+        pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
+        bal -= pay
+        yprev = y
+        monthly[:, :, t - 1] = pay
+    return monthly
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernelOracles:
+    """The path and block kernels against the earlier forms they replace, bit for bit."""
+
+    def test_path_kernel_matches_count_form_and_month_by_month(self):
+        g = np.random.default_rng(21)
+        # multiples of 50, below 50, zero, negative and general balances, with paid-off and live paths
+        balance = np.concatenate(
+            [
+                50.0 * np.arange(1, 61),
+                [0.5, 1e-9, 49.999, 25.0, 0.0, -0.0, -3.0, -50.0, 4e15 + 0.5],
+                np.round(g.uniform(500.0, 10000.0, 300), 2),
+                g.uniform(0.0, 4200.0, 300),
+            ]
+        )
+        m = len(balance)
+        p0, p1 = g.uniform(0.05, 0.9, m), g.uniform(0.1, 0.99, m)
+        y0 = g.random(m) < 0.3
+        u = g.random((HORIZON, m))
+        u[:, :40] *= 0.1  # mostly paying: these paths pay off well before the horizon
+        totals, monthly = _simulate_paths(p0, p1, balance, y0, u, collect_monthly=True)
+        totals_only, none = _simulate_paths(p0, p1, balance, y0, u)
+        assert none is None
+        assert _same_bits(totals, totals_only)
+        old_totals, old_monthly = _count_form_paths(p0, p1, balance, y0, u, collect_monthly=True)
+        assert _same_bits(totals, old_totals)
+        assert _same_bits(monthly, old_monthly)
+        ref_totals, ref_monthly = _reference_paths(p0, p1, balance, y0, u.T)
+        assert _same_bits(totals, ref_totals)
+        assert _same_bits(monthly, np.ascontiguousarray(ref_monthly.T))
+        paid_off = totals == np.maximum(balance, 0.0)
+        assert paid_off[:40].all() and not paid_off.all()
+
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("all_qualify", [False, True])
+    def test_block_kernel_matches_per_month_expit(self, r, all_qualify):
+        g = np.random.default_rng(13 + r)
+        n = 60
+        credit = np.round(g.normal(-1.0, 2.5, n), 1)  # ties in credit score
+        if all_qualify:
+            segment, eligible, y0 = np.full(n, 3), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+        else:
+            segment, eligible, y0 = g.integers(1, 4, n), g.random(n) < 0.7, g.random(n) < 0.3
+        # the first transition binds; the last has room for every account that still qualifies
+        schedule = TransitionSchedule(times=(6, 12, 30, 31, 60), capacities=(7, 3, 0, 5, n))
+        u = g.random((r, HORIZON, n))
+        if all_qualify:
+            u[:, :6] = 1.0  # nobody pays before the first transition, so every account qualifies at it
+        args = (g.uniform(100.0, 6000.0, n), credit, segment, eligible, y0, schedule)
+        monthly = _simulate_block_realisation(*args, u)
+        assert _same_bits(monthly, _per_month_expit_block(*args, u))
+        if r == 1:
+            assert _same_bits(_simulate_block_realisation(*args, u[0]), monthly[0])
+        if all_qualify:
+            # only the capacity stops the first transition: exactly 7 accounts leave segment 3
+            p3, p1 = expit(-4.0 + 0.2 * credit), expit(-1.0 + 0.1 * credit)
+            pays = u[:, 6] < p1  # month 7: after the move, nobody paid in month 6
+            moved = np.argsort(-credit, kind="stable")[:7]
+            assert np.array_equal(monthly[:, moved, 6] > 0, pays[:, moved])
+            stay = np.setdiff1d(np.arange(n), moved)
+            assert np.array_equal(monthly[:, stay, 6] > 0, (u[:, 6] < p3)[:, stay])
 
 
 class TestMonthlyReductions:
