@@ -21,7 +21,6 @@ from collsim import (
     sigma2_for_population,
     sliced_lhd,
 )
-from collsim.simulator import DEFAULT_SCHEDULE
 
 print("training a small variance emulator (30 design points per slice) ...")
 design = sliced_lhd(30, seed=3)
@@ -32,7 +31,7 @@ pop = init_population(400, portfolio_probs=(1.0,), seed=5)
 sigma2 = sigma2_for_population(emulator, pop)
 sigma_block = np.full(1, np.nan)
 if len(pop.portfolios[0].dependent_ids):
-    sigma_block[0] = np.sqrt(pilot_block_variance(pop, 0, DEFAULT_SCHEDULE, n_pilot=50, seed=6))
+    sigma_block[0] = np.sqrt(pilot_block_variance(pop, 0, n_pilot=50, seed=6))
 
 budget = 25.0 * pop.n
 real_plan = plan_for_population(pop, np.sqrt(sigma2), sigma_block, budget)

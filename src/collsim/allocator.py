@@ -26,7 +26,7 @@ from .constrained import (
 )
 from .population import Population
 from .rng import stream
-from .simulator import HORIZON, RealisationPlan, TransitionSchedule, _block_batches
+from .simulator import HORIZON, RealisationPlan, _block_batches
 
 __all__ = [
     "round_plan",
@@ -98,13 +98,13 @@ def plan_for_population(
 def pilot_block_variance(
     population: Population,
     portfolio_j: int,
-    schedule: TransitionSchedule,
     n_pilot: int = 50,
     seed: int = 0,
     horizon: int = HORIZON,
 ) -> float:
     """Sample variance of the block total over ``n_pilot`` pilot realisations.
 
+    The block runs under ``DEFAULT_SCHEDULE``, as in :func:`run_plan`.
     Pilot realisations live in their own seed domain and are never part of
     the final estimator, so the budget accounting is unaffected.
     """
@@ -114,6 +114,6 @@ def pilot_block_variance(
     if not len(dep):
         raise ValueError(f"portfolio {portfolio_j} has no dependent block")
     g = stream(seed, "pilot", portfolio_j)
-    batches = _block_batches(population, dep, schedule, g, n_pilot, horizon)
+    batches = _block_batches(population, dep, g, n_pilot, horizon)
     totals = np.concatenate([m.reshape(len(m), -1).sum(axis=1) for _, m in batches])
     return float(totals.var(ddof=1))

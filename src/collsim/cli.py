@@ -31,16 +31,11 @@ from .constrained import (
     solution_to_json,
 )
 from .emulator import GpEmulator, random_design, validate_emulator
-from .estimators import (
-    estimate_mu,
-    estimator_variance,
-    prediction_interval,
-    variance_inputs_from_samples,
-)
+from .estimators import estimator_variance
 from .experiments import (
     ExperimentConfig,
     coverage_study,
-    m2_variance_inputs,
+    interval_estimate,
     optimized_plan,
     protect_experiment,
     simulate_experiment,
@@ -49,7 +44,7 @@ from .experiments import (
 )
 from .population import init_population
 from .rng import derive_seed, stream
-from .simulator import RealisationPlan, run_plan
+from .simulator import RealisationPlan
 
 log = logging.getLogger("collsim")
 
@@ -169,17 +164,9 @@ def cmd_interval(args) -> int:
     config = _config_from_args(args, name="interval")
     emulator = _load_emulator(args)
     pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
-    from .experiments import build_plan
-
-    pilot_seed = derive_seed(config.seed, "pilot")
-    plan, plan_inputs = build_plan(pop, config, emulator, pilot_seed)
-    output = run_plan(pop, plan, seed=derive_seed(config.seed, "estimate"), n_workers=config.threads)
-    mu = estimate_mu(output, plan, pop)
-    if config.interval_method == "M1":
-        inputs = variance_inputs_from_samples(output, pop)
-    else:
-        inputs = m2_variance_inputs(pop, config, emulator, output, pilot_seed, plan_inputs)
-    interval = prediction_interval(mu.total, inputs, plan, pop, p=config.coverage_p)
+    mu, interval = interval_estimate(
+        pop, config, emulator, derive_seed(config.seed, "pilot"), derive_seed(config.seed, "estimate")
+    )
     doc = {
         "mu_total": mu.total,
         "lower": interval.lower,

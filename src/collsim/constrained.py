@@ -164,7 +164,6 @@ class ActiveSetSolution:
     delta: np.ndarray  # cap multipliers, zero off the active set
     alpha_trace: list
     iterations: int
-    fully_constrained_slack: float = 0.0  # unspent budget when every cap is active
 
 
 def check_slater(problem: ConstrainedProblem):
@@ -235,9 +234,7 @@ def active_set_solve(problem: ConstrainedProblem) -> ActiveSetSolution:
             break
         active.update(violated)
 
-    slack = 0.0
     if not inactive:
-        slack = problem.budget - float((gamma * eps).sum())
         lam = np.nan
         delta = np.full(n, np.nan)  # multipliers undefined without an interior alpha
     else:
@@ -253,7 +250,6 @@ def active_set_solve(problem: ConstrainedProblem) -> ActiveSetSolution:
         delta=delta,
         alpha_trace=alpha_trace,
         iterations=iterations,
-        fully_constrained_slack=slack,
     )
 
 

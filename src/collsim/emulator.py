@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 from .estimators import normal_quantile, row_moments
 from .population import balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv
 from .rng import stream
-from .simulator import HORIZON, _simulate_paths, payment_probability
+from .simulator import _unit_chunks, payment_probability
 
 logger = logging.getLogger(__name__)
 
@@ -131,32 +131,29 @@ class TrainingObservation:
     realisations_used: int
 
 
-def _simulate_point(b_tilde, c_tilde, s, y, n_real, g):
-    """Realised totals for one design point, simulated as an independent account."""
-    balance = balance_cdf_inv(b_tilde)
-    credit = credit_cdf_inv(c_tilde)
-    p0 = payment_probability(credit, s, False)
-    p1 = payment_probability(credit, s, True)
-    u = g.random((n_real, HORIZON))
-    totals, _ = _simulate_paths(p0, p1, balance, bool(y), u.T)
-    return totals
-
-
 def _point_moments(design_slice, s, y, n_real, seed, domain):
     """Yield ``(b_tilde, c_tilde, variance, kurtosis)`` of each design point of one slice.
 
-    Point ``l`` is simulated from the stream ``(seed, domain, s, y, l)``; the
-    moments are those of :func:`collsim.estimators.row_moments`.  Points whose
-    sample variance is zero up to floating-point noise are left out: paths
-    that always collect the full balance produce identical totals, and the
-    computed variance is then rounding jitter around zero, not a response.
+    Point ``l`` is unit ``l`` of :func:`collsim.simulator._unit_chunks` with
+    the prefix ``(domain, s, y)``: it draws from the stream ``(seed, domain,
+    s, y, l)``.  The moments are those of :func:`collsim.estimators.row_moments`.
+    Points whose sample variance is zero up to floating-point noise are left
+    out: paths that always collect the full balance produce identical totals,
+    and the computed variance is then rounding jitter around zero, not a response.
     """
-    totals = np.array(
-        [
-            _simulate_point(b_t, c_t, s, y, n_real, stream(seed, domain, s, y, l))
-            for l, (b_t, c_t) in enumerate(design_slice)
-        ]
+    pts = np.asarray(design_slice, dtype=float)
+    n = len(pts)
+    units = (
+        np.arange(n),
+        np.full(n, n_real),
+        credit_cdf_inv(pts[:, 1]),
+        np.full(n, s),
+        balance_cdf_inv(pts[:, 0]),
+        np.full(n, bool(y)),
     )
+    totals = np.empty((n, n_real))
+    for ids, _, tot, _, _ in _unit_chunks(seed, (domain, s, y), units):
+        totals[ids] = tot.reshape(len(ids), n_real)
     for (b_t, c_t), mean, v, kurt in zip(design_slice, *(m.tolist() for m in row_moments(totals))):
         if v > 1e-12 * max(mean**2, 1.0):
             yield b_t, c_t, v, kurt

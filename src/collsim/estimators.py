@@ -277,7 +277,6 @@ def prediction_interval(
 def monthly_bands(
     output: SimulationOutput,
     plan: RealisationPlan,
-    population: Population,
     p: float = 0.95,
 ) -> list[PredictionInterval]:
     """Per-month prediction intervals from month-specific sample variances.

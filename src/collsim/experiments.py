@@ -48,15 +48,8 @@ from .estimators import (
     variance_inputs_from_samples,
 )
 from .population import Population, init_population
-from .rng import _unit_streams, derive_seed
-from .simulator import (
-    DEFAULT_SCHEDULE,
-    HORIZON,
-    RealisationPlan,
-    _simulate_paths,
-    payment_probability,
-    run_plan,
-)
+from .rng import derive_seed
+from .simulator import RealisationPlan, _independent_units, _unit_chunks, run_plan
 
 __all__ = [
     "ExperimentConfig",
@@ -65,6 +58,7 @@ __all__ = [
     "optimized_plan",
     "build_plan",
     "m2_variance_inputs",
+    "interval_estimate",
     "coverage_study",
     "protect_experiment",
     "train_emulator_experiment",
@@ -124,8 +118,14 @@ class ExperimentConfig:
         doc.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**doc)
 
+    def _output_fields(self) -> dict:
+        """The fields that can change an output: all but ``out_dir`` and ``threads``."""
+        doc = asdict(self)
+        del doc["out_dir"], doc["threads"]
+        return doc
+
     def config_hash(self) -> str:
-        return _digest(asdict(self))
+        return _digest(self._output_fields())
 
 
 def _is_number(v) -> bool:
@@ -170,40 +170,29 @@ def write_sidecar(out_path, config: ExperimentConfig) -> None:
 # Variance pre-estimation
 
 
-def reference_sigmas(
-    population: Population,
-    n_realisations: int = 5000,
-    seed: int = 0,
-    schedule=DEFAULT_SCHEDULE,
-):
+def reference_sigmas(population: Population, n_realisations: int = 5000, seed: int = 0):
     """High-quality pilot standard deviations for every unit.
 
-    Returns per-account sigma (indexed by id; dependent entries are their
-    own account-level sds, unused by allocation) and per-portfolio block
-    sigma (NaN without a block).  Runs in its own seed domain and is chunked
-    per account to bound memory.
+    Returns per-account sigma (indexed by id; dependent entries are 0, as the
+    block sigma covers them) and per-portfolio block sigma (NaN without a
+    block).  Runs in its own seed domain: an account's sigma is the
+    ``std(ddof=1)`` of its totals from :func:`collsim.simulator._unit_chunks`
+    with the prefix ``("sigma-ref",)``, so memory is bounded by one chunk.
     """
-    n = population.n
-    sigma = np.empty(n)
-    indep = population.independent_ids
-    p0 = payment_probability(population.credit_score, population.segment, False)
-    p1 = payment_probability(population.credit_score, population.segment, True)
-    for i, g in zip(indep, _unit_streams(seed, "sigma-ref", ids=indep)):
-        u = g.random((n_realisations, HORIZON))
-        totals, _ = _simulate_paths(p0[i], p1[i], population.balance[i], population.paid_last_month[i], u.T)
-        sigma[i] = totals.std(ddof=1)
-    for pf in population.portfolios:
-        sigma[pf.dependent_ids] = 0.0  # covered by the block sigma
+    sigma = np.zeros(population.n)
+    units = _independent_units(population, np.full(population.n, n_realisations))
+    for ids, _, tot, _, _ in _unit_chunks(seed, ("sigma-ref",), units):
+        sigma[ids] = tot.reshape(len(ids), n_realisations).std(axis=1, ddof=1)
     block_seed = derive_seed(seed, "sigma-ref-block")
-    return sigma, _pilot_block_sigmas(population, n_realisations, block_seed, schedule)
+    return sigma, _pilot_block_sigmas(population, n_realisations, block_seed)
 
 
-def _pilot_block_sigmas(population, n_pilot, seed, schedule=DEFAULT_SCHEDULE):
+def _pilot_block_sigmas(population, n_pilot, seed):
     """Per-portfolio block sigma from ``n_pilot`` pilot realisations (NaN without a block)."""
     out = np.full(population.n_portfolios, np.nan)
     for j, pf in enumerate(population.portfolios):
         if len(pf.dependent_ids):
-            out[j] = np.sqrt(pilot_block_variance(population, j, schedule, n_pilot=n_pilot, seed=seed))
+            out[j] = np.sqrt(pilot_block_variance(population, j, n_pilot=n_pilot, seed=seed))
     return out
 
 
@@ -299,9 +288,7 @@ def m2_variance_inputs(
         elif plan_inputs is not None:
             sigma2_block[j] = plan_inputs.sigma2_block[j]
         else:
-            sigma2_block[j] = pilot_block_variance(
-                population, j, DEFAULT_SCHEDULE, n_pilot=config.n_pilot, seed=seed
-            )
+            sigma2_block[j] = pilot_block_variance(population, j, n_pilot=config.n_pilot, seed=seed)
     return VarianceInputs(
         sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR
     )
@@ -311,19 +298,32 @@ def m2_variance_inputs(
 # Coverage study
 
 
+def interval_estimate(
+    population: Population, config: ExperimentConfig, emulator, pilot_seed: int, estimate_seed: int
+):
+    """``(mu, interval)``: :func:`build_plan` with ``pilot_seed``, run with ``estimate_seed``.
+
+    ``mu`` is :func:`estimate_mu` of the run and ``interval`` the
+    ``config.coverage_p`` prediction interval of its total, from sample
+    variances (method M1) or :func:`m2_variance_inputs` (method M2).
+    """
+    plan, plan_inputs = build_plan(population, config, emulator, pilot_seed)
+    output = run_plan(population, plan, seed=estimate_seed, n_workers=config.threads)
+    mu = estimate_mu(output, plan, population)
+    if config.interval_method == "M1":
+        inputs = variance_inputs_from_samples(output, population)
+    else:
+        inputs = m2_variance_inputs(population, config, emulator, output, pilot_seed, plan_inputs)
+    return mu, prediction_interval(mu.total, inputs, plan, population, p=config.coverage_p)
+
+
 def _coverage_repetition(config: ExperimentConfig, emulator, rep: int):
     pop = init_population(
         config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop", rep)
     )
-    pilot_seed = derive_seed(config.seed, "pilot", rep)
-    plan, plan_inputs = build_plan(pop, config, emulator, pilot_seed)
-    output = run_plan(pop, plan, seed=derive_seed(config.seed, "estimate", rep), n_workers=config.threads)
-    mu = estimate_mu(output, plan, pop)
-    if config.interval_method == "M1":
-        inputs = variance_inputs_from_samples(output, pop)
-    else:
-        inputs = m2_variance_inputs(pop, config, emulator, output, pilot_seed, plan_inputs)
-    interval = prediction_interval(mu.total, inputs, plan, pop, p=config.coverage_p)
+    _, interval = interval_estimate(
+        pop, config, emulator, derive_seed(config.seed, "pilot", rep), derive_seed(config.seed, "estimate", rep)
+    )
     truth = run_plan(
         pop, RealisationPlan.equal(pop.n, 1), seed=derive_seed(config.seed, "truth", rep)
     )
@@ -349,10 +349,11 @@ def coverage_study(
     (mean of width over midpoint).  Checkpoints every 100 repetitions when a
     checkpoint path is given (atomically: a temporary file in the same
     directory, then a rename), and resumes from it.  A checkpoint is keyed on
-    the config apart from its repetition count, and on the tool version: a
-    study of any length resumes from the first repetitions of another.
+    the config's output fields apart from its repetition count, and on the
+    tool version: a study of any length, and with any worker count, resumes
+    from the first repetitions of another.
     """
-    key = _digest({**asdict(config), "repetitions": None, "tool_version": __version__})
+    key = _digest({**config._output_fields(), "repetitions": None, "tool_version": __version__})
     records = []
     if checkpoint_path and Path(checkpoint_path).exists():
         saved = json.loads(Path(checkpoint_path).read_text())
@@ -499,7 +500,7 @@ def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None = 
     }
     bands = None
     if np.all(plan.counts >= 2) and len(np.unique(plan.counts)) == 1:
-        bands = monthly_bands(output, plan, pop, p=config.coverage_p)
+        bands = monthly_bands(output, plan, p=config.coverage_p)
         inputs = variance_inputs_from_samples(output, pop)
         interval = prediction_interval(mu.total, inputs, plan, pop, p=config.coverage_p)
         report["interval"] = {

@@ -16,7 +16,8 @@ its key, with the counter at zero, and its ``j``-th block of four words is
 a pure function of the key and ``j``.  :func:`_unit_keys` derives the keys of
 many units ``(seed, *prefix, i)`` at once, hashing each id on a copy of the
 prefix's SHA-256 state.  :func:`_unit_streams` walks them with one generator,
-re-keyed in place, instead of building a generator per unit, and
+re-keyed in place, instead of building a generator per unit (it serves every
+independent unit of the simulator's chunk engine), and
 :func:`_philox_uniforms` computes the first few uniforms of every key in
 numpy arithmetic.  Both equal ``stream(seed, *prefix, i)`` bitwise: the
 digest is that of the same bytes, the 64-bit products are exact in 32-bit

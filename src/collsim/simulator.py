@@ -15,10 +15,11 @@ Draw discipline: every path consumes exactly ``horizon`` uniforms per account
 regardless of early absorption, so realisation ``k`` of a unit always occupies
 draw block ``k`` of the unit's stream.
 
-:func:`run_plan` streams the independent accounts in chunks of about
-``_CHUNK_PATHS`` paths, and each dependent block's realisations in batches of
-about as many account-realisations, so its memory does not grow with the
-number of paths beyond the flat array of realised totals.  With
+Independent units (the accounts of :func:`run_plan`, reference sigmas and
+emulator design points) all run through :func:`_unit_chunks`, in chunks of
+about ``_CHUNK_PATHS`` paths, and each dependent block's realisations in
+batches of about as many account-realisations, so memory does not grow with
+the number of paths beyond the flat array of realised totals.  With
 ``store_monthly`` each chunk reduces its accounts' monthly payments to two
 (horizon,) vectors before it returns, so no per-account monthly array
 outlives a chunk.
@@ -197,26 +198,23 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
 
 
 def _simulate_chunk(chunk):
-    """Realised totals of one chunk of independent accounts of :func:`run_plan`.
+    """Realised totals of one chunk of :func:`_unit_chunks`.
 
-    ``chunk`` is ``(seed, ids, counts, p0, p1, balance, paid0, horizon,
-    store_monthly)``: the accounts' ids in id order, their realisation counts
-    and their model inputs.  It carries everything the chunk needs, so the
-    result is the same in any process.  Realisation ``k`` of account ``i``
-    uses draw block ``k`` of the stream ``(seed, "sim", i)``.
-
-    Returns the chunk's totals, account by account, and with
-    ``store_monthly`` two (horizon,) sums over the chunk's accounts (else
-    None, None): of the monthly means ``m_i,t / R_i`` and of the weighted
-    sample variances ``(1 + 1/R_i) max(s2_i,t, 0)``, with ``m_i,t`` the sum
-    of account ``i``'s payments in month ``t`` and ``s2_i,t`` their unbiased
-    variance over its realisations.  The variance sum is NaN when an account
-    has R_i = 1, which has no sample variance.
+    ``chunk`` is ``(seed, prefix, ids, counts, credit, segment, balance,
+    paid0, horizon, store_monthly)``, everything the chunk needs, so the
+    result is the same in any process.  Returns the chunk's totals, unit by
+    unit, and with ``store_monthly`` two (horizon,) sums over its units
+    (else None, None): of the monthly means ``m_i,t / R_i`` and of the
+    weighted sample variances ``(1 + 1/R_i) max(s2_i,t, 0)``, with ``m_i,t``
+    the sum of unit ``i``'s payments in month ``t`` and ``s2_i,t`` their
+    unbiased variance over its realisations.  The variance sum is NaN when a
+    unit has R_i = 1, which has no sample variance.
     """
-    seed, ids, r, p0, p1, balance, paid0, horizon, store_monthly = chunk
-    local = np.concatenate([[0], np.cumsum(r[:-1])])  # each account's first column
+    seed, prefix, ids, r, credit, segment, balance, paid0, horizon, store_monthly = chunk
+    p0, p1 = payment_probability(credit, segment, [[False], [True]])  # after no payment, after a payment
+    local = np.concatenate([[0], np.cumsum(r[:-1])])  # each unit's first column
     u = np.empty((horizon, int(r.sum())))
-    for col, r_i, g in zip(local.tolist(), r.tolist(), _unit_streams(seed, "sim", ids=ids.tolist())):
+    for col, r_i, g in zip(local.tolist(), r.tolist(), _unit_streams(seed, *prefix, ids=ids.tolist())):
         u[:, col : col + r_i] = g.random((r_i, horizon)).T
     tot, pay = _simulate_paths(
         np.repeat(p0, r),
@@ -228,7 +226,7 @@ def _simulate_chunk(chunk):
     )
     if not store_monthly:
         return tot, None, None
-    # (horizon, accounts): month t of each account in row t
+    # (horizon, units): month t of each unit in row t
     mean = np.add.reduceat(pay, local, axis=1) / r
     pay *= pay
     var = mean**2
@@ -242,13 +240,61 @@ def _simulate_chunk(chunk):
     return tot, mean.sum(axis=1), var.sum(axis=1)
 
 
-def _block_batches(population: Population, dep, schedule, g, r: int, horizon: int = HORIZON):
+def _unit_chunks(seed, prefix, units, horizon=HORIZON, store_monthly=False, n_workers=1):
+    """Simulate independent units; yield ``(ids, counts, totals, mean, var)`` per chunk, in order.
+
+    ``units`` is ``(ids, counts, credit, segment, balance, paid0)``, one entry
+    per unit.  Realisation ``k`` of unit ``i`` uses draw block ``k`` of the
+    stream ``(seed, *prefix, i)``.  A chunk is made of whole units and starts
+    at the first unit whose first path reaches the next multiple of
+    ``_CHUNK_PATHS``; ``totals`` holds its totals unit by unit, and ``mean``
+    and ``var`` are its monthly sums (see :func:`_simulate_chunk`).
+
+    With ``n_workers`` > 1 the chunks run on a pool of ``min(n_workers,
+    chunks, os.cpu_count())`` forked processes, which ends with the generator,
+    also when its consumer raises; the yields are bitwise the same.
+    """
+    first = np.concatenate([[0], np.cumsum(units[1])])  # each unit's first path
+    starts = np.searchsorted(first[:-1], np.arange(0, first[-1], _CHUNK_PATHS))
+    edges = np.unique(np.append(starts, len(first) - 1))
+    chunks = [
+        (seed, prefix, *(col[a:b] for col in units), horizon, store_monthly)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    workers = min(n_workers, len(chunks), os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported on first use, to keep multiprocessing out of `import collsim`
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            # On leaving, even by an error, wait for the running chunks and cancel the rest.  A
+            # multiprocessing.Pool would terminate its workers instead, and a worker killed while
+            # writing a result can leave the result queue locked, hanging the shutdown.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_simulate_chunk, chunks)
+        else:
+            results = map(_simulate_chunk, chunks)
+        for chunk, result in zip(chunks, results):
+            yield (chunk[2], chunk[3], *result)
+
+
+def _independent_units(population: Population, counts):
+    """The :func:`_unit_chunks` units of a population's independent accounts; ``counts`` by id."""
+    ids = population.independent_ids
+    columns = (counts, population.credit_score, population.segment, population.balance, population.paid_last_month)
+    return (ids, *(col[ids] for col in columns))
+
+
+def _block_batches(population: Population, dep, g, r: int, horizon: int = HORIZON):
     """Yield ``(rows, monthly)`` for ``r`` joint realisations of the block ``dep``.
 
-    Realisation ``k`` uses draw block ``k`` of the stream ``g``.  The
-    realisations run in batches of about ``_CHUNK_PATHS`` account-realisations
-    (at least one realisation each); ``monthly`` is the (k, |D|, horizon)
-    output of a batch and ``rows`` the slice of realisations it holds.
+    The block runs under ``DEFAULT_SCHEDULE``, and realisation ``k`` uses
+    draw block ``k`` of the stream ``g``.  The realisations run in batches of
+    about ``_CHUNK_PATHS`` account-realisations (at least one realisation
+    each); ``monthly`` is the (k, |D|, horizon) output of a batch and
+    ``rows`` the slice of realisations it holds.
     """
     per_batch = max(1, _CHUNK_PATHS // len(dep))
     covariates = (
@@ -257,7 +303,7 @@ def _block_batches(population: Population, dep, schedule, g, r: int, horizon: in
         population.segment[dep],
         population.eligible[dep],
         population.paid_last_month[dep],
-        schedule,
+        DEFAULT_SCHEDULE,
     )
     for start in range(0, r, per_batch):
         k = min(per_batch, r - start)
@@ -365,9 +411,6 @@ class SimulationOutput:
         """Per-account arrays of realised totals, as views into ``values``."""
         return np.split(self.values, self.offsets[1:-1])
 
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets).astype(float)
-
     def rows_by_count(self):
         """Yield ``(ids, rows)`` for the accounts of each distinct realisation count.
 
@@ -427,7 +470,6 @@ class SimulationOutput:
 def run_plan(
     population: Population,
     plan: RealisationPlan,
-    schedule: TransitionSchedule = DEFAULT_SCHEDULE,
     seed: int = 0,
     horizon: int = HORIZON,
     store_monthly: bool = False,
@@ -436,17 +478,17 @@ def run_plan(
     """Execute an integer realisation plan over a population.
 
     Independent accounts receive ``R_i`` independent realisations each; every
-    dependent block is simulated jointly, ``r_j`` times.  Realisation ``k`` of
-    a unit always uses draw block ``k`` of the stream keyed by
-    ``(seed, unit)``, so output is bitwise identical for any worker count.
+    dependent block is simulated jointly, ``r_j`` times, under
+    ``DEFAULT_SCHEDULE``.  Realisation ``k`` of a unit always uses draw block
+    ``k`` of the stream keyed by ``(seed, unit)``, so output is bitwise
+    identical for any worker count.
 
-    Independent accounts are simulated in chunks of whole accounts of about
-    ``_CHUNK_PATHS`` paths, in id order.  With ``n_workers`` > 1 (the CLI's
-    ``--threads``) the chunks run on a pool of
-    ``min(n_workers, chunks, os.cpu_count())`` worker processes, which ends
-    with the call; dependent blocks always run in this process.  The workers
-    are forked, so they start without importing anything again; a caller
-    that runs threads of its own should keep ``n_workers`` at 1.
+    Independent accounts run through :func:`_unit_chunks` with the prefix
+    ``("sim",)``, in id order, and each chunk's totals are scattered into
+    ``values``.  With ``n_workers`` > 1 (the CLI's ``--threads``) the chunks
+    run on forked worker processes, so a caller that runs threads of its own
+    should keep ``n_workers`` at 1; dependent blocks always run in this
+    process.
 
     With ``store_monthly`` each chunk returns its accounts' monthly
     statistics already summed (see :class:`SimulationOutput`), and they are
@@ -465,43 +507,13 @@ def run_plan(
     monthly_mean = np.zeros(horizon) if store_monthly else None
     monthly_var = np.zeros(horizon) if store_monthly else None
 
-    indep = population.independent_ids
-    p0 = payment_probability(population.credit_score[indep], population.segment[indep], False)
-    p1 = payment_probability(population.credit_score[indep], population.segment[indep], True)
-    balance = population.balance[indep]
-    paid0 = population.paid_last_month[indep]
-    rep = counts[indep]
-    # first path of each independent account, counted over the independents in id order
-    first = np.concatenate([[0], np.cumsum(rep)])
-    # a chunk starts at the first account whose first path reaches the next multiple of _CHUNK_PATHS
-    starts = np.searchsorted(first[:-1], np.arange(0, first[-1], _CHUNK_PATHS))
-    edges = np.unique(np.append(starts, len(indep)))
-    chunks = [
-        (seed, indep[a:b], rep[a:b], p0[a:b], p1[a:b], balance[a:b], paid0[a:b], horizon, store_monthly)
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-
-    workers = min(n_workers, len(chunks), os.cpu_count() or 1)
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            # imported on first use, to keep multiprocessing out of `import collsim`
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            # On leaving, even by an error, wait for the running chunks and cancel the rest.  A
-            # multiprocessing.Pool would terminate its workers instead, and a worker killed while
-            # writing a result can leave the result queue locked, hanging the shutdown.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_simulate_chunk, chunks)
-        else:
-            results = map(_simulate_chunk, chunks)
-        for a, b, (tot, mean, var) in zip(edges[:-1], edges[1:], results):
-            ids, local = indep[a:b], first[a:b] - first[a]
-            values[np.repeat(offsets[ids] - local, rep[a:b]) + np.arange(len(tot))] = tot
-            if store_monthly:
-                monthly_mean += mean
-                monthly_var += var
+    units = _independent_units(population, counts)
+    for ids, rep, tot, mean, var in _unit_chunks(seed, ("sim",), units, horizon, store_monthly, n_workers):
+        local = np.cumsum(rep) - rep  # each account's first path within the chunk
+        values[np.repeat(offsets[ids] - local, rep) + np.arange(len(tot))] = tot
+        if store_monthly:
+            monthly_mean += mean
+            monthly_var += var
 
     block_totals: dict = {}
     block_monthly: dict = {}
@@ -513,7 +525,7 @@ def run_plan(
         acc_tot = np.empty((r_j, len(dep)))
         blk_monthly = np.empty((r_j, horizon))
         g = stream(seed, "sim", "block", j)
-        for rows, monthly in _block_batches(population, dep, schedule, g, r_j, horizon):
+        for rows, monthly in _block_batches(population, dep, g, r_j, horizon):
             acc_tot[rows] = monthly.sum(axis=2)
             blk_monthly[rows] = monthly.sum(axis=1)
         values[offsets[dep] + np.arange(r_j)[:, None]] = acc_tot

@@ -24,7 +24,7 @@ from collsim.constrained import (
     kkt_report,
     stationarity_solution,
 )
-from collsim.emulator import SegmentGP, _simulate_point, validate_emulator
+from collsim.emulator import SegmentGP, validate_emulator
 from collsim.estimators import VarianceInputs, VarianceSource, estimator_variance
 from collsim.experiments import (
     ExperimentConfig,
@@ -32,9 +32,9 @@ from collsim.experiments import (
     reference_sigmas,
     train_emulator_experiment,
 )
-from collsim.population import init_population
+from collsim.population import balance_cdf_inv, credit_cdf_inv, init_population
 from collsim.rng import stream
-from collsim.simulator import RealisationPlan, run_plan
+from collsim.simulator import HORIZON, RealisationPlan, _simulate_paths, payment_probability, run_plan
 
 ACC_SEED = 2026
 COVERAGE_REPS = 1000
@@ -211,6 +211,16 @@ def test_criterion_5_closed_form_optimality(capsys):
     )
     assert beats_ok, worst_margin
     assert ratio_ok, worst_ratio_spread
+
+
+def _simulate_point(b_tilde, c_tilde, s, y, n_real, g):
+    """``n_real`` realised totals of one design point as an independent account, drawn from ``g``."""
+    credit = credit_cdf_inv(c_tilde)
+    p0 = payment_probability(credit, s, False)
+    p1 = payment_probability(credit, s, True)
+    u = g.random((n_real, HORIZON))
+    totals, _ = _simulate_paths(p0, p1, balance_cdf_inv(b_tilde), bool(y), u.T)
+    return totals
 
 
 def test_criterion_6_log_variance_noise_law(capsys):

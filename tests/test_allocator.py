@@ -17,7 +17,7 @@ from collsim.constrained import (
     stationarity_solution,
 )
 from collsim.population import init_population
-from collsim.simulator import DEFAULT_SCHEDULE, RealisationPlan
+from collsim.simulator import RealisationPlan
 
 
 def _uncapped(budget, *portfolios):
@@ -151,12 +151,12 @@ class TestPilotBlockVariance:
     def test_reproducible_and_positive(self):
         pop = init_population(400, (1.0,), seed=8)
         assert len(pop.portfolios[0].dependent_ids) >= 2
-        v1 = pilot_block_variance(pop, 0, DEFAULT_SCHEDULE, n_pilot=40, seed=6)
-        v2 = pilot_block_variance(pop, 0, DEFAULT_SCHEDULE, n_pilot=40, seed=6)
+        v1 = pilot_block_variance(pop, 0, n_pilot=40, seed=6)
+        v2 = pilot_block_variance(pop, 0, n_pilot=40, seed=6)
         assert v1 == v2
         assert v1 > 0
 
     def test_requires_two_pilots(self):
         pop = init_population(400, (1.0,), seed=8)
         with pytest.raises(ValueError):
-            pilot_block_variance(pop, 0, DEFAULT_SCHEDULE, n_pilot=1, seed=6)
+            pilot_block_variance(pop, 0, n_pilot=1, seed=6)

@@ -12,7 +12,7 @@ from collsim.estimators import estimate_mu, prediction_interval
 from collsim.experiments import ExperimentConfig, build_plan, m2_variance_inputs
 from collsim.population import init_population
 from collsim.rng import derive_seed
-from collsim.simulator import DEFAULT_SCHEDULE, run_plan
+from collsim.simulator import run_plan
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +269,7 @@ class TestEmulatorCommands:
         if len(blk) >= 2:
             assert inputs.sigma2_block[0] == np.var(blk, ddof=1)
         else:
-            pilot = pilot_block_variance(pop, 0, DEFAULT_SCHEDULE, n_pilot=config.n_pilot, seed=pilot_seed)
+            pilot = pilot_block_variance(pop, 0, n_pilot=config.n_pilot, seed=pilot_seed)
             assert inputs.sigma2_block[0] == pilot
 
 

@@ -1,6 +1,7 @@
 """Variance emulator: design properties, GP algebra, persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from collsim.emulator import (
     sliced_lhd,
     validate_emulator,
 )
-from collsim.population import balance_cdf, credit_cdf, init_population
+from collsim.estimators import row_moments
+from collsim.population import balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv, init_population
 from collsim.rng import stream
+from collsim.simulator import _CHUNK_PATHS, HORIZON, _simulate_paths, payment_probability
 
 
 def _min_dist2(pts: np.ndarray) -> float:
@@ -230,6 +233,52 @@ def tiny_emulator():
     design = sliced_lhd(12, seed=31, exchange_iters=100)
     obs = generate_training_data(design, n_realisations=250, seed=32)
     return fit_gp(obs), obs
+
+
+def _per_point_moments(pts, s, y, n_real, seed, domain):
+    """The moments of ``_point_moments`` from one ``stream()`` and one kernel call per design point: its oracle."""
+    totals = []
+    for l, (b_t, c_t) in enumerate(pts):
+        credit = credit_cdf_inv(c_t)
+        p0 = payment_probability(credit, s, False)
+        p1 = payment_probability(credit, s, True)
+        u = stream(seed, domain, s, y, l).random((n_real, HORIZON))
+        totals.append(_simulate_paths(p0, p1, balance_cdf_inv(b_t), bool(y), u.T)[0])
+    moments = zip(pts, *(m.tolist() for m in row_moments(np.array(totals))))
+    return [(b_t, c_t, v, kurt) for (b_t, c_t), mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)]
+
+
+class TestUnitEngine:
+    """Design points run as the independent units of one chunked engine, with the draws of one stream each."""
+
+    def test_training_observations_equal_per_point_oracle(self):
+        design = sliced_lhd(12, seed=21, exchange_iters=50)  # 12 points of 1000 paths: three chunks a slice
+        assert 12 * 1000 > 2 * _CHUNK_PATHS
+        observations = generate_training_data(design, n_realisations=1000, seed=22)
+        expected = []
+        for (s, y), pts in design.items():
+            for b_t, c_t, v, kurt in _per_point_moments(pts, s, y, 1000, 22, "train"):
+                expected.append((float(b_t), float(c_t), s, y, float(np.log(v)), max((kurt - 1.0) / 1000, 0.0), kurt))
+        got = [(o.b_tilde, o.c_tilde, o.segment, o.y0, o.log_variance, o.noise_variance, o.kurtosis) for o in observations]
+        assert got == expected
+        assert all(o.realisations_used == 1000 for o in observations)
+
+    @pytest.mark.parametrize("n_points, n_real", [(9, 1500), (3, _CHUNK_PATHS + 7), (1, 5)])
+    def test_validation_moments_equal_per_point_oracle(self, n_points, n_real):
+        for (s, y), pts in random_design(n_points, seed=23).items():
+            got = list(_point_moments(pts, s, y, n_real, 24, "validate"))
+            assert got == _per_point_moments(pts, s, y, n_real, 24, "validate")
+
+    def test_training_holds_one_chunk_of_uniforms(self):
+        design = {(2, 0): random_design(40, seed=25)[(2, 0)]}
+        tracemalloc.start()
+        try:
+            generate_training_data(design, n_realisations=1000, seed=26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = (_CHUNK_PATHS + 1000) * HORIZON * 8  # the uniforms of the largest chunk, 3.4 MB
+        assert peak < 1.6 * chunk, peak  # all 40 points' uniforms would take 26.9 MB
 
 
 class TestTrainingData:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from collsim.estimators import (
@@ -152,6 +154,36 @@ class TestEstimatorVariance:
         assert total == pytest.approx(19 / 2.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    share=st.floats(0.3, 1.0),
+    seed=st.integers(0, 10**6),
+    unit=st.integers(0, 10**6),
+    growth=st.floats(1e-6, 1e6),
+)
+def test_estimator_variance_does_not_rise_when_a_count_grows(n, share, seed, unit, growth):
+    pop = init_population(n, (share, 1.0 - share) if share < 1.0 else (1.0,), seed=seed)
+    g = np.random.default_rng(seed)
+    s2 = g.uniform(0.0, 1e6, n) * (g.random(n) < 0.9)  # some zero-variance accounts
+    counts = g.uniform(0.5, 100.0, n)
+    s2_block = np.full(pop.n_portfolios, np.nan)
+    for j, pf in enumerate(pop.portfolios):
+        if len(pf.dependent_ids):
+            s2_block[j] = g.uniform(0.0, 1e8)
+            counts[pf.dependent_ids] = g.uniform(0.5, 100.0)
+    inputs = VarianceInputs(sigma2_independent=s2, sigma2_block=s2_block, source=VarianceSource.REFERENCE)
+    # grow one unit's count: an independent account, or every account of its block
+    i = unit % n
+    grown = counts.copy()
+    block = next((pf.dependent_ids for pf in pop.portfolios if i in pf.dependent_ids), [i])
+    grown[block] += growth
+    before, total_before = estimator_variance(inputs, RealisationPlan(counts=counts), pop)
+    after, total_after = estimator_variance(inputs, RealisationPlan(counts=grown), pop)
+    assert np.all(after <= before)
+    assert total_after <= total_before
+
+
 class TestVarianceInputsFromSamples:
     def test_matches_manual_sample_variances(self, small_run):
         pop, plan, out = small_run
@@ -213,7 +245,7 @@ class TestPredictionInterval:
 class TestMonthlyBands:
     def test_bands_are_coherent(self, small_run):
         pop, plan, out = small_run
-        bands = monthly_bands(out, plan, pop, p=0.95)
+        bands = monthly_bands(out, plan, p=0.95)
         assert len(bands) == out.horizon
         mu = estimate_mu(out, plan, pop)
         centers = np.array([b.center for b in bands])
@@ -224,7 +256,7 @@ class TestMonthlyBands:
         pop, plan, _ = small_run
         out = run_plan(pop, plan, seed=5, store_monthly=False)
         with pytest.raises(ValueError, match="store_monthly"):
-            monthly_bands(out, plan, pop)
+            monthly_bands(out, plan)
 
     def test_requires_equal_plan(self, small_run):
         pop, plan, out = small_run
@@ -232,4 +264,4 @@ class TestMonthlyBands:
         indep = pop.independent_ids
         counts[indep[0]] = 9.0
         with pytest.raises(ValueError, match="equal"):
-            monthly_bands(out, RealisationPlan(counts=counts), pop)
+            monthly_bands(out, RealisationPlan(counts=counts))

@@ -11,6 +11,7 @@ from collsim.emulator import fit_gp, generate_training_data, sliced_lhd
 from collsim.estimators import estimator_variance
 from collsim.experiments import (
     ExperimentConfig,
+    _pilot_block_sigmas,
     build_plan,
     coverage_study,
     protect_experiment,
@@ -18,8 +19,8 @@ from collsim.experiments import (
 )
 from collsim.constrained import active_set_solve
 from collsim.population import init_population
-from collsim.rng import derive_seed
-from collsim.simulator import RealisationPlan, run_plan
+from collsim.rng import derive_seed, stream
+from collsim.simulator import _CHUNK_PATHS, HORIZON, RealisationPlan, _simulate_paths, payment_probability, run_plan
 
 
 class TestConfig:
@@ -45,6 +46,13 @@ class TestConfig:
         b = ExperimentConfig(seed=2)
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == ExperimentConfig(seed=1).config_hash()
+
+    def test_config_hash_ignores_threads_and_out_dir(self):
+        # outputs are bitwise the same for any worker count, and out_dir only says where they go
+        base = ExperimentConfig(seed=1).config_hash()
+        assert ExperimentConfig(seed=1, threads=2).config_hash() == base
+        assert ExperimentConfig(seed=1, threads=2, out_dir="elsewhere").config_hash() == base
+        assert ExperimentConfig(seed=2, threads=2, out_dir="elsewhere").config_hash() != base
 
     def test_from_file_names_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -131,6 +139,18 @@ class TestCoverageStudy:
         coverage_study(cfg100, checkpoint_path=ck, progress=lambda k, n: done.append(k))
         assert done == list(range(1, 101))
 
+    def test_checkpoint_resumes_under_another_worker_count(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        coverage_study(ExperimentConfig(name="t", n_accounts=5, repetitions=100, seed=5, threads=1), checkpoint_path=ck)
+        cfg103 = ExperimentConfig(name="t", n_accounts=5, repetitions=103, seed=5, threads=2, out_dir="other")
+        done = []
+        resumed = coverage_study(cfg103, checkpoint_path=ck, progress=lambda k, n: done.append(k))
+        assert done == [101, 102, 103]  # repetitions 1-100 came from the one-worker checkpoint
+        uninterrupted = coverage_study(ExperimentConfig(name="t", n_accounts=5, repetitions=103, seed=5))
+        for report in (resumed, uninterrupted):
+            report.pop("elapsed_seconds")
+        assert resumed == uninterrupted
+
     def test_resume_from_atomic_checkpoint_gives_same_report(self, tmp_path):
         ck = tmp_path / "ck.json"
         cfg = ExperimentConfig(name="t", n_accounts=5, repetitions=103, seed=5)
@@ -143,6 +163,18 @@ class TestCoverageStudy:
         for report in (first, resumed):
             report.pop("elapsed_seconds")
         assert resumed == first
+
+
+def _per_account_reference_sigmas(pop, n_realisations, seed):
+    """Reference sigmas from one ``stream()`` and one kernel call per account: the engine's oracle."""
+    sigma = np.zeros(pop.n)
+    for i in pop.independent_ids:
+        p0 = payment_probability(pop.credit_score[i], pop.segment[i], False)
+        p1 = payment_probability(pop.credit_score[i], pop.segment[i], True)
+        u = stream(seed, "sigma-ref", int(i)).random((n_realisations, HORIZON))
+        totals, _ = _simulate_paths(p0, p1, pop.balance[i], pop.paid_last_month[i], u.T)
+        sigma[i] = totals.std(ddof=1)
+    return sigma, _pilot_block_sigmas(pop, n_realisations, derive_seed(seed, "sigma-ref-block"))
 
 
 class TestReferenceSigmas:
@@ -158,6 +190,19 @@ class TestReferenceSigmas:
             sd = float(np.std(out.totals[i], ddof=1))
             if sd > 1.0:
                 assert s1[i] == pytest.approx(sd, rel=0.25)
+
+    @pytest.mark.parametrize(
+        "n, n_realisations",
+        [(60, 700), (4, _CHUNK_PATHS + 300)],  # about ten chunks of whole accounts; one account per chunk
+        ids=["many-per-chunk", "more-than-a-chunk"],
+    )
+    def test_equal_per_account_oracle(self, n, n_realisations):
+        pop = init_population(n, (0.8, 0.2), seed=17)
+        assert len(pop.independent_ids) * n_realisations >= 3 * _CHUNK_PATHS
+        sigma, sigma_block = reference_sigmas(pop, n_realisations=n_realisations, seed=18)
+        expected, expected_block = _per_account_reference_sigmas(pop, n_realisations, 18)
+        assert sigma.tobytes() == expected.tobytes()
+        assert sigma_block.tobytes() == expected_block.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -626,7 +626,7 @@ class TestMonthlyReductions:
         np.testing.assert_allclose(estimate_mu(out, plan, pop).per_month, mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(band_var, var, rtol=1e-12, atol=0)
         if equal:
-            bands = monthly_bands(out, plan, pop)
+            bands = monthly_bands(out, plan)
             z = normal_quantile(0.975)
             np.testing.assert_allclose([b.half_width for b in bands], z * np.sqrt(var), rtol=1e-12, atol=0)
 
@@ -732,6 +732,21 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="with one CPU the chunks run in this process")
+    def test_consumer_error_mid_stream_leaves_no_worker(self, multi_chunk):
+        pop, plan, out = multi_chunk
+        units = simulator._independent_units(pop, plan.counts.astype(int))
+        seen = []
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            for ids, _, totals, _, _ in simulator._unit_chunks(4, ("sim",), units, n_workers=2):
+                seen.append((ids, totals))
+                if len(seen) == 2:  # of at least three chunks
+                    raise RuntimeError("consumer failed")
+        assert multiprocessing.active_children() == []
+        for ids, totals in seen:
+            assert np.array_equal(totals, np.concatenate([out.totals[i] for i in ids]))
+
+
 @st.composite
 def _populations_and_plans(draw):
     """A small population with blocks and an unequal plan whose independents span two chunks or more."""
@@ -823,4 +838,4 @@ class TestBlockBatches:
         n_pilot = 2 * _CHUNK_PATHS // len(dep) + 3
         ref = _reference_block_runs(pop, dep, stream(9, "pilot", 0), n_pilot)
         expected = float(np.array([m.sum() for m in ref]).var(ddof=1))
-        assert pilot_block_variance(pop, 0, DEFAULT_SCHEDULE, n_pilot=n_pilot, seed=9) == expected
+        assert pilot_block_variance(pop, 0, n_pilot=n_pilot, seed=9) == expected
