@@ -25,8 +25,7 @@ from .constrained import (
     stationarity_solution,
 )
 from .population import Population
-from .rng import stream
-from .simulator import HORIZON, RealisationPlan, _block_batches
+from .simulator import HORIZON, RealisationPlan, _block_items, _pool_map, _simulate_block_item
 
 __all__ = [
     "round_plan",
@@ -101,19 +100,21 @@ def pilot_block_variance(
     n_pilot: int = 50,
     seed: int = 0,
     horizon: int = HORIZON,
+    n_workers: int = 1,
 ) -> float:
     """Sample variance of the block total over ``n_pilot`` pilot realisations.
 
-    The block runs under ``DEFAULT_SCHEDULE``, as in :func:`run_plan`.
-    Pilot realisations live in their own seed domain and are never part of
-    the final estimator, so the budget accounting is unaffected.
+    The block runs under ``DEFAULT_SCHEDULE``, as in :func:`run_plan`, from
+    the stream ``(seed, "pilot", portfolio_j)``, with its realisations
+    mapped over ``n_workers`` processes.  Pilot realisations live in their own
+    seed domain and are never part of the final estimator, so the budget
+    accounting is unaffected.
     """
     if n_pilot < 2:
         raise ValueError(f"pilot variance needs n_pilot >= 2, got {n_pilot}")
     dep = population.portfolios[portfolio_j].dependent_ids
     if not len(dep):
         raise ValueError(f"portfolio {portfolio_j} has no dependent block")
-    g = stream(seed, "pilot", portfolio_j)
-    batches = _block_batches(population, dep, g, n_pilot, horizon)
-    totals = np.concatenate([m.reshape(len(m), -1).sum(axis=1) for _, m in batches])
+    items = _block_items(population, dep, seed, ("pilot", portfolio_j), n_pilot, horizon, "pilot")
+    totals = np.concatenate(list(_pool_map(_simulate_block_item, items, n_workers)))
     return float(totals.var(ddof=1))

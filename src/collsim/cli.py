@@ -216,7 +216,7 @@ def cmd_validate_emulator(args) -> int:
         raise ValueError("validate-emulator needs --emulator")
     test = random_design(config.points_per_slice, seed=derive_seed(config.seed, "test"))
     metrics = validate_emulator(
-        emulator, test, config.train_realisations, seed=derive_seed(config.seed, "validate")
+        emulator, test, config.train_realisations, seed=derive_seed(config.seed, "validate"), n_workers=config.threads
     )
     _write_json(_out_dir(args) / "validation.json", metrics, config)
     print(f"test-set sd correlation: {metrics['pooled']['sd_correlation']:.3f}")
@@ -289,7 +289,7 @@ def cmd_oracle_check(args) -> int:
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; explicit flags override its values")
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker processes for the independent-account chunks (default 1)")
+    p.add_argument("--threads", type=int, default=None, help="worker processes for the Monte Carlo stages (default: the CPUs this process may use)")
     p.add_argument("--out", default=None, help="output directory (default ./out)")
 
 

@@ -290,17 +290,20 @@ def kkt_report(problem: ConstrainedProblem, solution: ActiveSetSolution) -> dict
 def brute_force_oracle(problem: ConstrainedProblem, rtol: float = 1e-9):
     """Enumerate every active set; return the best KKT-feasible candidate.
 
-    Refuses more than 12 portfolios.  Returns ``None`` when no candidate is
-    feasible (consistent with a Slater failure).
+    Active sets range over the finite caps: an infinite cap cannot be tight,
+    and making it active would give its portfolio zero counts.  Refuses more
+    than 12 portfolios.  Returns ``None`` when no candidate is feasible
+    (consistent with a Slater failure).
     """
     n = problem.n_portfolios
     if n > 12:
         raise ValueError(f"brute force limited to 12 portfolios, got {n}")
     caps = np.asarray(problem.caps, dtype=float)
     gamma, eps = problem.gamma, problem.eps
+    capped = np.flatnonzero(np.isfinite(caps)).tolist()
     best = None
-    for r in range(n + 1):
-        for combo in itertools.combinations(range(n), r):
+    for r in range(len(capped) + 1):
+        for combo in itertools.combinations(capped, r):
             active = frozenset(combo)
             try:
                 plan = stationarity_solution(problem, active)

@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 from .estimators import normal_quantile, row_moments
 from .population import balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv
 from .rng import stream
-from .simulator import _unit_chunks, payment_probability
+from .simulator import _chunks, _pool_map, _simulate_chunk, payment_probability
 
 logger = logging.getLogger(__name__)
 
@@ -64,47 +64,52 @@ def _dist2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
 
 
-def sliced_lhd(points_per_slice: int, seed: int = 0, exchange_iters: int = 2000) -> dict:
+def sliced_lhd(points_per_slice: int, seed: int = 0, exchange_iters: int = 2000, n_workers: int = 1) -> dict:
     """Latin hypercube design per (segment, prior-payment) slice.
 
     Each slice gets a 2-D Latin hypercube on the transformed-covariate square,
     improved by maximin point exchange: random within-column swaps are kept
     only when they increase the minimum inter-point distance.  A swap moves
     two points, so only their rows and columns of the slice's squared-distance
-    matrix are recomputed, and restored when the swap is undone.
+    matrix are recomputed, and restored when the swap is undone.  Each slice
+    draws from its own stream, so the slices run on ``n_workers`` processes.
     """
     if points_per_slice < 2:
         raise ValueError("need at least 2 points per slice")
-    n = points_per_slice
-    design = {}
-    for s, y in SLICES:
-        g = stream(seed, "design", s, y)
-        pts = np.empty((n, 2))
-        for d in range(2):
-            pts[:, d] = (g.permutation(n) + g.random(n)) / n
-        dist2 = _dist2(pts, pts)
-        np.fill_diagonal(dist2, np.inf)
-        best = dist2.min()
-        for _ in range(exchange_iters):
-            d = int(g.integers(2))
-            i, k = g.integers(n, size=2).tolist()
-            if i == k:
-                continue
-            saved_i, saved_k = dist2[i].copy(), dist2[k].copy()
+
+    def design_slice(key):
+        return _maximin_lhd(points_per_slice, stream(seed, "design", *key), exchange_iters)
+
+    return dict(zip(SLICES, _pool_map(design_slice, SLICES, n_workers)))
+
+
+def _maximin_lhd(n: int, g, exchange_iters: int) -> np.ndarray:
+    """One slice of :func:`sliced_lhd`: ``n`` points drawn and exchanged with the generator ``g``."""
+    pts = np.empty((n, 2))
+    for d in range(2):
+        pts[:, d] = (g.permutation(n) + g.random(n)) / n
+    dist2 = _dist2(pts, pts)
+    np.fill_diagonal(dist2, np.inf)
+    best = dist2.min()
+    for _ in range(exchange_iters):
+        d = int(g.integers(2))
+        i, k = g.integers(n, size=2).tolist()
+        if i == k:
+            continue
+        saved_i, saved_k = dist2[i].copy(), dist2[k].copy()
+        pts[i, d], pts[k, d] = pts[k, d], pts[i, d]
+        for m in (i, k):
+            row = _dist2(pts[m : m + 1], pts)[0]
+            row[m] = np.inf
+            dist2[m] = dist2[:, m] = row
+        cand = dist2.min()
+        if cand > best:
+            best = cand
+        else:
             pts[i, d], pts[k, d] = pts[k, d], pts[i, d]
-            for m in (i, k):
-                row = _dist2(pts[m : m + 1], pts)[0]
-                row[m] = np.inf
-                dist2[m] = dist2[:, m] = row
-            cand = dist2.min()
-            if cand > best:
-                best = cand
-            else:
-                pts[i, d], pts[k, d] = pts[k, d], pts[i, d]
-                dist2[i] = dist2[:, i] = saved_i
-                dist2[k] = dist2[:, k] = saved_k
-        design[(s, y)] = pts
-    return design
+            dist2[i] = dist2[:, i] = saved_i
+            dist2[k] = dist2[:, k] = saved_k
+    return pts
 
 
 def random_design(points_per_slice: int, seed: int = 0) -> dict:
@@ -131,48 +136,55 @@ class TrainingObservation:
     realisations_used: int
 
 
-def _point_moments(design_slice, s, y, n_real, seed, domain):
-    """Yield ``(b_tilde, c_tilde, variance, kurtosis)`` of each design point of one slice.
+def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
+    """Yield ``((s, y), points)`` per slice, ``points`` the ``(b_tilde, c_tilde, variance, kurtosis)`` of its design points.
 
-    Point ``l`` is unit ``l`` of :func:`collsim.simulator._unit_chunks` with
-    the prefix ``(domain, s, y)``: it draws from the stream ``(seed, domain,
-    s, y, l)``.  The moments are those of :func:`collsim.estimators.row_moments`.
-    Points whose sample variance is zero up to floating-point noise are left
-    out: paths that always collect the full balance produce identical totals,
-    and the computed variance is then rounding jitter around zero, not a response.
+    Point ``l`` of slice ``(s, y)`` is unit ``l`` of the
+    :func:`collsim.simulator._chunks` with the prefix ``(domain, s, y)``: it
+    draws from the stream ``(seed, domain, s, y, l)``.  The chunks of every
+    slice go through one :func:`collsim.simulator._pool_map` over
+    ``n_workers`` processes.  The moments are those of
+    :func:`collsim.estimators.row_moments`.  Points whose sample variance is
+    zero up to floating-point noise are left out: paths that always collect
+    the full balance produce identical totals, and the computed variance is
+    then rounding jitter around zero, not a response.
     """
-    pts = np.asarray(design_slice, dtype=float)
-    n = len(pts)
-    units = (
-        np.arange(n),
-        np.full(n, n_real),
-        credit_cdf_inv(pts[:, 1]),
-        np.full(n, s),
-        balance_cdf_inv(pts[:, 0]),
-        np.full(n, bool(y)),
-    )
-    totals = np.empty((n, n_real))
-    for ids, _, tot, _, _ in _unit_chunks(seed, (domain, s, y), units):
-        totals[ids] = tot.reshape(len(ids), n_real)
-    for (b_t, c_t), mean, v, kurt in zip(design_slice, *(m.tolist() for m in row_moments(totals))):
-        if v > 1e-12 * max(mean**2, 1.0):
-            yield b_t, c_t, v, kurt
+    slices = []
+    for (s, y), pts in design.items():
+        pts = np.asarray(pts, dtype=float)
+        n = len(pts)
+        units = (
+            np.arange(n),
+            np.full(n, n_real),
+            credit_cdf_inv(pts[:, 1]),
+            np.full(n, s),
+            balance_cdf_inv(pts[:, 0]),
+            np.full(n, bool(y)),
+        )
+        slices.append(((s, y), design[(s, y)], _chunks(seed, (domain, s, y), units)))
+    results = _pool_map(_simulate_chunk, [chunk for *_, chunks in slices for chunk in chunks], n_workers)
+    for key, design_slice, chunks in slices:
+        totals = np.empty((len(design_slice), n_real))
+        for (_, _, ids, *_), (tot, _, _) in zip(chunks, results):
+            totals[ids] = tot.reshape(len(ids), n_real)
+        moments = zip(design_slice, *(m.tolist() for m in row_moments(totals)))
+        yield key, [(b_t, c_t, v, kurt) for (b_t, c_t), mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)]
 
 
-def generate_training_data(design: dict, n_realisations: int = 1000, seed: int = 0) -> list:
+def generate_training_data(design: dict, n_realisations: int = 1000, seed: int = 0, n_workers: int = 1) -> list:
     """Simulate every design point and build the GP training observations.
 
     Points whose realised sample variance is zero are excluded (their error is
     large but unquantifiable); the number dropped is logged.  A slice that
-    loses all of its points raises, as no model can be fitted there.
+    loses all of its points raises, as no model can be fitted there.  The
+    design points run on ``n_workers`` processes.
     """
     if n_realisations < 4:
         raise ValueError("kurtosis needs at least 4 realisations per design point")
     observations = []
     dropped = 0
-    for (s, y), pts in design.items():
-        kept = 0
-        for b_t, c_t, v, kurt in _point_moments(pts, s, y, n_realisations, seed, "train"):
+    for (s, y), kept in _design_moments(design, n_realisations, seed, "train", n_workers):
+        for b_t, c_t, v, kurt in kept:
             observations.append(
                 TrainingObservation(
                     b_tilde=float(b_t),
@@ -185,9 +197,8 @@ def generate_training_data(design: dict, n_realisations: int = 1000, seed: int =
                     realisations_used=int(n_realisations),
                 )
             )
-            kept += 1
-        dropped += len(pts) - kept
-        if kept == 0:
+        dropped += len(design[(s, y)]) - len(kept)
+        if not kept:
             raise ValueError(f"all design points in slice (segment={s}, y0={y}) were zero-variance")
     if dropped:
         logger.info("excluded %d zero-variance design points from the training set", dropped)
@@ -474,17 +485,18 @@ def sigma2_for_population(emulator: GpEmulator, population) -> np.ndarray:
     return out
 
 
-def validate_emulator(emulator: GpEmulator, test_design: dict, n_realisations: int = 1000, seed: int = 0):
+def validate_emulator(
+    emulator: GpEmulator, test_design: dict, n_realisations: int = 1000, seed: int = 0, n_workers: int = 1
+):
     """Test-set metrics: log-RMSE, sd correlation, 95% credible coverage.
 
-    Each test point is simulated afresh (disjoint seed domain from training);
-    credible intervals use posterior variance plus the point's estimated
-    noise variance.
+    Each test point is simulated afresh (disjoint seed domain from training),
+    on ``n_workers`` processes; credible intervals use posterior variance
+    plus the point's estimated noise variance.
     """
     per_segment: dict = {s: {"log_err": [], "pred_sd": [], "samp_sd": [], "covered": []} for s in (1, 2, 3)}
     z975 = normal_quantile(0.975)
-    for (s, y), pts in test_design.items():
-        kept = list(_point_moments(pts, s, y, n_realisations, seed, "validate"))
+    for (s, y), kept in _design_moments(test_design, n_realisations, seed, "validate", n_workers):
         if not kept:
             continue
         b_t, c_t, v, kurt = (np.array(col) for col in zip(*kept))

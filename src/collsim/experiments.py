@@ -9,12 +9,14 @@ independent of estimation draws.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import time
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +51,7 @@ from .estimators import (
 )
 from .population import Population, init_population
 from .rng import derive_seed
-from .simulator import RealisationPlan, _independent_units, _unit_chunks, run_plan
+from .simulator import RealisationPlan, _independent_units, _pool_map, _unit_chunks, _usable_cpus, run_plan
 
 __all__ = [
     "ExperimentConfig",
@@ -80,7 +82,7 @@ class ExperimentConfig:
     coverage_p: float = 0.95
     repetitions: int = 1000
     seed: int = 0
-    threads: int = 1  # worker processes of run_plan
+    threads: int = field(default_factory=_usable_cpus)  # worker processes of every Monte Carlo stage
     out_dir: str = "out"
     emulator_path: str | None = None
     n_pilot: int = 50
@@ -170,29 +172,30 @@ def write_sidecar(out_path, config: ExperimentConfig) -> None:
 # Variance pre-estimation
 
 
-def reference_sigmas(population: Population, n_realisations: int = 5000, seed: int = 0):
+def reference_sigmas(population: Population, n_realisations: int = 5000, seed: int = 0, n_workers: int = 1):
     """High-quality pilot standard deviations for every unit.
 
     Returns per-account sigma (indexed by id; dependent entries are 0, as the
     block sigma covers them) and per-portfolio block sigma (NaN without a
     block).  Runs in its own seed domain: an account's sigma is the
     ``std(ddof=1)`` of its totals from :func:`collsim.simulator._unit_chunks`
-    with the prefix ``("sigma-ref",)``, so memory is bounded by one chunk.
+    with the prefix ``("sigma-ref",)``, so memory is bounded by one chunk per
+    worker.
     """
     sigma = np.zeros(population.n)
     units = _independent_units(population, np.full(population.n, n_realisations))
-    for ids, _, tot, _, _ in _unit_chunks(seed, ("sigma-ref",), units):
+    for ids, _, tot, _, _ in _unit_chunks(seed, ("sigma-ref",), units, n_workers=n_workers):
         sigma[ids] = tot.reshape(len(ids), n_realisations).std(axis=1, ddof=1)
     block_seed = derive_seed(seed, "sigma-ref-block")
-    return sigma, _pilot_block_sigmas(population, n_realisations, block_seed)
+    return sigma, _pilot_block_sigmas(population, n_realisations, block_seed, n_workers)
 
 
-def _pilot_block_sigmas(population, n_pilot, seed):
+def _pilot_block_sigmas(population, n_pilot, seed, n_workers=1):
     """Per-portfolio block sigma from ``n_pilot`` pilot realisations (NaN without a block)."""
     out = np.full(population.n_portfolios, np.nan)
     for j, pf in enumerate(population.portfolios):
         if len(pf.dependent_ids):
-            out[j] = np.sqrt(pilot_block_variance(population, j, n_pilot=n_pilot, seed=seed))
+            out[j] = np.sqrt(pilot_block_variance(population, j, n_pilot=n_pilot, seed=seed, n_workers=n_workers))
     return out
 
 
@@ -205,7 +208,7 @@ def _m2_pre_estimates(population: Population, config: ExperimentConfig, emulator
     """
     if emulator is None:
         raise ValueError("optimized plans need a trained emulator")
-    sigma_block = _pilot_block_sigmas(population, config.n_pilot, seed)
+    sigma_block = _pilot_block_sigmas(population, config.n_pilot, seed, config.threads)
     return VarianceInputs(
         sigma2_independent=sigma2_for_population(emulator, population),
         sigma2_block=sigma_block**2,
@@ -288,7 +291,9 @@ def m2_variance_inputs(
         elif plan_inputs is not None:
             sigma2_block[j] = plan_inputs.sigma2_block[j]
         else:
-            sigma2_block[j] = pilot_block_variance(population, j, n_pilot=config.n_pilot, seed=seed)
+            sigma2_block[j] = pilot_block_variance(
+                population, j, n_pilot=config.n_pilot, seed=seed, n_workers=config.threads
+            )
     return VarianceInputs(
         sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR
     )
@@ -352,6 +357,11 @@ def coverage_study(
     the config's output fields apart from its repetition count, and on the
     tool version: a study of any length, and with any worker count, resumes
     from the first repetitions of another.
+
+    The repetitions are mapped over ``config.threads`` processes, each
+    repetition running at one worker; records, checkpoints and ``progress``
+    calls stay in repetition order, so the report does not depend on the
+    worker count apart from ``elapsed_seconds``.
     """
     key = _digest({**config._output_fields(), "repetitions": None, "tool_version": __version__})
     records = []
@@ -359,9 +369,11 @@ def coverage_study(
         saved = json.loads(Path(checkpoint_path).read_text())
         if saved.get("key") == key:
             records = saved["records"][: config.repetitions]
-    t0 = time.time()
-    for rep in range(len(records), config.repetitions):
-        records.append(_coverage_repetition(config, emulator, rep))
+    t0 = time.perf_counter()
+    reps = range(len(records), config.repetitions)
+    repetition = functools.partial(_coverage_repetition, dataclasses.replace(config, threads=1), emulator)
+    for rep, record in zip(reps, _pool_map(repetition, reps, config.threads)):
+        records.append(record)
         if checkpoint_path and (rep + 1) % 100 == 0:
             tmp = Path(f"{checkpoint_path}.tmp")
             tmp.write_text(json.dumps({"key": key, "records": records}))
@@ -380,7 +392,7 @@ def coverage_study(
         "coverage": float(np.mean([r["contained"] for r in records])),
         "mean_length": float(lengths.mean()),
         "relative_uncertainty": float((lengths / mids).mean()),
-        "elapsed_seconds": time.time() - t0,
+        "elapsed_seconds": time.perf_counter() - t0,
     }
 
 
@@ -409,7 +421,10 @@ def protect_experiment(
     else:
         if sigma is None:
             sigma, sigma_block = reference_sigmas(
-                pop, config.sigma_reference_realisations, seed=derive_seed(config.seed, "sigma")
+                pop,
+                config.sigma_reference_realisations,
+                seed=derive_seed(config.seed, "sigma"),
+                n_workers=config.threads,
             )
         inputs = VarianceInputs(
             sigma2_independent=sigma**2,
@@ -454,14 +469,14 @@ def train_emulator_experiment(config: ExperimentConfig, out_dir=None) -> tuple:
     Returns ``(emulator, metrics)``; writes design/training CSVs plus the
     emulator JSON and metrics JSON when an output directory is given.
     """
-    design = sliced_lhd(config.points_per_slice, seed=derive_seed(config.seed, "design"))
+    design = sliced_lhd(config.points_per_slice, seed=derive_seed(config.seed, "design"), n_workers=config.threads)
     observations = generate_training_data(
-        design, config.train_realisations, seed=derive_seed(config.seed, "train")
+        design, config.train_realisations, seed=derive_seed(config.seed, "train"), n_workers=config.threads
     )
     emulator = fit_gp(observations)
     test = random_design(config.points_per_slice, seed=derive_seed(config.seed, "test"))
     metrics = validate_emulator(
-        emulator, test, config.train_realisations, seed=derive_seed(config.seed, "validate")
+        emulator, test, config.train_realisations, seed=derive_seed(config.seed, "validate"), n_workers=config.threads
     )
     if out_dir is not None:
         out = Path(out_dir)

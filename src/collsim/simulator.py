@@ -16,19 +16,28 @@ regardless of early absorption, so realisation ``k`` of a unit always occupies
 draw block ``k`` of the unit's stream.
 
 Independent units (the accounts of :func:`run_plan`, reference sigmas and
-emulator design points) all run through :func:`_unit_chunks`, in chunks of
-about ``_CHUNK_PATHS`` paths, and each dependent block's realisations in
-batches of about as many account-realisations, so memory does not grow with
-the number of paths beyond the flat array of realised totals.  With
+emulator design points) all run through :func:`_chunks`, in chunks of about
+``_CHUNK_PATHS`` paths, and each dependent block's realisations through
+:func:`_block_items`, in items of about as many account-realisations (one
+realisation for a larger block, drawn month by month), so memory does not
+grow with the number of paths beyond the flat array of realised totals, nor
+with a block's size beyond a few (n_accounts,) arrays per realisation.  With
 ``store_monthly`` each chunk reduces its accounts' monthly payments to two
 (horizon,) vectors before it returns, so no per-account monthly array
-outlives a chunk.
+outlives a chunk, and a block item returns only its per-account totals and
+per-realisation monthly sums.
+
+Every stage that runs many such work items (run_plan, block pilots, the
+emulator's design points, coverage repetitions) maps them through
+:func:`_pool_map`, the one place that starts processes: at ``n_workers`` > 1
+on a forked pool of at most the usable CPUs, in input order, so outputs are
+bitwise the same for any worker count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -57,11 +66,11 @@ PAYMENT_CAP = 50.0
 _INTERCEPTS = np.array([-1.0, 0.0, -4.0])
 _SLOPES = np.array([0.1, 0.4, 0.2])
 
-# Independent paths per chunk of run_plan, and account-realisations per batch
-# of a dependent block (at least one realisation).  A chunk's month-major uniform
-# buffer holds about this many columns of ``horizon`` doubles (2.75 MB at 84
-# months), so it stays in cache-sized pieces and below the whole-plan buffer
-# of a 1000-account coverage repetition.
+# Independent paths per chunk, and account-realisations per work item of a
+# dependent block (at least one realisation).  A chunk's uniform buffer holds
+# about this many rows of ``horizon`` doubles (2.75 MB at 84 months), so it
+# stays in cache-sized pieces and below the whole-plan buffer of a
+# 1000-account coverage repetition.
 _CHUNK_PATHS = 4096
 
 
@@ -149,15 +158,24 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False):
     return balance - rem, monthly
 
 
-def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule, u):
+def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule, u, out=None, month_sums=False):
     """Joint realisations of a dependent block.
 
-    ``u`` has shape (horizon, n_accounts) for one realisation, or (r, horizon,
-    n_accounts) for r of them.  Returns the (n, horizon) or (r, n, horizon)
-    monthly collections to match.  At a transition, the qualifying accounts of
-    each realisation move in one fixed order, by descending credit score with
-    ties broken in favour of the lower position index (callers pass accounts
-    in id order), until the capacity is used.
+    ``u`` yields the uniforms month by month: one (r, n_accounts) array per
+    month, row ``k`` for realisation ``k``, so it can be an (horizon, r, n)
+    array or a generator that draws each month as it is needed.  Returns the
+    (r, n) per-account totals and, with ``month_sums``, the (r, horizon)
+    monthly collections summed over the accounts (else None).  With ``out``,
+    an (r, n, horizon) array, each month's payments are also written to
+    ``out[:, :, t]``.  At a transition, the qualifying accounts of each
+    realisation move in one fixed order, by descending credit score with ties
+    broken in favour of the lower position index (callers pass accounts in id
+    order), until the capacity is used.
+
+    An account's total is ``balance - rem`` of its remaining balance, which
+    is exact (every ``rem`` is ``balance - 50 k`` or 0), so it equals the sum
+    of its monthly payments in any order.  A month's sum adds the accounts one
+    after another, as ``sum(axis=1)`` of the (r, n, horizon) payments does.
 
     Each account's two payment probabilities, after no payment and after a
     payment, are computed once, and again only for the accounts a transition
@@ -165,10 +183,9 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
     paid_prev)`` of the linear predictor bitwise, as adding ``2.0 * False``
     leaves it unchanged.
     """
-    single = u.ndim == 2
-    if single:
-        u = u[None]
-    r, horizon, n = u.shape
+    months = iter(u)
+    u_t = next(months)
+    r, n = u_t.shape
     bal = np.tile(balance.astype(float), (r, 1))
     seg = np.tile(segment.astype(int), (r, 1))
     # each account's payment probabilities after no payment (pa) and a payment (pb),
@@ -178,9 +195,9 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
     pa_moved, pb_moved = expit(terms_moved), expit(terms_moved + 2.0)
     yprev = np.tile(y0.astype(bool), (r, 1))
     order = np.lexsort((np.arange(n), -credit))
-    monthly = np.zeros((r, n, horizon))
+    sums, running = [], np.empty((r, n)) if month_sums else None
     trans = dict(zip(schedule.times, schedule.capacities))
-    for t in range(1, horizon + 1):
+    for t, u_t in enumerate(itertools.chain([u_t], months), 1):
         cap = trans.get(t)
         if cap:
             qual = (eligible & (seg == 3) & ~yprev)[:, order]
@@ -189,39 +206,44 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
             seg[moved] = 1
             pa = np.where(moved, pa_moved, pa)
             pb = np.where(moved, pb_moved, pb)
-        y = (u[:, t - 1] < np.where(yprev, pb, pa)) & (bal > 0)
+        y = (u_t < np.where(yprev, pb, pa)) & (bal > 0)
         pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
         bal -= pay
         yprev = y
-        monthly[:, :, t - 1] = pay
-    return monthly[0] if single else monthly
+        if out is not None:
+            out[:, :, t - 1] = pay
+        if month_sums:
+            sums.append(np.add.accumulate(pay, axis=1, out=running)[:, -1].copy())
+    return balance - bal, np.stack(sums, axis=1) if month_sums else None
 
 
 def _simulate_chunk(chunk):
-    """Realised totals of one chunk of :func:`_unit_chunks`.
+    """Realised totals of one chunk of :func:`_chunks`.
 
     ``chunk`` is ``(seed, prefix, ids, counts, credit, segment, balance,
     paid0, horizon, store_monthly)``, everything the chunk needs, so the
-    result is the same in any process.  Returns the chunk's totals, unit by
-    unit, and with ``store_monthly`` two (horizon,) sums over its units
-    (else None, None): of the monthly means ``m_i,t / R_i`` and of the
-    weighted sample variances ``(1 + 1/R_i) max(s2_i,t, 0)``, with ``m_i,t``
-    the sum of unit ``i``'s payments in month ``t`` and ``s2_i,t`` their
-    unbiased variance over its realisations.  The variance sum is NaN when a
-    unit has R_i = 1, which has no sample variance.
+    result is the same in any process.  Each unit fills its rows of one
+    path-major buffer straight from its stream, and the path kernel reads the
+    buffer's transpose.  Returns the chunk's totals, unit by unit, and with
+    ``store_monthly`` two (horizon,) sums over its units (else None, None):
+    of the monthly means ``m_i,t / R_i`` and of the weighted sample variances
+    ``(1 + 1/R_i) max(s2_i,t, 0)``, with ``m_i,t`` the sum of unit ``i``'s
+    payments in month ``t`` and ``s2_i,t`` their unbiased variance over its
+    realisations.  The variance sum is NaN when a unit has R_i = 1, which has
+    no sample variance.
     """
     seed, prefix, ids, r, credit, segment, balance, paid0, horizon, store_monthly = chunk
     p0, p1 = payment_probability(credit, segment, [[False], [True]])  # after no payment, after a payment
-    local = np.concatenate([[0], np.cumsum(r[:-1])])  # each unit's first column
-    u = np.empty((horizon, int(r.sum())))
-    for col, r_i, g in zip(local.tolist(), r.tolist(), _unit_streams(seed, *prefix, ids=ids.tolist())):
-        u[:, col : col + r_i] = g.random((r_i, horizon)).T
+    local = np.concatenate([[0], np.cumsum(r[:-1])])  # each unit's first path
+    u = np.empty((int(r.sum()), horizon))
+    for row, r_i, g in zip(local.tolist(), r.tolist(), _unit_streams(seed, *prefix, ids=ids.tolist())):
+        g.random(out=u[row : row + r_i])
     tot, pay = _simulate_paths(
         np.repeat(p0, r),
         np.repeat(p1, r),
         np.repeat(balance, r),
         np.repeat(paid0, r),
-        u,
+        u.T,
         collect_monthly=store_monthly,
     )
     if not store_monthly:
@@ -240,75 +262,144 @@ def _simulate_chunk(chunk):
     return tot, mean.sum(axis=1), var.sum(axis=1)
 
 
-def _unit_chunks(seed, prefix, units, horizon=HORIZON, store_monthly=False, n_workers=1):
-    """Simulate independent units; yield ``(ids, counts, totals, mean, var)`` per chunk, in order.
+def _chunks(seed, prefix, units, horizon=HORIZON, store_monthly=False):
+    """The :func:`_simulate_chunk` work items of independent units.
 
     ``units`` is ``(ids, counts, credit, segment, balance, paid0)``, one entry
     per unit.  Realisation ``k`` of unit ``i`` uses draw block ``k`` of the
     stream ``(seed, *prefix, i)``.  A chunk is made of whole units and starts
     at the first unit whose first path reaches the next multiple of
-    ``_CHUNK_PATHS``; ``totals`` holds its totals unit by unit, and ``mean``
-    and ``var`` are its monthly sums (see :func:`_simulate_chunk`).
-
-    With ``n_workers`` > 1 the chunks run on a pool of ``min(n_workers,
-    chunks, os.cpu_count())`` forked processes, which ends with the generator,
-    also when its consumer raises; the yields are bitwise the same.
+    ``_CHUNK_PATHS``.
     """
     first = np.concatenate([[0], np.cumsum(units[1])])  # each unit's first path
     starts = np.searchsorted(first[:-1], np.arange(0, first[-1], _CHUNK_PATHS))
     edges = np.unique(np.append(starts, len(first) - 1))
-    chunks = [
+    return [
         (seed, prefix, *(col[a:b] for col in units), horizon, store_monthly)
         for a, b in zip(edges[:-1], edges[1:])
     ]
-    workers = min(n_workers, len(chunks), os.cpu_count() or 1)
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            # imported on first use, to keep multiprocessing out of `import collsim`
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            # On leaving, even by an error, wait for the running chunks and cancel the rest.  A
-            # multiprocessing.Pool would terminate its workers instead, and a worker killed while
-            # writing a result can leave the result queue locked, hanging the shutdown.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_simulate_chunk, chunks)
-        else:
-            results = map(_simulate_chunk, chunks)
-        for chunk, result in zip(chunks, results):
-            yield (chunk[2], chunk[3], *result)
+
+def _unit_chunks(seed, prefix, units, horizon=HORIZON, store_monthly=False, n_workers=1):
+    """Simulate independent units; yield ``(ids, counts, totals, mean, var)`` per chunk, in order.
+
+    The chunks are those of :func:`_chunks`, run through :func:`_pool_map`;
+    ``totals`` holds a chunk's totals unit by unit, and ``mean`` and ``var``
+    are its monthly sums (see :func:`_simulate_chunk`).
+    """
+    chunks = _chunks(seed, prefix, units, horizon, store_monthly)
+    for chunk, result in zip(chunks, _pool_map(_simulate_chunk, chunks, n_workers)):
+        yield (chunk[2], chunk[3], *result)
 
 
 def _independent_units(population: Population, counts):
-    """The :func:`_unit_chunks` units of a population's independent accounts; ``counts`` by id."""
+    """The :func:`_chunks` units of a population's independent accounts; ``counts`` by id."""
     ids = population.independent_ids
     columns = (counts, population.credit_score, population.segment, population.balance, population.paid_last_month)
     return (ids, *(col[ids] for col in columns))
 
 
-def _block_batches(population: Population, dep, g, r: int, horizon: int = HORIZON):
-    """Yield ``(rows, monthly)`` for ``r`` joint realisations of the block ``dep``.
+def _block_items(population: Population, dep, seed, key, r: int, horizon: int = HORIZON, reduce: str = "totals"):
+    """The :func:`_simulate_block_item` work items of ``r`` joint realisations of the block ``dep``.
 
-    The block runs under ``DEFAULT_SCHEDULE``, and realisation ``k`` uses
-    draw block ``k`` of the stream ``g``.  The realisations run in batches of
-    about ``_CHUNK_PATHS`` account-realisations (at least one realisation
-    each); ``monthly`` is the (k, |D|, horizon) output of a batch and
-    ``rows`` the slice of realisations it holds.
+    Realisation ``k`` uses draw block ``k`` of the stream ``(seed, *key)``.
+    Each item holds about ``_CHUNK_PATHS`` account-realisations, and one
+    realisation when the block is larger.
     """
-    per_batch = max(1, _CHUNK_PATHS // len(dep))
+    per_item = max(1, _CHUNK_PATHS // len(dep))
     covariates = (
         population.balance[dep],
         population.credit_score[dep],
         population.segment[dep],
         population.eligible[dep],
         population.paid_last_month[dep],
-        DEFAULT_SCHEDULE,
     )
-    for start in range(0, r, per_batch):
-        k = min(per_batch, r - start)
-        u = g.random((k, horizon, len(dep)))  # draw blocks start .. start + k - 1
-        yield slice(start, start + k), _simulate_block_realisation(*covariates, u)
+    return [(seed, key, covariates, a, min(a + per_item, r), horizon, reduce) for a in range(0, r, per_item)]
+
+
+def _simulate_block_item(item):
+    """Realisations ``[a, b)`` of a dependent block under ``DEFAULT_SCHEDULE``.
+
+    ``item`` is ``(seed, key, covariates, a, b, horizon, reduce)`` from
+    :func:`_block_items`.  Philox is counter-based: one step of its counter
+    makes four draws, so advancing the stream by ``a * horizon * n / 4`` steps
+    (and drawing the remainder) starts it at realisation ``a``.  A single
+    realisation is drawn month by month, ``n`` uniforms at a time; several
+    are drawn in one call.  With ``reduce`` "totals" or "monthly" returns
+    :func:`_simulate_block_realisation`'s (k, n) totals and, for "monthly",
+    its (k, horizon) monthly sums; with "pilot" returns the (k,) realisation
+    totals, each one sum over its (n, horizon) monthly payments.
+    """
+    seed, key, covariates, a, b, horizon, reduce = item
+    k, n = b - a, len(covariates[0])
+    g = stream(seed, *key)
+    steps, rest = divmod(a * horizon * n, 4)
+    g.bit_generator.advance(steps)
+    g.random(rest)
+    if k == 1:
+        u = (g.random((1, n)) for _ in range(horizon))
+    else:
+        u = g.random((k, horizon, n)).transpose(1, 0, 2)
+    if reduce != "pilot":
+        return _simulate_block_realisation(*covariates, DEFAULT_SCHEDULE, u, month_sums=reduce == "monthly")
+    monthly = np.empty((k, n, horizon))
+    _simulate_block_realisation(*covariates, DEFAULT_SCHEDULE, u, out=monthly)
+    return monthly.reshape(k, -1).sum(axis=1)
+
+
+# --------------------------------------------------------------------------
+# Worker processes
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_inherited = None  # (fn, items) of the pool that forked this worker process
+
+
+def _inherit(fn, items):
+    global _inherited
+    _inherited = (fn, items)
+
+
+def _call_inherited(index):
+    fn, items = _inherited
+    return fn(items[index])
+
+
+def _pool_map(fn, items, n_workers=1):
+    """Yield ``fn(item)`` for each of the sequence ``items``, in order.
+
+    This is the only place that starts processes.  With ``n_workers`` > 1 the
+    calls run on a pool of ``min(n_workers, len(items), usable CPUs)``
+    processes forked from this one, which inherit ``fn`` and ``items``, so
+    only indices and results cross between processes and ``fn`` may be any
+    callable.  The pool ends with the generator, also when its consumer
+    raises: running calls finish and the rest are cancelled.  At one worker
+    it is a plain ``map`` in this process.
+    """
+    workers = min(n_workers, len(items), _usable_cpus())
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    # imported on first use, to keep multiprocessing out of `import collsim`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_inherit, initargs=(fn, items)
+    )
+    # A multiprocessing.Pool would terminate its workers instead, and a worker killed while
+    # writing a result can leave the result queue locked, hanging the shutdown.
+    try:
+        yield from pool.map(_call_inherited, range(len(items)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # --------------------------------------------------------------------------
@@ -483,12 +574,13 @@ def run_plan(
     ``k`` of the stream keyed by ``(seed, unit)``, so output is bitwise
     identical for any worker count.
 
-    Independent accounts run through :func:`_unit_chunks` with the prefix
-    ``("sim",)``, in id order, and each chunk's totals are scattered into
-    ``values``.  With ``n_workers`` > 1 (the CLI's ``--threads``) the chunks
-    run on forked worker processes, so a caller that runs threads of its own
-    should keep ``n_workers`` at 1; dependent blocks always run in this
-    process.
+    The work is one :func:`_pool_map` over the :func:`_chunks` of the
+    independent accounts (prefix ``("sim",)``, in id order) followed by the
+    :func:`_block_items` of each block (stream ``("sim", "block", j)``), so
+    with ``n_workers`` > 1 (the CLI's ``--threads``) chunks and blocks alike
+    run on forked worker processes; a caller that runs threads or a pool of
+    its own should keep ``n_workers`` at 1.  Each result is scattered into
+    ``values`` in item order.
 
     With ``store_monthly`` each chunk returns its accounts' monthly
     statistics already summed (see :class:`SimulationOutput`), and they are
@@ -507,31 +599,32 @@ def run_plan(
     monthly_mean = np.zeros(horizon) if store_monthly else None
     monthly_var = np.zeros(horizon) if store_monthly else None
 
-    units = _independent_units(population, counts)
-    for ids, rep, tot, mean, var in _unit_chunks(seed, ("sim",), units, horizon, store_monthly, n_workers):
+    chunks = _chunks(seed, ("sim",), _independent_units(population, counts), horizon, store_monthly)
+    blocks = [(j, pf.dependent_ids) for j, pf in enumerate(population.portfolios) if len(pf.dependent_ids)]
+    reduce = "monthly" if store_monthly else "totals"
+    block_items = [
+        (j, item)
+        for j, dep in blocks
+        for item in _block_items(population, dep, seed, ("sim", "block", j), counts[dep[0]], horizon, reduce)
+    ]
+    calls = [(_simulate_chunk, chunk) for chunk in chunks] + [(_simulate_block_item, item) for _, item in block_items]
+    results = _pool_map(lambda call: call[0](call[1]), calls, n_workers)
+
+    for (_, _, ids, rep, *_), (tot, mean, var) in zip(chunks, results):
         local = np.cumsum(rep) - rep  # each account's first path within the chunk
         values[np.repeat(offsets[ids] - local, rep) + np.arange(len(tot))] = tot
         if store_monthly:
             monthly_mean += mean
             monthly_var += var
 
-    block_totals: dict = {}
-    block_monthly: dict = {}
-    for j, pf in enumerate(population.portfolios):
-        dep = pf.dependent_ids
-        if not len(dep):
-            continue
-        r_j = counts[dep[0]]
-        acc_tot = np.empty((r_j, len(dep)))
-        blk_monthly = np.empty((r_j, horizon))
-        g = stream(seed, "sim", "block", j)
-        for rows, monthly in _block_batches(population, dep, g, r_j, horizon):
-            acc_tot[rows] = monthly.sum(axis=2)
-            blk_monthly[rows] = monthly.sum(axis=1)
-        values[offsets[dep] + np.arange(r_j)[:, None]] = acc_tot
-        block_totals[j] = acc_tot.sum(axis=1)
+    block_totals: dict = {j: np.empty(counts[dep[0]]) for j, dep in blocks}
+    block_monthly: dict = {j: np.empty((counts[dep[0]], horizon)) for j, dep in blocks} if store_monthly else {}
+    deps = dict(blocks)
+    for (j, (*_, a, b, _, _)), (tot, sums) in zip(block_items, results):
+        values[offsets[deps[j]] + np.arange(a, b)[:, None]] = tot
+        block_totals[j][a:b] = tot.sum(axis=1)
         if store_monthly:
-            block_monthly[j] = blk_monthly
+            block_monthly[j][a:b] = sums
 
     return SimulationOutput(
         values=values,

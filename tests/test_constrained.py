@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from collsim.constrained import (
     ConstrainedProblem,
@@ -176,6 +178,42 @@ class TestActiveSetSolve:
         solution = active_set_solve(problem)
         assert solution.active == frozenset()
         assert solution.plan.r_independent[0] == pytest.approx([10.0, 20.0])
+
+
+@st.composite
+def _problems(draw):
+    """Random problems with 1-5 portfolios, some of them with gamma = 0, some caps infinite, Slater holding."""
+    sigmas = st.just(0.0) | st.floats(0.01, 300.0)
+    portfolios, eps = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(0, 5))
+        pf = PortfolioInputs(
+            sigma_independent=np.array(draw(st.lists(sigmas, max_size=4))),
+            sigma_block=draw(sigmas) if size else 0.0,
+            block_size=size,
+        )
+        portfolios.append(pf)
+        eps.append(draw(st.none() | st.floats(0.05, 2.0)))  # None: no cap
+    gamma = np.array([pf.gamma for pf in portfolios])
+    assume(np.any(gamma > 0))
+    # a zero-variance portfolio's cap is any positive number
+    caps = np.array([np.inf if e is None else (g / e if g > 0 else e) for g, e in zip(gamma, eps)])
+    spend = float(sum(g * e for g, e in zip(gamma, eps) if e is not None))
+    budget = spend * draw(st.floats(1.05, 3.0)) if spend > 0 else draw(st.floats(1.0, 1e4))
+    return ConstrainedProblem(portfolios=tuple(portfolios), caps=caps, budget=budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems())
+def test_active_set_matches_brute_force_oracle(problem):
+    solution = active_set_solve(problem)
+    oracle = brute_force_oracle(problem)
+    assert oracle is not None
+    _, o_obj, _ = oracle
+    assert solution.plan.objective(problem) == pytest.approx(o_obj, rel=1e-9)
+    assert solution.plan.cost(problem) == pytest.approx(problem.budget, rel=1e-9)
+    caps = np.asarray(problem.caps, dtype=float)
+    assert np.all(solution.plan.portfolio_variances(problem) <= caps * (1 + 1e-9))
 
 
 class TestWireFormats:

@@ -20,7 +20,7 @@ from collsim.emulator import (
     _fit_single,
     _matern52_parts,
     _nll_grad_beta,
-    _point_moments,
+    _design_moments,
     fit_gp,
     generate_training_data,
     matern52,
@@ -96,7 +96,8 @@ class TestDesign:
 
     def test_deterministic(self):
         a = sliced_lhd(10, seed=4, exchange_iters=50)
-        b = sliced_lhd(10, seed=4, exchange_iters=50)
+        b = sliced_lhd(10, seed=4, exchange_iters=50, n_workers=2)
+        assert list(b) == list(SLICES)
         for key in a:
             assert np.array_equal(a[key], b[key])
 
@@ -236,7 +237,7 @@ def tiny_emulator():
 
 
 def _per_point_moments(pts, s, y, n_real, seed, domain):
-    """The moments of ``_point_moments`` from one ``stream()`` and one kernel call per design point: its oracle."""
+    """The moments of ``_design_moments`` from one ``stream()`` and one kernel call per design point: its oracle."""
     totals = []
     for l, (b_t, c_t) in enumerate(pts):
         credit = credit_cdf_inv(c_t)
@@ -255,6 +256,7 @@ class TestUnitEngine:
         design = sliced_lhd(12, seed=21, exchange_iters=50)  # 12 points of 1000 paths: three chunks a slice
         assert 12 * 1000 > 2 * _CHUNK_PATHS
         observations = generate_training_data(design, n_realisations=1000, seed=22)
+        assert generate_training_data(design, n_realisations=1000, seed=22, n_workers=2) == observations
         expected = []
         for (s, y), pts in design.items():
             for b_t, c_t, v, kurt in _per_point_moments(pts, s, y, 1000, 22, "train"):
@@ -265,9 +267,12 @@ class TestUnitEngine:
 
     @pytest.mark.parametrize("n_points, n_real", [(9, 1500), (3, _CHUNK_PATHS + 7), (1, 5)])
     def test_validation_moments_equal_per_point_oracle(self, n_points, n_real):
-        for (s, y), pts in random_design(n_points, seed=23).items():
-            got = list(_point_moments(pts, s, y, n_real, 24, "validate"))
-            assert got == _per_point_moments(pts, s, y, n_real, 24, "validate")
+        design = random_design(n_points, seed=23)
+        for workers in (1, 2):
+            got = dict(_design_moments(design, n_real, 24, "validate", n_workers=workers))
+            assert list(got) == list(design)
+            for (s, y), pts in design.items():
+                assert got[(s, y)] == _per_point_moments(pts, s, y, n_real, 24, "validate")
 
     def test_training_holds_one_chunk_of_uniforms(self):
         design = {(2, 0): random_design(40, seed=25)[(2, 0)]}
@@ -341,7 +346,7 @@ class TestEmulatorPredictions:
         for (s, y), pts in test.items():
             if s != 2:
                 continue
-            for b_t, c_t, v, _ in _point_moments(pts, s, y, 200, 44, "validate"):
+            for b_t, c_t, v, _ in dict(_design_moments(test, 200, 44, "validate"))[(s, y)]:
                 mean, _ = emulator.predict_log(b_t, c_t, s, np.array([y]))
                 log_err.append(float(mean[0]) - np.log(v))
                 pred_sd.append(np.sqrt(np.exp(float(mean[0]))))

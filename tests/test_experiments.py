@@ -1,9 +1,15 @@
 """Experiment harnesses: seed-domain separation, checkpointing, protection runs."""
 
+import itertools
 import json
+import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import collsim.experiments
 from collsim.allocator import constrained_plan_for_population, constrained_problem_for_population, round_plan
@@ -16,6 +22,7 @@ from collsim.experiments import (
     coverage_study,
     protect_experiment,
     reference_sigmas,
+    train_emulator_experiment,
 )
 from collsim.constrained import active_set_solve
 from collsim.population import init_population
@@ -40,6 +47,11 @@ class TestConfig:
         for threads in (0, -2):
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
                 ExperimentConfig(threads=threads)
+
+    def test_threads_default_to_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert ExperimentConfig().threads == 3
+        assert ExperimentConfig(threads=1).threads == 1
 
     def test_config_hash_changes_with_content(self):
         a = ExperimentConfig(seed=1)
@@ -116,7 +128,7 @@ class TestCoverageStudy:
         coverage_study(cfg100, checkpoint_path=ck)
         assert ck.exists()
         saved = json.loads(ck.read_text())
-        assert len(saved["records"]) == 100
+        assert [r["rep"] for r in saved["records"]] == list(range(100))  # in order, also from a pool
         cfg103 = ExperimentConfig(name="t", n_accounts=5, repetitions=103, seed=5)
         done = []
         resumed = coverage_study(cfg103, checkpoint_path=ck, progress=lambda k, n: done.append(k))
@@ -165,6 +177,57 @@ class TestCoverageStudy:
         assert resumed == first
 
 
+    def test_elapsed_seconds_ignore_the_wall_clock(self, monkeypatch):
+        wall = itertools.count(1e9, -1e6)
+        monkeypatch.setattr(time, "time", lambda: next(wall))  # a wall clock that jumps back at every read
+        report = coverage_study(ExperimentConfig(name="t", n_accounts=5, repetitions=2, seed=5, threads=1))
+        assert 0.0 <= report["elapsed_seconds"] < 60.0
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        n_accounts=st.integers(5, 60),
+        probs=st.sampled_from([(1.0,), (0.7, 0.3)]),
+        repetitions=st.integers(1, 7),
+        seed=st.integers(0, 10**6),
+    )
+    def test_report_does_not_depend_on_the_worker_count(self, n_accounts, probs, repetitions, seed):
+        reports, calls = [], []
+        for threads in (1, 2):
+            done = []
+            cfg = ExperimentConfig(
+                name="t",
+                n_accounts=n_accounts,
+                portfolio_probs=probs,
+                repetitions=repetitions,
+                seed=seed,
+                threads=threads,
+            )
+            reports.append(coverage_study(cfg, progress=lambda k, n: done.append(k)))
+            reports[-1].pop("elapsed_seconds")
+            calls.append(done)
+        assert reports[0] == reports[1]
+        assert calls[0] == calls[1] == list(range(1, repetitions + 1))
+
+    def test_m2_report_does_not_depend_on_the_worker_count(self, small_emulator):
+        # at two workers the emulator's GP predictions run in forked repetitions
+        reports = []
+        for threads in (1, 2):
+            cfg = ExperimentConfig(
+                name="t",
+                n_accounts=80,
+                portfolio_probs=(0.8, 0.2),
+                plan_mode="optimized",
+                interval_method="M2",
+                repetitions=5,
+                seed=12,
+                threads=threads,
+            )
+            reports.append(coverage_study(cfg, emulator=small_emulator))
+            reports[-1].pop("elapsed_seconds")
+        assert reports[0] == reports[1]
+        assert reports[0]["repetitions"] == 5
+
+
 def _per_account_reference_sigmas(pop, n_realisations, seed):
     """Reference sigmas from one ``stream()`` and one kernel call per account: the engine's oracle."""
     sigma = np.zeros(pop.n)
@@ -203,6 +266,21 @@ class TestReferenceSigmas:
         expected, expected_block = _per_account_reference_sigmas(pop, n_realisations, 18)
         assert sigma.tobytes() == expected.tobytes()
         assert sigma_block.tobytes() == expected_block.tobytes()
+        two = reference_sigmas(pop, n_realisations=n_realisations, seed=18, n_workers=2)
+        assert two[0].tobytes() == expected.tobytes() and two[1].tobytes() == expected_block.tobytes()
+
+    def test_peak_memory_holds_each_chunks_uniforms_once(self):
+        # one account per chunk: 5000 x 84 uniforms, 3.2 MiB, which a second, transposed copy took to 8.3 MiB;
+        # the peak is now a pilot item of the 54-account block, 75 realisations of uniforms and payments (5.7 MiB)
+        pop = init_population(1000, (1.0,), seed=3)
+        pop.portfolios  # the cached partition belongs to the population, not the run
+        tracemalloc.start()
+        try:
+            reference_sigmas(pop, n_realisations=5000, seed=4, n_workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0 * 2**20, peak / 2**20
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +308,18 @@ class TestBuildPlan:
         assert variances[1] <= 1.0 * (1 + 1e-9)
         # rounding counts of about 1e5 moves the variance by a few parts in 1e6
         assert estimator_variance(inputs, plan, pop)[0][1] <= 1.0 * (1 + 1e-5)
+
+
+class TestTrainEmulator:
+    def test_files_do_not_depend_on_the_worker_count(self, tmp_path):
+        written = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads-{threads}"
+            cfg = ExperimentConfig(name="t", points_per_slice=6, train_realisations=300, seed=4, threads=threads)
+            train_emulator_experiment(cfg, out_dir=out)
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(written[0]) == 8  # four files and their sidecars
+        assert written[0] == written[1]
 
 
 class TestProtect:

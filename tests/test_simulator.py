@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import tracemalloc
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +83,23 @@ def simulate_independent(account: Account, horizon: int = HORIZON, rng=None, *, 
     return CollectionsPath(monthly=monthly[:, 0])
 
 
+def _block_monthly(balance, credit, segment, eligible, y0, schedule, u):
+    """The block kernel's monthly payments: (n, horizon) for ``u`` of (horizon, n), (r, n, horizon) for (r, horizon, n).
+
+    Also checks, bit for bit, that the totals and monthly sums the kernel
+    returns are those of its payments, summed as numpy sums them.
+    """
+    single = u.ndim == 2
+    months = u[:, None] if single else u.transpose(1, 0, 2)
+    out = np.empty((months.shape[1], u.shape[-1], len(months)))
+    tot, sums = _simulate_block_realisation(
+        balance, credit, segment, eligible, y0, schedule, months, out=out, month_sums=True
+    )
+    assert _same_bits(tot, out.sum(axis=2))
+    assert _same_bits(sums, out.sum(axis=1))
+    return out[0] if single else out
+
+
 def _account(balance, credit, segment, y0=False, eligible=False, id=0):
     return Account(
         id=id, balance=balance, credit_score=credit, segment=segment, eligible=eligible, paid_last_month=y0
@@ -151,7 +169,7 @@ class TestIndependentPath:
 class TestBlockTransitions:
     def _block(self, credits, schedule, u):
         n = len(credits)
-        return _simulate_block_realisation(
+        return _block_monthly(
             balance=np.full(n, 5000.0),
             credit=np.asarray(credits, dtype=float),
             segment=np.full(n, 3),
@@ -463,11 +481,11 @@ class TestChunkedRunPlan:
         )
         for k in range(5):
             u = g.random((HORIZON, n))
-            assert np.array_equal(_simulate_block_realisation(*args, u), _reference_block(*args, u))
+            assert np.array_equal(_block_monthly(*args, u), _reference_block(*args, u))
         # stacked realisations: each row of the batch is ranked and simulated on its own
         for r in (1, 2, 7):
             u = g.random((r, HORIZON, n))
-            monthly = _simulate_block_realisation(*args, u)
+            monthly = _block_monthly(*args, u)
             assert monthly.shape == (r, n, HORIZON)
             for k in range(r):
                 assert np.array_equal(monthly[k], _reference_block(*args, u[k]))
@@ -571,10 +589,10 @@ class TestKernelOracles:
         if all_qualify:
             u[:, :6] = 1.0  # nobody pays before the first transition, so every account qualifies at it
         args = (g.uniform(100.0, 6000.0, n), credit, segment, eligible, y0, schedule)
-        monthly = _simulate_block_realisation(*args, u)
+        monthly = _block_monthly(*args, u)
         assert _same_bits(monthly, _per_month_expit_block(*args, u))
         if r == 1:
-            assert _same_bits(_simulate_block_realisation(*args, u[0]), monthly[0])
+            assert _same_bits(_block_monthly(*args, u[0]), monthly[0])
         if all_qualify:
             # only the capacity stops the first transition: exactly 7 accounts leave segment 3
             p3, p1 = expit(-4.0 + 0.2 * credit), expit(-1.0 + 0.1 * credit)
@@ -583,6 +601,27 @@ class TestKernelOracles:
             assert np.array_equal(monthly[:, moved, 6] > 0, pays[:, moved])
             stay = np.setdiff1d(np.arange(n), moved)
             assert np.array_equal(monthly[:, stay, 6] > 0, (u[:, 6] < p3)[:, stay])
+
+
+    def test_block_month_sums_add_the_accounts_in_order(self):
+        # small balances with cents, paid in a few months: many partial payments in the same month,
+        # whose sum depends on the order of the additions
+        g = np.random.default_rng(17)
+        n = 300
+        args = (
+            np.round(g.uniform(0.01, 140.0, n), 2),
+            g.normal(6.0, 1.0, n),
+            np.full(n, 2),
+            np.zeros(n, dtype=bool),
+            np.ones(n, dtype=bool),
+            DEFAULT_SCHEDULE,
+        )
+        u = g.random((3, HORIZON, n)) * 0.3
+        out = np.empty((3, n, HORIZON))
+        tot, sums = _simulate_block_realisation(*args, u.transpose(1, 0, 2), out=out, month_sums=True)
+        assert _same_bits(sums, out.sum(axis=1))
+        assert not _same_bits(sums, np.stack([np.add.reduce(out[:, :, t], axis=1) for t in range(HORIZON)], axis=1))
+        assert _same_bits(tot, out.sum(axis=2))
 
 
 class TestMonthlyReductions:
@@ -703,12 +742,12 @@ class TestWorkerPool:
             raise NoPool  # starts no process
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # three usable CPUs
         with pytest.raises(NoPool):
             run_plan(pop, plan, seed=4, n_workers=10_000)
-        two_chunks = init_population(200, (1.0,), seed=2)
+        two_items = init_population(100, (1.0,), seed=2)  # one chunk of 87 x 25 paths and one block item
         with pytest.raises(NoPool):
-            run_plan(two_chunks, RealisationPlan.equal(200, 25), seed=4, n_workers=10_000)
+            run_plan(two_items, RealisationPlan.equal(100, 25), seed=4, n_workers=10_000)
         assert sizes == [3, 2]
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="with one CPU the chunks run in this process")
@@ -745,6 +784,25 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
         for ids, totals in seen:
             assert np.array_equal(totals, np.concatenate([out.totals[i] for i in ids]))
+
+
+    def test_pool_map_keeps_order_and_runs_inherited_callables(self):
+        offset = np.arange(5.0)  # a closure: forked workers inherit it, nothing is pickled but indices
+        items = list(range(23))
+        for workers in (1, 2, 8):
+            got = list(simulator._pool_map(lambda i: offset + i, items, workers))
+            assert all(np.array_equal(g, offset + i) for g, i in zip(got, items)) and len(got) == len(items)
+        assert list(simulator._pool_map(str, [], 2)) == []
+
+    def test_pool_map_at_one_worker_is_a_lazy_map_in_this_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        pids = simulator._pool_map(lambda i: (i, os.getpid()), range(3), 1)
+        assert next(pids) == (0, os.getpid())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one usable CPU: no pool either
+        assert list(simulator._pool_map(lambda i: i, range(3), 4)) == [0, 1, 2]
 
 
 @st.composite
@@ -839,3 +897,81 @@ class TestBlockBatches:
         ref = _reference_block_runs(pop, dep, stream(9, "pilot", 0), n_pilot)
         expected = float(np.array([m.sum() for m in ref]).var(ddof=1))
         assert pilot_block_variance(pop, 0, n_pilot=n_pilot, seed=9) == expected
+
+    def test_worker_count_does_not_change_block_items(self, pop):
+        dep = pop.portfolios[0].dependent_ids
+        counts = np.ones(pop.n)
+        counts[dep] = 3 * _CHUNK_PATHS // len(dep) + 5  # four items of the block
+        plan = RealisationPlan(counts=counts)
+        one = run_plan(pop, plan, seed=6, store_monthly=True, n_workers=1)
+        for workers in (2, 8):
+            other = run_plan(pop, plan, seed=6, store_monthly=True, n_workers=workers)
+            assert _same_bits(other.values, one.values)
+            assert _same_bits(other.block_totals[0], one.block_totals[0])
+            assert _same_bits(other.block_monthly[0], one.block_monthly[0])
+            assert _same_bits(other.indep_monthly_mean, one.indep_monthly_mean)
+
+    @pytest.mark.parametrize("horizon", [HORIZON, 37])
+    def test_single_realisation_items_start_anywhere_in_the_stream(self, pop, monkeypatch, horizon):
+        # at 16 account-realisations per item each item is one realisation drawn month by month,
+        # and its stream is advanced to it; at 37 months a realisation's draws are no multiple of 4
+        monkeypatch.setattr(simulator, "_CHUNK_PATHS", 16)
+        dep = pop.portfolios[0].dependent_ids
+        assert len(dep) * 37 % 4
+        r_j = 7
+        counts = np.ones(pop.n)
+        counts[dep] = r_j
+        g = stream(6, "sim", "block", 0)
+        covariates = (
+            pop.balance[dep],
+            pop.credit_score[dep],
+            pop.segment[dep],
+            pop.eligible[dep],
+            pop.paid_last_month[dep],
+            DEFAULT_SCHEDULE,
+        )
+        ref = [_reference_block(*covariates, g.random((horizon, len(dep)))) for _ in range(r_j)]
+        plan = RealisationPlan(counts=counts)
+        for workers in (1, 2):
+            out = run_plan(pop, plan, seed=6, horizon=horizon, store_monthly=True, n_workers=workers)
+            acc_tot = np.stack([m.sum(axis=1) for m in ref])
+            assert _same_bits(out.block_totals[0], acc_tot.sum(axis=1))
+            for pos, i in enumerate(dep):
+                assert _same_bits(out.totals[i], acc_tot[:, pos])
+            assert _same_bits(out.block_monthly[0], np.stack([m.sum(axis=0) for m in ref]))
+        if horizon == HORIZON:
+            pilots = _reference_block_runs(pop, dep, stream(9, "pilot", 0), 5)
+            expected = float(np.array([m.sum() for m in pilots]).var(ddof=1))
+            assert pilot_block_variance(pop, 0, n_pilot=5, seed=9, n_workers=2) == expected
+
+
+class TestBlockMemory:
+    """A block item holds a few (|D|,) arrays per realisation, not (k, |D|, horizon) uniforms and payments."""
+
+    @staticmethod
+    def _block(n):
+        g = np.random.default_rng(n)
+        return SimpleNamespace(
+            balance=g.uniform(100.0, 6000.0, n),
+            credit_score=g.normal(-1.0, 2.0, n),
+            segment=np.full(n, 3),
+            eligible=np.ones(n, dtype=bool),
+            paid_last_month=g.random(n) < 0.3,
+        )
+
+    @pytest.mark.parametrize("reduce", ["totals", "monthly"])
+    def test_marginal_peak_memory_per_block_account(self, reduce):
+        # batches of whole realisations held (k, |D|, 84) uniforms and payments: 2.1 KB per block account
+        peaks, sizes = [], (6000, 12000)  # above _CHUNK_PATHS, so each item is one realisation
+        for n in sizes:
+            block = self._block(n)
+            tracemalloc.start()
+            try:
+                items = simulator._block_items(block, np.arange(n), 2, ("sim", "block", 0), 3, HORIZON, reduce)
+                results = [simulator._simulate_block_item(item) for item in items]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [tot.shape for tot, _ in results] == [(1, n)] * 3
+        per_account = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+        assert per_account < 400, per_account  # about 150 B: the block's covariates, state and totals
