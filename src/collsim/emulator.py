@@ -49,6 +49,8 @@ __all__ = [
 SLICES = tuple((s, y) for s in (1, 2, 3) for y in (0, 1))
 
 _JITTER = 1e-8
+# Size of the per-block difference tensor when predictions build k_star.
+_KERNEL_BLOCK_BYTES = 1 << 20
 _FORMAT_VERSION = 1
 # Written to and required in every stored emulator: one GP per segment,
 # predicting the posterior median.
@@ -128,6 +130,7 @@ def random_design(points_per_slice: int, seed: int = 0) -> dict:
 class TrainingObservation:
     b_tilde: float
     c_tilde: float
+    credit_score: float  # the score whose credit CDF is c_tilde
     segment: int
     y0: int
     log_variance: float
@@ -137,13 +140,15 @@ class TrainingObservation:
 
 
 def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
-    """Yield ``((s, y), points)`` per slice, ``points`` the ``(b_tilde, c_tilde, variance, kurtosis)`` of its design points.
+    """Yield ``((s, y), points)`` per slice, ``points`` the ``(b_tilde, c_tilde, credit, variance, kurtosis)`` of its design points.
 
     Point ``l`` of slice ``(s, y)`` is unit ``l`` of the
     :func:`collsim.simulator._chunks` with the prefix ``(domain, s, y)``: it
     draws from the stream ``(seed, domain, s, y, l)``.  The chunks of every
     slice go through one :func:`collsim.simulator._pool_map` over
-    ``n_workers`` processes.  The moments are those of
+    ``n_workers`` processes.  ``credit`` is the credit score whose CDF is
+    ``c_tilde``, inverted once here so that callers can pass it on as the
+    ``credit`` of :func:`_features`.  The moments are those of
     :func:`collsim.estimators.row_moments`.  Points whose sample variance is
     zero up to floating-point noise are left out: paths that always collect
     the full balance produce identical totals, and the computed variance is
@@ -153,22 +158,25 @@ def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
     for (s, y), pts in design.items():
         pts = np.asarray(pts, dtype=float)
         n = len(pts)
+        credit = credit_cdf_inv(pts[:, 1])
         units = (
             np.arange(n),
             np.full(n, n_real),
-            credit_cdf_inv(pts[:, 1]),
+            credit,
             np.full(n, s),
             balance_cdf_inv(pts[:, 0]),
             np.full(n, bool(y)),
         )
-        slices.append(((s, y), design[(s, y)], _chunks(seed, (domain, s, y), units)))
+        slices.append(((s, y), design[(s, y)], credit, _chunks(seed, (domain, s, y), units)))
     results = _pool_map(_simulate_chunk, [chunk for *_, chunks in slices for chunk in chunks], n_workers)
-    for key, design_slice, chunks in slices:
+    for key, design_slice, credit, chunks in slices:
         totals = np.empty((len(design_slice), n_real))
         for (_, _, ids, *_), (tot, _, _) in zip(chunks, results):
             totals[ids] = tot.reshape(len(ids), n_real)
-        moments = zip(design_slice, *(m.tolist() for m in row_moments(totals)))
-        yield key, [(b_t, c_t, v, kurt) for (b_t, c_t), mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)]
+        moments = zip(design_slice, credit.tolist(), *(m.tolist() for m in row_moments(totals)))
+        yield key, [
+            (b_t, c_t, cr, v, kurt) for (b_t, c_t), cr, mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)
+        ]
 
 
 def generate_training_data(design: dict, n_realisations: int = 1000, seed: int = 0, n_workers: int = 1) -> list:
@@ -184,11 +192,12 @@ def generate_training_data(design: dict, n_realisations: int = 1000, seed: int =
     observations = []
     dropped = 0
     for (s, y), kept in _design_moments(design, n_realisations, seed, "train", n_workers):
-        for b_t, c_t, v, kurt in kept:
+        for b_t, c_t, credit, v, kurt in kept:
             observations.append(
                 TrainingObservation(
                     b_tilde=float(b_t),
                     c_tilde=float(c_t),
+                    credit_score=credit,
                     segment=int(s),
                     y0=int(y),
                     log_variance=float(np.log(v)),
@@ -283,9 +292,21 @@ class SegmentGP:
         return self._chol
 
     def _mean(self, x):
-        """Posterior mean at ``x`` and the cross-covariances ``k_star`` it was made from."""
+        """Posterior mean at ``x`` and the cross-covariances ``k_star`` it was made from.
+
+        ``k_star`` (n, m) is filled a block of rows at a time, so the (rows,
+        m, d) difference tensor behind each block stays near
+        ``_KERNEL_BLOCK_BYTES`` instead of growing with n.  Kernel entries
+        are elementwise in their inputs, so the blocks give the bits of one
+        whole-matrix call.  The product with the weights is still taken once
+        on the whole matrix: BLAS may sum a blocked product in another order.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k_star = matern52(x, self.x_train, self.lengthscales, self.signal_variance)
+        m, d = self.x_train.shape
+        rows = max(1, _KERNEL_BLOCK_BYTES // (m * d * 8))
+        k_star = np.empty((len(x), m))
+        for i in range(0, len(x), rows):
+            k_star[i : i + rows] = matern52(x[i : i + rows], self.x_train, self.lengthscales, self.signal_variance)
         return self.beta + k_star @ cho_solve(self._factor(), self.y_train - self.beta), k_star
 
     def predict_mean(self, x):
@@ -423,24 +444,81 @@ class GpEmulator:
 
     @classmethod
     def from_json(cls, path_or_doc) -> "GpEmulator":
-        doc = path_or_doc if isinstance(path_or_doc, dict) else json.loads(Path(path_or_doc).read_text())
+        """Load an emulator written by :meth:`to_json`, from a path or a parsed document.
+
+        Every model is checked as it is read: ``x_train`` (m, 3), ``y_train``
+        and ``noise`` (m,), ``lengthscales`` (3,), every value a finite
+        number, lengthscales and signal variance positive and noise
+        non-negative.  A bad document raises one ``ValueError`` naming the
+        file, the segment and the field.
+        """
+        if isinstance(path_or_doc, dict):
+            doc, where = path_or_doc, "emulator"
+        else:
+            where = str(path_or_doc)
+            try:
+                doc = json.loads(Path(path_or_doc).read_text())
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{where}: not valid JSON: {e}") from None
+            if not isinstance(doc, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
         if doc.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(f"unsupported emulator format: {doc.get('format_version')}")
+            raise ValueError(f"{where}: unsupported emulator format: {doc.get('format_version')}")
         for name, value in _STORED_SETTINGS.items():
             if doc.get(name) != value:
-                raise ValueError(f"unsupported emulator {name}: {doc.get(name)!r}, expected {value!r}")
+                raise ValueError(f"{where}: unsupported emulator {name}: {doc.get(name)!r}, expected {value!r}")
+        if "models" not in doc:
+            raise ValueError(f"{where}: missing field 'models'")
+        if not isinstance(doc["models"], dict):
+            raise ValueError(f"{where}: field 'models' must be an object of segment models")
         models = {}
         for key, m in doc["models"].items():
-            models[int(key)] = SegmentGP(
-                x_train=np.asarray(m["x_train"]),
-                y_train=np.asarray(m["y_train"]),
-                noise=np.asarray(m["noise"]),
-                lengthscales=np.asarray(m["lengthscales"]),
-                signal_variance=m["signal_variance"],
-                beta=m["beta"],
-                log_marginal_likelihood=m["log_marginal_likelihood"],
-            )
+            if key not in ("1", "2", "3"):
+                raise ValueError(f"{where}: field 'models' has segment {key!r}, expected 1, 2 or 3")
+            models[int(key)] = _stored_model(m, f"{where}, segment {key}")
         return cls(models=models)
+
+
+def _stored_model(m, context) -> SegmentGP:
+    """One stored :class:`SegmentGP`, checked field by field; ``context`` names it in errors."""
+    if not isinstance(m, dict):
+        raise ValueError(f"{context}: expected a JSON object")
+
+    def number_field(key, shape=()):
+        if key not in m:
+            raise ValueError(f"{context}: missing field {key!r}")
+        try:
+            a = np.asarray(m[key])  # a ragged list raises here
+            if a.dtype.kind not in "iuf":
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{context}: field {key!r} must hold numbers only") from None
+        if shape is not None and a.shape != shape:
+            raise ValueError(f"{context}: field {key!r} must have shape {shape}, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{context}: field {key!r} must be finite")
+        return a.astype(float)
+
+    x = number_field("x_train", None)
+    if x.ndim != 2 or x.shape[1] != 3 or len(x) == 0:
+        raise ValueError(f"{context}: field 'x_train' must have shape (m, 3) with m >= 1, got {x.shape}")
+    gp = SegmentGP(
+        x_train=x,
+        y_train=number_field("y_train", (len(x),)),
+        noise=number_field("noise", (len(x),)),
+        lengthscales=number_field("lengthscales", (3,)),
+        signal_variance=float(number_field("signal_variance")),
+        beta=float(number_field("beta")),
+        log_marginal_likelihood=float(number_field("log_marginal_likelihood")),
+    )
+    for key, ok, what in (
+        ("lengthscales", np.all(gp.lengthscales > 0), "positive"),
+        ("signal_variance", gp.signal_variance > 0, "positive"),
+        ("noise", np.all(gp.noise >= 0), "non-negative"),
+    ):
+        if not ok:
+            raise ValueError(f"{context}: field {key!r} must be {what}")
+    return gp
 
 
 def fit_gp(observations) -> GpEmulator:
@@ -459,10 +537,11 @@ def fit_gp(observations) -> GpEmulator:
             raise ValueError(f"segment group {seg!r} has only {len(obs)} observations; need >= 5")
         b = np.array([o.b_tilde for o in obs])
         c = np.array([o.c_tilde for o in obs])
+        credit = np.array([o.credit_score for o in obs])
         y0 = np.array([o.y0 for o in obs])
         y = np.array([o.log_variance for o in obs])
         noise = np.array([o.noise_variance for o in obs])
-        models[seg] = _fit_single(_features(b, c, seg, y0), y, noise)
+        models[seg] = _fit_single(_features(b, c, seg, y0, credit=credit), y, noise)
     return GpEmulator(models=models)
 
 
@@ -470,7 +549,9 @@ def sigma2_for_population(emulator: GpEmulator, population) -> np.ndarray:
     """Vectorized variance predictions for every account in a population.
 
     Entries for dependent accounts are filled too (the caller decides which
-    to use); predictions group by (segment, y0) for efficiency.
+    to use); predictions group by (segment, y0) for efficiency.  Each group's
+    cross-kernel is built a block of rows at a time (see ``SegmentGP._mean``),
+    so beyond the (n, m) kernel itself memory does not grow with the group.
     """
     b_t = balance_cdf(population.balance)
     c_t = np.asarray(credit_cdf(population.credit_score))
@@ -499,8 +580,8 @@ def validate_emulator(
     for (s, y), kept in _design_moments(test_design, n_realisations, seed, "validate", n_workers):
         if not kept:
             continue
-        b_t, c_t, v, kurt = (np.array(col) for col in zip(*kept))
-        mean, var = emulator.predict_log(b_t, c_t, s, np.full(len(kept), y))
+        b_t, c_t, credit, v, kurt = (np.array(col) for col in zip(*kept))
+        mean, var = emulator.predict_log(b_t, c_t, s, np.full(len(kept), y), credit=credit)
         noise = np.maximum((kurt - 1.0) / n_realisations, 0.0)
         log_v = np.log(v)
         rec = per_segment[s]

@@ -342,6 +342,25 @@ def _coverage_repetition(config: ExperimentConfig, emulator, rep: int):
     }
 
 
+_RECORD_FIELDS = {"rep", "contained", "length", "midpoint", "truth"}
+
+
+def _checkpoint_records(path, key) -> list:
+    """The records of the coverage checkpoint at ``path``, or none if it was written under another key."""
+    try:
+        saved = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: coverage checkpoint is not valid JSON: {e}") from None
+    if not isinstance(saved, dict):
+        raise ValueError(f"{path}: coverage checkpoint must be a JSON object, got {type(saved).__name__}")
+    if saved.get("key") != key:
+        return []
+    records = saved.get("records")
+    if not isinstance(records, list) or not all(isinstance(r, dict) and _RECORD_FIELDS <= r.keys() for r in records):
+        raise ValueError(f"{path}: coverage checkpoint field 'records' must be a list of repetition records")
+    return records
+
+
 def coverage_study(
     config: ExperimentConfig,
     emulator: GpEmulator | None = None,
@@ -356,7 +375,9 @@ def coverage_study(
     directory, then a rename), and resumes from it.  A checkpoint is keyed on
     the config's output fields apart from its repetition count, and on the
     tool version: a study of any length, and with any worker count, resumes
-    from the first repetitions of another.
+    from the first repetitions of another.  A checkpoint file that is not a
+    JSON object, or whose key matches but which holds no list of repetition
+    records, raises a ``ValueError`` naming the file.
 
     The repetitions are mapped over ``config.threads`` processes, each
     repetition running at one worker; records, checkpoints and ``progress``
@@ -366,9 +387,7 @@ def coverage_study(
     key = _digest({**config._output_fields(), "repetitions": None, "tool_version": __version__})
     records = []
     if checkpoint_path and Path(checkpoint_path).exists():
-        saved = json.loads(Path(checkpoint_path).read_text())
-        if saved.get("key") == key:
-            records = saved["records"][: config.repetitions]
+        records = _checkpoint_records(checkpoint_path, key)[: config.repetitions]
     t0 = time.perf_counter()
     reps = range(len(records), config.repetitions)
     repetition = functools.partial(_coverage_repetition, dataclasses.replace(config, threads=1), emulator)

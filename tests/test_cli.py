@@ -95,6 +95,15 @@ class TestErrors:
         assert not (tmp_path / "population.csv").exists()
 
 
+    def test_bad_emulator_file_named(self, emulator_file, tmp_path, capsys):
+        doc = json.loads(emulator_file.read_text())
+        doc["models"]["2"]["signal_variance"] = -1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["allocate", "--n-accounts", "50", "--emulator", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {bad}, segment 2: field 'signal_variance' must be positive" in capsys.readouterr().err
+
     def test_config_value_type_named_with_file(self, tmp_path, capsys):
         cfg = tmp_path / "f.json"
         cfg.write_text(json.dumps({"threads": "2"}))

@@ -1,13 +1,16 @@
 """Variance emulator: design properties, GP algebra, persistence."""
 
+import json
 import math
 import tracemalloc
+from operator import setitem
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_solve
 
 import collsim.emulator
 from collsim.emulator import (
@@ -238,15 +241,16 @@ def tiny_emulator():
 
 def _per_point_moments(pts, s, y, n_real, seed, domain):
     """The moments of ``_design_moments`` from one ``stream()`` and one kernel call per design point: its oracle."""
-    totals = []
+    totals, credits = [], []
     for l, (b_t, c_t) in enumerate(pts):
         credit = credit_cdf_inv(c_t)
         p0 = payment_probability(credit, s, False)
         p1 = payment_probability(credit, s, True)
         u = stream(seed, domain, s, y, l).random((n_real, HORIZON))
         totals.append(_simulate_paths(p0, p1, balance_cdf_inv(b_t), bool(y), u.T)[0])
-    moments = zip(pts, *(m.tolist() for m in row_moments(np.array(totals))))
-    return [(b_t, c_t, v, kurt) for (b_t, c_t), mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)]
+        credits.append(credit)
+    moments = zip(pts, credits, *(m.tolist() for m in row_moments(np.array(totals))))
+    return [(b_t, c_t, cr, v, kurt) for (b_t, c_t), cr, mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)]
 
 
 class TestUnitEngine:
@@ -259,9 +263,14 @@ class TestUnitEngine:
         assert generate_training_data(design, n_realisations=1000, seed=22, n_workers=2) == observations
         expected = []
         for (s, y), pts in design.items():
-            for b_t, c_t, v, kurt in _per_point_moments(pts, s, y, 1000, 22, "train"):
-                expected.append((float(b_t), float(c_t), s, y, float(np.log(v)), max((kurt - 1.0) / 1000, 0.0), kurt))
-        got = [(o.b_tilde, o.c_tilde, o.segment, o.y0, o.log_variance, o.noise_variance, o.kurtosis) for o in observations]
+            for b_t, c_t, credit, v, kurt in _per_point_moments(pts, s, y, 1000, 22, "train"):
+                expected.append(
+                    (float(b_t), float(c_t), credit, s, y, float(np.log(v)), max((kurt - 1.0) / 1000, 0.0), kurt)
+                )
+        got = [
+            (o.b_tilde, o.c_tilde, o.credit_score, o.segment, o.y0, o.log_variance, o.noise_variance, o.kurtosis)
+            for o in observations
+        ]
         assert got == expected
         assert all(o.realisations_used == 1000 for o in observations)
 
@@ -346,7 +355,7 @@ class TestEmulatorPredictions:
         for (s, y), pts in test.items():
             if s != 2:
                 continue
-            for b_t, c_t, v, _ in dict(_design_moments(test, 200, 44, "validate"))[(s, y)]:
+            for b_t, c_t, _, v, _ in dict(_design_moments(test, 200, 44, "validate"))[(s, y)]:
                 mean, _ = emulator.predict_log(b_t, c_t, s, np.array([y]))
                 log_err.append(float(mean[0]) - np.log(v))
                 pred_sd.append(np.sqrt(np.exp(float(mean[0]))))
@@ -363,6 +372,51 @@ class TestEmulatorPredictions:
         assert 0.0 < f[0, 2] <= 0.5  # sqrt(p(1-p))
 
 
+def _synthetic_gp(m=100, seed=50):
+    """A SegmentGP on ``m`` random training points with fixed hyperparameters."""
+    g = np.random.default_rng(seed)
+    return SegmentGP(
+        x_train=g.random((m, 3)),
+        y_train=g.standard_normal(m),
+        noise=g.uniform(0.01, 0.1, m),
+        lengthscales=np.array([0.3, 0.5, 0.8]),
+        signal_variance=1.3,
+        beta=0.2,
+        log_marginal_likelihood=0.0,
+    )
+
+
+class TestBlockedPrediction:
+    """Predictions build k_star a block of rows at a time and keep the bits of the whole-matrix formula."""
+
+    BLOCK = collsim.emulator._KERNEL_BLOCK_BYTES // (100 * 3 * 8)  # rows per block at m = 100, d = 3
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_equals_whole_matrix_formula(self, n):
+        gp = _synthetic_gp()
+        x = np.random.default_rng(n).random((n, 3))
+        k_star = matern52(x, gp.x_train, gp.lengthscales, gp.signal_variance)
+        mean = gp.beta + k_star @ cho_solve(gp._factor(), gp.y_train - gp.beta)
+        var = gp.signal_variance - np.einsum("ij,ji->i", k_star, cho_solve(gp._factor(), k_star.T))
+        assert gp.predict_mean(x).tobytes() == mean.tobytes()
+        got_mean, got_var = gp.predict(x)
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_var.tobytes() == np.maximum(var, 0.0).tobytes()
+
+    def test_prediction_holds_one_cross_kernel(self):
+        gp = _synthetic_gp()
+        x = np.random.default_rng(51).random((10_000, 3))
+        gp._factor()
+        tracemalloc.start()
+        try:
+            gp.predict_mean(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k_star = 10_000 * 100 * 8  # 8 MB; the whole (n, m, 3) difference tensor would add 24 MB, twice
+        assert peak < 1.5 * k_star, peak
+
+
 class TestPersistence:
     def test_json_round_trip_preserves_predictions(self, tiny_emulator, tmp_path):
         emulator, _ = tiny_emulator
@@ -370,9 +424,7 @@ class TestPersistence:
         emulator.to_json(path)
         back = GpEmulator.from_json(path)
         pop = init_population(50, (1.0,), seed=42)
-        assert sigma2_for_population(back, pop) == pytest.approx(
-            sigma2_for_population(emulator, pop), rel=1e-12
-        )
+        assert sigma2_for_population(back, pop).tobytes() == sigma2_for_population(emulator, pop).tobytes()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
@@ -386,12 +438,57 @@ class TestPersistence:
                 GpEmulator.from_json({**doc, field: value})
 
 
+class TestStoredEmulatorChecked:
+    """A malformed emulator file raises one ValueError naming the file, the segment and the field."""
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda d, m: d.pop("models"), ": missing field 'models'"),
+            (lambda d, m: d.update(models=[]), ": field 'models' must be an object of segment models"),
+            (lambda d, m: d["models"].update({"4": {}}), ": field 'models' has segment '4', expected 1, 2 or 3"),
+            (lambda d, m: d["models"].update({"1": [1]}), ", segment 1: expected a JSON object"),
+            (lambda d, m: m.pop("beta"), ", segment 1: missing field 'beta'"),
+            (lambda d, m: m.update(y_train=m["y_train"][:95]), ", segment 1: field 'y_train' must have shape (100,), got (95,)"),
+            (lambda d, m: m.update(noise=[m["noise"]]), ", segment 1: field 'noise' must have shape (100,), got (1, 100)"),
+            (lambda d, m: m.update(x_train=[r[:2] for r in m["x_train"]]), ", segment 1: field 'x_train' must have shape (m, 3) with m >= 1, got (100, 2)"),
+            (lambda d, m: m.update(x_train=[]), ", segment 1: field 'x_train' must have shape (m, 3) with m >= 1, got (0,)"),
+            (lambda d, m: setitem(m["x_train"], 3, [0.1, 0.2]), ", segment 1: field 'x_train' must hold numbers only"),
+            (lambda d, m: setitem(m["y_train"], 7, "x"), ", segment 1: field 'y_train' must hold numbers only"),
+            (lambda d, m: m.update(beta=True), ", segment 1: field 'beta' must hold numbers only"),
+            (lambda d, m: setitem(m["y_train"], 7, math.nan), ", segment 1: field 'y_train' must be finite"),
+            (lambda d, m: m.update(beta=math.inf), ", segment 1: field 'beta' must be finite"),
+            (lambda d, m: m.update(lengthscales=[0.3, 0.5]), ", segment 1: field 'lengthscales' must have shape (3,), got (2,)"),
+            (lambda d, m: setitem(m["lengthscales"], 1, 0.0), ", segment 1: field 'lengthscales' must be positive"),
+            (lambda d, m: m.update(signal_variance=-1.3), ", segment 1: field 'signal_variance' must be positive"),
+            (lambda d, m: setitem(m["noise"], 0, -0.01), ", segment 1: field 'noise' must be non-negative"),
+        ],
+    )
+    def test_bad_field_named(self, tmp_path, edit, expected):
+        doc = GpEmulator(models={1: _synthetic_gp()}).to_json()
+        edit(doc, doc["models"]["1"])
+        path = tmp_path / "emulator.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            GpEmulator.from_json(path)
+        assert str(err.value) == f"{path}{expected}"
+
+    @pytest.mark.parametrize("text, expected", [("{not json", ": not valid JSON: "), ("[1]", ": expected a JSON object, got list")])
+    def test_bad_document_named(self, tmp_path, text, expected):
+        path = tmp_path / "emulator.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            GpEmulator.from_json(path)
+        assert str(err.value).startswith(f"{path}{expected}")
+
+
 class TestFitValidation:
     def test_too_few_observations_per_group(self):
         obs = [
             TrainingObservation(
                 b_tilde=0.5,
                 c_tilde=0.5,
+                credit_score=credit_cdf_inv(0.5),
                 segment=1,
                 y0=0,
                 log_variance=1.0,

@@ -151,6 +151,29 @@ class TestCoverageStudy:
         coverage_study(cfg100, checkpoint_path=ck, progress=lambda k, n: done.append(k))
         assert done == list(range(1, 101))
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("{not json", "coverage checkpoint is not valid JSON"),
+            ("[1, 2]", "coverage checkpoint must be a JSON object, got list"),
+            ({}, "coverage checkpoint field 'records' must be a list of repetition records"),
+            ({"records": {"rep": 0}}, "coverage checkpoint field 'records' must be a list of repetition records"),
+            ({"records": [{"rep": 0}]}, "coverage checkpoint field 'records' must be a list of repetition records"),
+        ],
+    )
+    def test_malformed_checkpoint_named(self, tmp_path, text, expected):
+        cfg = ExperimentConfig(name="t", n_accounts=5, repetitions=100, seed=5)
+        ck = tmp_path / "ck.json"
+        if isinstance(text, dict):  # a checkpoint of this config with its records replaced
+            coverage_study(cfg, checkpoint_path=ck)
+            saved = json.loads(ck.read_text())
+            del saved["records"]
+            text = json.dumps({**saved, **text})
+        ck.write_text(text)
+        with pytest.raises(ValueError) as err:
+            coverage_study(cfg, checkpoint_path=ck)
+        assert str(err.value).startswith(f"{ck}: {expected}")
+
     def test_checkpoint_resumes_under_another_worker_count(self, tmp_path):
         ck = tmp_path / "ck.json"
         coverage_study(ExperimentConfig(name="t", n_accounts=5, repetitions=100, seed=5, threads=1), checkpoint_path=ck)
