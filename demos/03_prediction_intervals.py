@@ -37,7 +37,7 @@ for rep in range(100):
     inputs = variance_inputs_from_samples(output, pop)
     interval = prediction_interval(mu.total, inputs, plan, pop, p=0.95)
     truth = run_plan(pop, RealisationPlan.equal(N, 1), seed=derive_seed(2, "truth", rep))
-    realised = sum(float(t[0]) for t in truth.totals)
+    realised = sum(float(m) for m in truth.means)  # one realisation each: the mean is the total
     hits += interval.contains(realised)
 
 print(f"empirical coverage: {hits}/100 at nominal 95%")

@@ -35,6 +35,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -330,6 +331,17 @@ def brute_force_oracle(problem: ConstrainedProblem, rtol: float = 1e-9):
 # Wire formats
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``, else a ``ValueError`` naming the file and ``what`` it holds."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: {what} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _json_number(v) -> float:
     x = float(v)
     if np.isnan(x):
@@ -351,14 +363,13 @@ def problem_from_json(path_or_dict) -> ConstrainedProblem:
     "sigma_block": s, "block_size": n, "cap": V}, ...]}``; ``cap`` may be the
     string ``"inf"``.  A missing, non-numeric, NaN or (for ``block_size``)
     non-integral field raises one ``ValueError`` naming the file, the
-    portfolio index and the field.
+    portfolio index and the field; so does a file that is not JSON or not a
+    JSON object.
     """
     if isinstance(path_or_dict, dict):
         doc, where = path_or_dict, "problem"
     else:
-        with open(path_or_dict) as f:
-            doc = json.load(f)
-        where = str(path_or_dict)
+        doc, where = _read_json_object(path_or_dict, "problem"), str(path_or_dict)
 
     def field(obj, key, convert, what, context, default=None):
         if not isinstance(obj, dict):

@@ -13,6 +13,9 @@ deviation sqrt(p1 (1 - p1)) of the first-month payment indicator.
 
 Predictions are exp(posterior mean of the log variance) - the posterior median
 under log-normality - so they are strictly positive by construction.
+
+The GP code imports ``scipy.linalg`` and ``scipy.optimize`` where it uses them, so
+runs that never touch a GP do not load them (about 24 MB, 0.25 s).
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
-from scipy.optimize import minimize
 
-from .estimators import normal_quantile, row_moments
+from .estimators import normal_quantile
 from .population import balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv
 from .rng import stream
 from .simulator import _chunks, _pool_map, _simulate_chunk, payment_probability
@@ -149,7 +150,8 @@ def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
     ``n_workers`` processes.  ``credit`` is the credit score whose CDF is
     ``c_tilde``, inverted once here so that callers can pass it on as the
     ``credit`` of :func:`_features`.  The moments are those of
-    :func:`collsim.estimators.row_moments`.  Points whose sample variance is
+    :func:`collsim.simulator.row_moments`, which each chunk takes on its
+    points' totals.  Points whose sample variance is
     zero up to floating-point noise are left out: paths that always collect
     the full balance produce identical totals, and the computed variance is
     then rounding jitter around zero, not a response.
@@ -170,10 +172,8 @@ def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
         slices.append(((s, y), design[(s, y)], credit, _chunks(seed, (domain, s, y), units)))
     results = _pool_map(_simulate_chunk, [chunk for *_, chunks in slices for chunk in chunks], n_workers)
     for key, design_slice, credit, chunks in slices:
-        totals = np.empty((len(design_slice), n_real))
-        for (_, _, ids, *_), (tot, _, _) in zip(chunks, results):
-            totals[ids] = tot.reshape(len(ids), n_real)
-        moments = zip(design_slice, credit.tolist(), *(m.tolist() for m in row_moments(totals)))
+        per_point = np.hstack([next(results)[0] for _ in chunks])  # the chunks hold points 0, 1, ... in order
+        moments = zip(design_slice, credit.tolist(), *per_point.tolist())
         yield key, [
             (b_t, c_t, cr, v, kurt) for (b_t, c_t), cr, mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)
         ]
@@ -285,6 +285,8 @@ class SegmentGP:
     _chol: tuple = field(default=None, repr=False)
 
     def _factor(self):
+        from scipy.linalg import cho_factor
+
         if self._chol is None:
             a = matern52(self.x_train, self.x_train, self.lengthscales, self.signal_variance)
             a = a + np.diag(self.noise + _JITTER)
@@ -301,6 +303,8 @@ class SegmentGP:
         whole-matrix call.  The product with the weights is still taken once
         on the whole matrix: BLAS may sum a blocked product in another order.
         """
+        from scipy.linalg import cho_solve
+
         x = np.atleast_2d(np.asarray(x, dtype=float))
         m, d = self.x_train.shape
         rows = max(1, _KERNEL_BLOCK_BYTES // (m * d * 8))
@@ -315,6 +319,8 @@ class SegmentGP:
 
     def predict(self, x):
         """Posterior mean and variance of the log-variance surface at ``x``."""
+        from scipy.linalg import cho_solve
+
         mean, k_star = self._mean(x)
         var = self.signal_variance - np.einsum("ij,ji->i", k_star, cho_solve(self._factor(), k_star.T))
         return mean, np.maximum(var, 0.0)
@@ -330,6 +336,8 @@ def _nll_grad_beta(theta, x, y, noise):
     the kernel matrix is not positive definite the NLL is ``inf``, with a
     zero gradient so the optimizer stops there.
     """
+    from scipy.linalg import cho_solve, cholesky
+
     ell = np.exp(theta[:-1])
     tau2 = np.exp(theta[-1])
     k, r, d2 = _matern52_parts(x, x, ell, tau2)
@@ -357,6 +365,8 @@ def _nll_grad_beta(theta, x, y, noise):
 
 
 def _fit_single(x, y, noise, n_starts: int = 8, tol: float = 1e-8) -> SegmentGP:
+    from scipy.optimize import minimize
+
     dim = x.shape[1]
     var_y = max(float(np.var(y)), 1e-6)
     # space-filling grid of starting points over (lengthscale, signal variance)

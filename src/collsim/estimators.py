@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .population import Population
-from .simulator import RealisationPlan, SimulationOutput
+from .simulator import RealisationPlan, SimulationOutput, row_moments
 
 __all__ = [
     "Moments",
@@ -78,28 +78,6 @@ def sample_moments(values, require: str = "variance") -> Moments:
     return Moments(mean=mean, variance=variance, kurtosis=kurt)
 
 
-def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, unbiased variance and plain kurtosis of each row of a 2-D sample.
-
-    The moments are those of :func:`sample_moments`; rows shorter than 2
-    (variance) or 4 (kurtosis) values, and rows with a zero second moment
-    (kurtosis), get NaN.  Every reduction runs along a row, so a row's
-    moments equal those of the row on its own bitwise.
-    """
-    x = np.asarray(x, dtype=float)
-    n_rows, n = x.shape
-    mean = x.mean(axis=1)
-    variance = x.var(axis=1, ddof=1) if n >= 2 else np.full(n_rows, np.nan)
-    kurt = np.full(n_rows, np.nan)
-    if n >= 4:
-        m2 = x.var(axis=1)
-        m4 = ((x - mean[:, None]) ** 4).mean(axis=1)
-        ok = m2 > 0
-        # float_power squares with the C library's pow, as a float64 scalar's m2**2 does
-        kurt[ok] = m4[ok] / np.float_power(m2[ok], 2)
-    return mean, variance, kurt
-
-
 def normal_quantile(q: float) -> float:
     """Quantile of the standard normal distribution."""
     if not 0.0 < q < 1.0:
@@ -121,21 +99,18 @@ class MuEstimate:
 def estimate_mu(output: SimulationOutput, plan: RealisationPlan, population: Population) -> MuEstimate:
     """Unbiased Monte Carlo estimates of expected collections.
 
-    Returns the population total, the per-portfolio totals (which sum exactly
-    to the population total) and, when the output carries monthly statistics,
-    the per-month expected collections.
+    Returns the population total (the sum of the output's per-account
+    means), the per-portfolio totals (which sum exactly to the population
+    total) and, when the output carries monthly statistics, the
+    per-month expected collections.
     """
     if output.n != population.n or plan.n != population.n:
         raise ValueError("output, plan and population sizes disagree")
-    empty = np.flatnonzero(np.diff(output.offsets) == 0)
+    empty = np.flatnonzero(output.counts == 0)
     if len(empty):
         raise ValueError(f"account {empty[0]} has no realisations")
-    means = np.empty(population.n)
-    for ids, rows in output.rows_by_count():
-        means[ids] = rows.mean(axis=1)
-    per_portfolio = np.array(
-        [means[population.portfolio == j].sum() for j in range(population.n_portfolios)]
-    )
+    means = output.means
+    per_portfolio = np.array([means[population.portfolio == j].sum() for j in range(population.n_portfolios)])
     per_month = None if output.indep_monthly_mean is None else _monthly_means(output)
     return MuEstimate(total=float(means.sum()), per_portfolio=per_portfolio, per_month=per_month)
 
@@ -172,17 +147,15 @@ class VarianceInputs:
 def variance_inputs_from_samples(
     output: SimulationOutput, population: Population, source: VarianceSource = VarianceSource.SAMPLE
 ) -> VarianceInputs:
-    """M1 variance inputs: realisation sample variances (requires R_i >= 2)."""
-    offenders = np.flatnonzero(np.diff(output.offsets) < 2)
+    """M1 variance inputs: the output's per-account and block sample variances (requires R_i >= 2)."""
+    offenders = np.flatnonzero(output.counts < 2)
     if len(offenders):
         head = ", ".join(str(i) for i in offenders[:10])
         raise ValueError(
             f"sample variances need R_i >= 2; offending accounts: {head}"
             + (" ..." if len(offenders) > 10 else "")
         )
-    sigma2 = np.empty(output.n)
-    for ids, rows in output.rows_by_count():
-        sigma2[ids] = rows.var(axis=1, ddof=1)
+    sigma2 = output.variances.copy()
     sigma2_block = np.full(population.n_portfolios, np.nan)
     for j, blk in output.block_totals.items():
         sigma2_block[j] = blk.var(ddof=1)

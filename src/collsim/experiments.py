@@ -29,7 +29,7 @@ from .allocator import (
     plan_for_population,
     round_plan,
 )
-from .constrained import active_set_solve, kkt_report, solution_to_json
+from .constrained import _read_json_object, active_set_solve, kkt_report, solution_to_json
 from .emulator import (
     GpEmulator,
     fit_gp,
@@ -51,7 +51,7 @@ from .estimators import (
 )
 from .population import Population, init_population
 from .rng import derive_seed
-from .simulator import RealisationPlan, _independent_units, _pool_map, _unit_chunks, _usable_cpus, run_plan
+from .simulator import RealisationPlan, _chunks, _independent_units, _pool_map, _simulate_chunk, _usable_cpus, run_plan
 
 __all__ = [
     "ExperimentConfig",
@@ -108,7 +108,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
-        doc = json.loads(Path(path).read_text())
+        doc = _read_json_object(path, "config")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")
@@ -177,15 +177,14 @@ def reference_sigmas(population: Population, n_realisations: int = 5000, seed: i
 
     Returns per-account sigma (indexed by id; dependent entries are 0, as the
     block sigma covers them) and per-portfolio block sigma (NaN without a
-    block).  Runs in its own seed domain: an account's sigma is the
-    ``std(ddof=1)`` of its totals from :func:`collsim.simulator._unit_chunks`
-    with the prefix ``("sigma-ref",)``, so memory is bounded by one chunk per
-    worker.
+    block).  Runs in its own seed domain: an account's sigma is the root of
+    the variance its :func:`collsim.simulator._chunks` item (prefix
+    ``("sigma-ref",)``) returns, bitwise its totals' ``std(ddof=1)``.
     """
     sigma = np.zeros(population.n)
-    units = _independent_units(population, np.full(population.n, n_realisations))
-    for ids, _, tot, _, _ in _unit_chunks(seed, ("sigma-ref",), units, n_workers=n_workers):
-        sigma[ids] = tot.reshape(len(ids), n_realisations).std(axis=1, ddof=1)
+    chunks = _chunks(seed, ("sigma-ref",), _independent_units(population, np.full(population.n, n_realisations)))
+    for (_, _, ids, *_), (moments, _, _) in zip(chunks, _pool_map(_simulate_chunk, chunks, n_workers)):
+        sigma[ids] = np.sqrt(moments[1])
     block_seed = derive_seed(seed, "sigma-ref-block")
     return sigma, _pilot_block_sigmas(population, n_realisations, block_seed, n_workers)
 
@@ -332,7 +331,7 @@ def _coverage_repetition(config: ExperimentConfig, emulator, rep: int):
     truth = run_plan(
         pop, RealisationPlan.equal(pop.n, 1), seed=derive_seed(config.seed, "truth", rep)
     )
-    x_true = float(sum(truth.values))  # one realisation per account, in id order
+    x_true = float(sum(truth.means))  # each mean is the account's one total; summed in id order
     return {
         "rep": rep,
         "contained": bool(interval.contains(x_true)),
@@ -347,12 +346,7 @@ _RECORD_FIELDS = {"rep", "contained", "length", "midpoint", "truth"}
 
 def _checkpoint_records(path, key) -> list:
     """The records of the coverage checkpoint at ``path``, or none if it was written under another key."""
-    try:
-        saved = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: coverage checkpoint is not valid JSON: {e}") from None
-    if not isinstance(saved, dict):
-        raise ValueError(f"{path}: coverage checkpoint must be a JSON object, got {type(saved).__name__}")
+    saved = _read_json_object(path, "coverage checkpoint")
     if saved.get("key") != key:
         return []
     records = saved.get("records")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .rng import _philox_uniforms, _unit_keys
@@ -92,6 +91,8 @@ class CreditMixture:
     def inv_cdf(self, u: float) -> float:
         if not 0.0 < u < 1.0:
             raise ValueError(f"u must lie in (0, 1), got {u}")
+        from scipy.optimize import brentq  # imported here to keep it out of `import collsim`
+
         lo, hi = -40.0, 40.0
         return brentq(lambda c: float(self.cdf(c)) - u, lo, hi, xtol=1e-13)
 

@@ -19,12 +19,12 @@ Independent units (the accounts of :func:`run_plan`, reference sigmas and
 emulator design points) all run through :func:`_chunks`, in chunks of about
 ``_CHUNK_PATHS`` paths, and each dependent block's realisations through
 :func:`_block_items`, in items of about as many account-realisations (one
-realisation for a larger block, drawn month by month), so memory does not
-grow with the number of paths beyond the flat array of realised totals, nor
-with a block's size beyond a few (n_accounts,) arrays per realisation.  With
-``store_monthly`` each chunk reduces its accounts' monthly payments to two
-(horizon,) vectors before it returns, so no per-account monthly array
-outlives a chunk, and a block item returns only its per-account totals and
+realisation for a larger block, drawn month by month).  A chunk returns only
+its units' mean, variance and kurtosis, so no independent unit's totals
+outlive its chunk, and its uniforms and payments live in scratch buffers
+that each thread reuses (:func:`_scratch_array`).  With ``store_monthly``
+each chunk also reduces its accounts' monthly payments to two (horizon,)
+vectors, and a block item returns only its per-account totals and
 per-realisation monthly sums.
 
 Every stage that runs many such work items (run_plan, block pilots, the
@@ -41,8 +41,8 @@ import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -72,6 +72,8 @@ _SLOPES = np.array([0.1, 0.4, 0.2])
 # stays in cache-sized pieces and below the whole-plan buffer of a
 # 1000-account coverage repetition.
 _CHUNK_PATHS = 4096
+_SCRATCH_KEEP_BYTES = 4 * _CHUNK_PATHS * HORIZON * 8  # larger scratch arrays are not kept
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,73 @@ def payment_probability(credit_score, segment, paid_prev):
     return float(out) if out.ndim == 0 else out
 
 
+def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, unbiased variance and plain kurtosis of each row of a 2-D sample.
+
+    The moments are those of :func:`collsim.estimators.sample_moments`; rows
+    shorter than 2 (variance) or 4 (kurtosis) values, and rows with a zero
+    second moment (kurtosis), get NaN; each row's are bitwise the row's own.
+    """
+    x = np.asarray(x, dtype=float)
+    n_rows, n = x.shape
+    return _segment_moments(x.ravel(), np.full(n_rows, n))
+
+
+def _segment_moments(values, counts):
+    """:func:`row_moments` of consecutive segments of ``values``, of ``counts[i]`` values each."""
+    if np.all(counts == counts[0]):  # the segments are the rows of one array
+        groups = [(slice(None), np.arange(len(values)).reshape(len(counts), -1))]
+    else:
+        # Segments below 128 values with as many whole blocks of 8 are summed as rows of one array,
+        # zero-padded to the end of that block: numpy's pairwise sum adds a row in blocks of 8 (up to
+        # 128) and then one value at a time, so the padding only adds + 0.0 last, keeping the bits.
+        first = np.cumsum(counts) - counts
+        width = np.where(counts < 128, counts | 7, counts)
+        groups = []
+        for w in np.unique(width):
+            seg = np.flatnonzero(width == w)
+            cols = first[seg, None] + np.arange(w)
+            groups.append((seg, np.where(cols < (first + counts)[seg, None], cols, len(values))))
+
+    def sums(a):
+        a = np.append(a, 0.0)  # what the padding reads
+        out = np.empty(len(counts))
+        for seg, idx in groups:
+            out[seg] = a[idx].sum(axis=1)  # a C-contiguous gather: each row is reduced on its own
+        return out
+
+    # the operations of x.mean, x.var and ((x - mean) ** 4).mean, with each sum taken once
+    mean = sums(values) / counts
+    d = values - np.repeat(mean, counts)
+    ss, s4 = sums(d * d), sums(d**4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        variance = np.where(counts >= 2, ss / (counts - 1), np.nan)
+        m2 = ss / counts
+        # float_power squares with the C library's pow, as a float64 scalar's m2**2 does
+        kurt = np.where((counts >= 4) & (m2 > 0), s4 / counts / np.float_power(m2, 2), np.nan)
+    return mean, variance, kurt
+
+
+def _scratch_array(name, shape):
+    """An uninitialised float array of ``shape`` over this thread's buffer ``name``, kept between calls.
+
+    Callers must not return it or a view.  A fresh 2.75 MB array per chunk cost about 1,400 page faults.
+    """
+    size = math.prod(shape)
+    if size * 8 > _SCRATCH_KEEP_BYTES:
+        return np.empty(shape)
+    buf = getattr(_scratch, name, None)
+    if buf is None or len(buf) < size:
+        buf = np.empty(size)
+        setattr(_scratch, name, buf)
+    return buf[:size].reshape(shape)
+
+
 # --------------------------------------------------------------------------
 # Vectorized path engines
 
 
-def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False):
+def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False, out=None):
     """Simulate many independent paths at once.
 
     ``u`` is month-major, (horizon, M): row ``t`` holds month ``t``'s uniform
@@ -137,7 +201,7 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False):
     ``balance - 50 k`` is exact for a non-negative balance below 2**53.
 
     Returns the (M,) totals and, with ``collect_monthly``, the (horizon, M)
-    monthly payments (else None).
+    monthly payments (else None), written to ``out`` when given.
     """
     horizon, m = u.shape
     balance = np.maximum(balance, 0.0)  # a non-positive balance never pays
@@ -149,7 +213,7 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False):
             count += paid
         return np.minimum(PAYMENT_CAP * count, balance), None
     rem = np.full(m, balance)
-    monthly = np.empty((horizon, m))
+    monthly = np.empty((horizon, m)) if out is None else out
     for t in range(horizon):
         paid = u[t] < np.where(paid, p1, p0)
         pay = np.minimum(rem, PAYMENT_CAP, out=monthly[t])
@@ -217,37 +281,40 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
     return balance - bal, np.stack(sums, axis=1) if month_sums else None
 
 
-def _simulate_chunk(chunk):
-    """Realised totals of one chunk of :func:`_chunks`.
+def _chunk_paths(chunk):
+    """The (paths,) totals of one chunk of :func:`_chunks`, unit by unit, and its (horizon, paths) payments.
 
     ``chunk`` is ``(seed, prefix, ids, counts, credit, segment, balance,
     paid0, horizon, store_monthly)``, everything the chunk needs, so the
     result is the same in any process.  Each unit fills its rows of one
-    path-major buffer straight from its stream, and the path kernel reads the
-    buffer's transpose.  Returns the chunk's totals, unit by unit, and with
-    ``store_monthly`` two (horizon,) sums over its units (else None, None):
-    of the monthly means ``m_i,t / R_i`` and of the weighted sample variances
-    ``(1 + 1/R_i) max(s2_i,t, 0)``, with ``m_i,t`` the sum of unit ``i``'s
-    payments in month ``t`` and ``s2_i,t`` their unbiased variance over its
-    realisations.  The variance sum is NaN when a unit has R_i = 1, which has
-    no sample variance.
+    path-major scratch buffer from its stream, and the path kernel reads its
+    transpose; the payments (None without ``store_monthly``) are scratch too.
     """
     seed, prefix, ids, r, credit, segment, balance, paid0, horizon, store_monthly = chunk
     p0, p1 = payment_probability(credit, segment, [[False], [True]])  # after no payment, after a payment
-    local = np.concatenate([[0], np.cumsum(r[:-1])])  # each unit's first path
-    u = np.empty((int(r.sum()), horizon))
+    local = np.cumsum(r) - r  # each unit's first path
+    u = _scratch_array("uniforms", (int(r.sum()), horizon))
     for row, r_i, g in zip(local.tolist(), r.tolist(), _unit_streams(seed, *prefix, ids=ids.tolist())):
         g.random(out=u[row : row + r_i])
-    tot, pay = _simulate_paths(
-        np.repeat(p0, r),
-        np.repeat(p1, r),
-        np.repeat(balance, r),
-        np.repeat(paid0, r),
-        u.T,
-        collect_monthly=store_monthly,
-    )
+    per_path = (np.repeat(col, r) for col in (p0, p1, balance, paid0))
+    monthly = _scratch_array("monthly", (horizon, len(u))) if store_monthly else None
+    return _simulate_paths(*per_path, u.T, collect_monthly=store_monthly, out=monthly)
+
+
+def _simulate_chunk(chunk):
+    """The (3, units) :func:`row_moments` of a chunk's units, each of its own row of totals, and monthly sums.
+
+    The (horizon,) sums (None without ``store_monthly``) are over the units: of the
+    monthly means ``m_i,t / R_i`` and of the weighted sample variances ``(1 +
+    1/R_i) max(s2_i,t, 0)``, with ``m_i,t`` the sum of unit ``i``'s payments in
+    month ``t`` and ``s2_i,t`` their unbiased variance (NaN for R_i = 1).
+    """
+    r, store_monthly = chunk[3], chunk[-1]
+    tot, pay = _chunk_paths(chunk)
+    moments = np.array(_segment_moments(tot, r))
     if not store_monthly:
-        return tot, None, None
+        return moments, None, None
+    local = np.cumsum(r) - r  # each unit's first path
     # (horizon, units): month t of each unit in row t
     mean = np.add.reduceat(pay, local, axis=1) / r
     pay *= pay
@@ -259,7 +326,7 @@ def _simulate_chunk(chunk):
     np.maximum(var, 0.0, out=var)
     var *= 1.0 + 1.0 / r
     var[:, r < 2] = np.nan
-    return tot, mean.sum(axis=1), var.sum(axis=1)
+    return moments, mean.sum(axis=1), var.sum(axis=1)
 
 
 def _chunks(seed, prefix, units, horizon=HORIZON, store_monthly=False):
@@ -278,18 +345,6 @@ def _chunks(seed, prefix, units, horizon=HORIZON, store_monthly=False):
         (seed, prefix, *(col[a:b] for col in units), horizon, store_monthly)
         for a, b in zip(edges[:-1], edges[1:])
     ]
-
-
-def _unit_chunks(seed, prefix, units, horizon=HORIZON, store_monthly=False, n_workers=1):
-    """Simulate independent units; yield ``(ids, counts, totals, mean, var)`` per chunk, in order.
-
-    The chunks are those of :func:`_chunks`, run through :func:`_pool_map`;
-    ``totals`` holds a chunk's totals unit by unit, and ``mean`` and ``var``
-    are its monthly sums (see :func:`_simulate_chunk`).
-    """
-    chunks = _chunks(seed, prefix, units, horizon, store_monthly)
-    for chunk, result in zip(chunks, _pool_map(_simulate_chunk, chunks, n_workers)):
-        yield (chunk[2], chunk[3], *result)
 
 
 def _independent_units(population: Population, counts):
@@ -325,10 +380,11 @@ def _simulate_block_item(item):
     makes four draws, so advancing the stream by ``a * horizon * n / 4`` steps
     (and drawing the remainder) starts it at realisation ``a``.  A single
     realisation is drawn month by month, ``n`` uniforms at a time; several
-    are drawn in one call.  With ``reduce`` "totals" or "monthly" returns
-    :func:`_simulate_block_realisation`'s (k, n) totals and, for "monthly",
-    its (k, horizon) monthly sums; with "pilot" returns the (k,) realisation
-    totals, each one sum over its (n, horizon) monthly payments.
+    are drawn in one call, into a scratch buffer.  With ``reduce`` "totals"
+    or "monthly" returns :func:`_simulate_block_realisation`'s (k, n) totals
+    and, for "monthly", its (k, horizon) monthly sums; with "pilot" returns
+    the (k,) realisation totals, each one sum over its (n, horizon) monthly
+    payments.
     """
     seed, key, covariates, a, b, horizon, reduce = item
     k, n = b - a, len(covariates[0])
@@ -339,10 +395,10 @@ def _simulate_block_item(item):
     if k == 1:
         u = (g.random((1, n)) for _ in range(horizon))
     else:
-        u = g.random((k, horizon, n)).transpose(1, 0, 2)
+        u = g.random(out=_scratch_array("uniforms", (k, horizon, n))).transpose(1, 0, 2)
     if reduce != "pilot":
         return _simulate_block_realisation(*covariates, DEFAULT_SCHEDULE, u, month_sums=reduce == "monthly")
-    monthly = np.empty((k, n, horizon))
+    monthly = _scratch_array("monthly", (k, n, horizon))
     _simulate_block_realisation(*covariates, DEFAULT_SCHEDULE, u, out=monthly)
     return monthly.reshape(k, -1).sum(axis=1)
 
@@ -439,29 +495,17 @@ class RealisationPlan:
                 raise ValueError(f"dependent block of portfolio {j} has unequal counts")
 
     def to_csv(self, population: Population, path, int_counts: np.ndarray | None = None) -> None:
+        def row(unit, kind, i):
+            return [unit, kind, repr(float(self.counts[i])), int(int_counts[i]) if int_counts is not None else ""]
+
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["unit_id", "kind", "count_real", "count_int"])
             for j, pf in enumerate(population.portfolios):
                 if len(pf.dependent_ids):
-                    i0 = pf.dependent_ids[0]
-                    w.writerow(
-                        [
-                            f"block-{j}",
-                            "block",
-                            repr(float(self.counts[i0])),
-                            int(int_counts[i0]) if int_counts is not None else "",
-                        ]
-                    )
+                    w.writerow(row(f"block-{j}", "block", pf.dependent_ids[0]))
                 for i in pf.independent_ids:
-                    w.writerow(
-                        [
-                            int(i),
-                            "independent",
-                            repr(float(self.counts[i])),
-                            int(int_counts[i]) if int_counts is not None else "",
-                        ]
-                    )
+                    w.writerow(row(int(i), "independent", i))
 
 
 # --------------------------------------------------------------------------
@@ -470,11 +514,10 @@ class RealisationPlan:
 
 @dataclass
 class SimulationOutput:
-    """Realised totals (and optional monthly statistics) from one plan run.
+    """Per-account moments of the realised totals (and optional monthly statistics) from one plan run.
 
-    Totals are stored flat, account by account, in compressed sparse row
-    layout: account ``i``'s realisations are
-    ``values[offsets[i]:offsets[i + 1]]``.
+    Account ``i``'s ``counts[i]`` totals are kept only as the
+    :func:`row_moments` of its own row of them, and each block's totals.
 
     The monthly statistics of a ``store_monthly`` run are already summed over
     accounts: ``indep_monthly_mean[t]`` is the sum over independent accounts
@@ -485,8 +528,10 @@ class SimulationOutput:
     collections per realisation in ``block_monthly``.
     """
 
-    values: np.ndarray  # every realised total, account by account
-    offsets: np.ndarray  # (N + 1,) start of each account's totals in values
+    counts: np.ndarray  # (N,) realisations per account
+    means: np.ndarray  # (N,)
+    variances: np.ndarray  # (N,)
+    kurtoses: np.ndarray  # (N,)
     block_totals: dict  # portfolio j -> (r_j,) realised block totals
     horizon: int = HORIZON
     indep_monthly_mean: np.ndarray | None = None  # (horizon,)
@@ -495,58 +540,21 @@ class SimulationOutput:
 
     @property
     def n(self) -> int:
-        return len(self.offsets) - 1
-
-    @cached_property
-    def totals(self) -> list:
-        """Per-account arrays of realised totals, as views into ``values``."""
-        return np.split(self.values, self.offsets[1:-1])
-
-    def rows_by_count(self):
-        """Yield ``(ids, rows)`` for the accounts of each distinct realisation count.
-
-        ``rows[k]`` holds account ``ids[k]``'s totals: a read-only view of
-        ``values`` when every account has the same count, else a copy.  Each
-        piece covers at most ``_CHUNK_PATHS`` accounts, so a caller's
-        temporaries stay small.  A reduction along a row adds in the same
-        order as on the account's own array, so per-account statistics
-        computed on ``rows`` equal those of ``np.mean``/``np.var`` on each
-        account bitwise.
-        """
-        counts = np.diff(self.offsets)
-        for c in np.unique(counts):
-            ids = np.flatnonzero(counts == c)
-            equal = len(ids) == len(counts)
-            for start in range(0, len(ids), _CHUNK_PATHS):
-                piece = ids[start : start + _CHUNK_PATHS]
-                if equal:
-                    rows = self.values[piece[0] * c : (piece[-1] + 1) * c].reshape(len(piece), c)
-                    rows.flags.writeable = False
-                else:
-                    rows = self.values[self.offsets[piece, None] + np.arange(c)]
-                yield piece, rows
+        return len(self.counts)
 
     def summary_json(self, path) -> None:
         """Per-account mean, variance (R_i >= 2) and kurtosis (R_i >= 4), as compact JSON.
 
-        The moments are those of :func:`collsim.estimators.row_moments`; the
-        kurtosis is left out for a sample with zero variance.  Records are
-        made and written ``_CHUNK_PATHS`` accounts at a time, and the file
-        holds the same bytes as ``json.dumps`` of the whole list.
+        The kurtosis is left out for a sample with zero variance.  Records
+        are made and written ``_CHUNK_PATHS`` accounts at a time, and the
+        file holds the same bytes as ``json.dumps`` of the whole list.
         """
-        from .estimators import row_moments  # estimators imports this module
-
-        mean = np.empty(self.n)
-        variance = np.empty(self.n)
-        kurtosis = np.empty(self.n)
-        for ids, x in self.rows_by_count():
-            mean[ids], variance[ids], kurtosis[ids] = row_moments(x)
         with open(path, "w") as f:
             f.write("[")
             for start in range(0, self.n, _CHUNK_PATHS):
                 sl = slice(start, start + _CHUNK_PATHS)
                 piece = []
-                stats = zip(mean[sl].tolist(), variance[sl].tolist(), kurtosis[sl].tolist())
+                stats = zip(self.means[sl].tolist(), self.variances[sl].tolist(), self.kurtoses[sl].tolist())
                 for i, (mu, v, k) in enumerate(stats, start):
                     rec = {"account_id": i, "mean": mu}
                     if not math.isnan(v):
@@ -579,8 +587,8 @@ def run_plan(
     :func:`_block_items` of each block (stream ``("sim", "block", j)``), so
     with ``n_workers`` > 1 (the CLI's ``--threads``) chunks and blocks alike
     run on forked worker processes; a caller that runs threads or a pool of
-    its own should keep ``n_workers`` at 1.  Each result is scattered into
-    ``values`` in item order.
+    its own should keep ``n_workers`` at 1.  Chunks return their accounts'
+    moments; a block's are taken here on each account's row of its totals.
 
     With ``store_monthly`` each chunk returns its accounts' monthly
     statistics already summed (see :class:`SimulationOutput`), and they are
@@ -594,8 +602,7 @@ def run_plan(
         raise ValueError("run_plan requires an integer plan; round it first")
     counts = plan.counts.astype(int)
 
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    values = np.empty(int(offsets[-1]))
+    moments = np.empty((3, population.n))
     monthly_mean = np.zeros(horizon) if store_monthly else None
     monthly_var = np.zeros(horizon) if store_monthly else None
 
@@ -610,25 +617,28 @@ def run_plan(
     calls = [(_simulate_chunk, chunk) for chunk in chunks] + [(_simulate_block_item, item) for _, item in block_items]
     results = _pool_map(lambda call: call[0](call[1]), calls, n_workers)
 
-    for (_, _, ids, rep, *_), (tot, mean, var) in zip(chunks, results):
-        local = np.cumsum(rep) - rep  # each account's first path within the chunk
-        values[np.repeat(offsets[ids] - local, rep) + np.arange(len(tot))] = tot
+    for (_, _, ids, *_), (chunk_moments, mean, var) in zip(chunks, results):
+        moments[:, ids] = chunk_moments
         if store_monthly:
             monthly_mean += mean
             monthly_var += var
 
     block_totals: dict = {j: np.empty(counts[dep[0]]) for j, dep in blocks}
     block_monthly: dict = {j: np.empty((counts[dep[0]], horizon)) for j, dep in blocks} if store_monthly else {}
-    deps = dict(blocks)
+    block_rows: dict = {j: np.empty((len(dep), counts[dep[0]])) for j, dep in blocks}  # an account per row
     for (j, (*_, a, b, _, _)), (tot, sums) in zip(block_items, results):
-        values[offsets[deps[j]] + np.arange(a, b)[:, None]] = tot
+        block_rows[j][:, a:b] = tot.T
         block_totals[j][a:b] = tot.sum(axis=1)
         if store_monthly:
             block_monthly[j][a:b] = sums
+    for j, dep in blocks:
+        moments[:, dep] = row_moments(block_rows[j])
 
     return SimulationOutput(
-        values=values,
-        offsets=offsets,
+        counts=counts,
+        means=moments[0],
+        variances=moments[1],
+        kurtoses=moments[2],
         block_totals=block_totals,
         horizon=horizon,
         indep_monthly_mean=monthly_mean,

@@ -13,6 +13,7 @@ from collsim.experiments import ExperimentConfig, build_plan, m2_variance_inputs
 from collsim.population import init_population
 from collsim.rng import derive_seed
 from collsim.simulator import run_plan
+from fresh_process import run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,38 @@ class TestErrors:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--n-accounts", "10"])
         assert rc == 1
         assert f"error: {cfg}: config key 'threads' must be an integer, got '2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("{not json", ": config is not valid JSON: Expecting property name enclosed in double quotes"),
+            ("3", ": config must be a JSON object, got int"),
+        ],
+        ids=["not-json", "not-an-object"],
+    )
+    def test_config_not_a_json_object_named(self, tmp_path, capsys, text, expected):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--n-accounts", "10"])
+        assert rc == 1
+        assert f"error: {cfg}{expected}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("{not json", ": problem is not valid JSON: Expecting property name enclosed in double quotes"),
+            ("3", ": problem must be a JSON object, got int"),
+        ],
+        ids=["not-json", "not-an-object"],
+    )
+    def test_problem_not_a_json_object_named(self, tmp_path, capsys, text, expected):
+        prob = tmp_path / "bad.json"
+        prob.write_text(text)
+        rc = main(["protect", "--out", str(tmp_path), "--problem", str(prob)])
+        assert rc == 1
+        assert f"error: {prob}{expected}" in capsys.readouterr().err
+        assert not (tmp_path / "protect_report.json").exists()
 
     @pytest.mark.parametrize(
         "doc, expected",
@@ -290,3 +323,24 @@ class TestCoverageStudy:
         doc = json.loads((tmp_path / "coverage_report.json").read_text())
         assert doc["repetitions"] == 3
         assert 0.0 <= doc["coverage"] <= 1.0
+
+
+class TestImportFootprint:
+    def test_scipy_optimiser_and_linear_algebra_load_only_for_the_gp(self, tmp_path):
+        script = f"""
+import sys
+import collsim, collsim.cli, collsim.experiments
+from collsim.experiments import ExperimentConfig, coverage_study
+
+def loaded():
+    print("loaded:", *(name in sys.modules for name in ("scipy.optimize", "scipy.linalg")))
+
+assert collsim.cli.main(["simulate", "--n-accounts", "300", "--threads", "1", "--out", r"{tmp_path / 'sim'}"]) == 0
+coverage_study(ExperimentConfig(n_accounts=200, repetitions=1, interval_method="M1", threads=1))
+loaded()
+argv = ["train-emulator", "--points-per-slice", "10", "--train-realisations", "150", "--threads", "1"]
+assert collsim.cli.main(argv + ["--out", r"{tmp_path / 'emu'}"]) == 0
+loaded()
+"""
+        lines = [line for line in run_fresh(script).splitlines() if line.startswith("loaded:")]
+        assert lines == ["loaded: False False", "loaded: True True"]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.linalg
 from scipy.linalg import cho_solve
 
 import collsim.emulator
@@ -176,7 +177,7 @@ class TestLikelihoodGradient:
         def indefinite(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(collsim.emulator, "cholesky", indefinite)
+        monkeypatch.setattr(scipy.linalg, "cholesky", indefinite)
         x = np.random.default_rng(0).random((6, 3))
         with pytest.raises(ValueError, match="indefinite at every start"):
             _fit_single(x, np.arange(6.0), np.full(6, 0.01))
