@@ -14,8 +14,9 @@ deviation sqrt(p1 (1 - p1)) of the first-month payment indicator.
 Predictions are exp(posterior mean of the log variance) - the posterior median
 under log-normality - so they are strictly positive by construction.
 
-The GP code imports ``scipy.linalg`` and ``scipy.optimize`` where it uses them, so
-runs that never touch a GP do not load them (about 24 MB, 0.25 s).
+The GP code imports ``scipy.linalg`` and ``scipy.optimize`` where it uses them,
+and the covariate transforms ``scipy.special.ndtr``, so runs that never touch
+the emulator load no scipy at all (about 49 MiB and 0.55 s of imports).
 """
 
 from __future__ import annotations
@@ -239,9 +240,16 @@ def _matern52_parts(a, b, lengthscales, signal_variance):
     Returns ``(k, r, d2)``: the kernel matrix, the scaled distances ``r`` and
     the per-dimension scaled squared differences ``d2[i, j, d] = (delta_d /
     ell_d) ** 2``, which the likelihood gradient needs.
+
+    The squared distance adds the dimensions one after another, in place:
+    below 8 dimensions that is bitwise ``d2.sum(axis=-1)`` (numpy's pairwise
+    sum starts splitting at 8), without its slow reduction over a short axis.
     """
     d2 = ((a[:, None, :] - b[None, :, :]) / lengthscales) ** 2
-    r = np.sqrt(d2.sum(axis=-1))
+    r = d2[..., 0].copy()
+    for j in range(1, d2.shape[-1]):
+        r += d2[..., j]
+    np.sqrt(r, out=r)
     k = signal_variance * (1.0 + _SQRT5 * r + 5.0 * r**2 / 3.0) * np.exp(-_SQRT5 * r)
     return k, r, d2
 

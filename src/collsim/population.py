@@ -9,7 +9,11 @@ coupled through the capacity-constrained segment transitions.
 
 The module also provides the CDF / inverse-CDF transforms of the balance and
 credit-score distributions, which map covariates onto the unit square for the
-variance emulator's experimental design.
+variance emulator's experimental design.  Population draws use the
+package's own normal quantile (:func:`collsim._special.ndtri`, bitwise
+scipy's), so drawing a population loads no scipy; the CDFs and the
+credit-score inverse, which only the emulator reaches, import
+``scipy.special.ndtr`` and ``scipy.optimize.brentq`` where they are called.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtri
 from .rng import _philox_uniforms, _unit_keys
 
 __all__ = [
@@ -54,8 +58,8 @@ _CSV_HEADER = ("id", "balance", "credit_score", "segment", "eligible", "paid_las
 
 _A = (BALANCE_LO - BALANCE_MEAN) / BALANCE_SD
 _B = (BALANCE_HI - BALANCE_MEAN) / BALANCE_SD
-_PHI_A = ndtr(_A)
-_PHI_B = ndtr(_B)
+_PHI_A = 0.022750131948179195  # scipy.special.ndtr(_A), _A = -2.0
+_PHI_B = 0.9999999999999681  # scipy.special.ndtr(_B), _B = 7.5
 _NORM = _PHI_B - _PHI_A
 
 
@@ -82,6 +86,8 @@ class CreditMixture:
         return np.sqrt(np.asarray(self.variances))
 
     def cdf(self, c):
+        from scipy.special import ndtr  # imported here to keep it out of `import collsim`
+
         c = np.asarray(c, dtype=float)
         w = np.asarray(self.weights)
         mu = np.asarray(self.means)
@@ -114,6 +120,8 @@ def balance_cdf(b):
     b = np.asarray(b, dtype=float)
     if np.any(b < BALANCE_LO) or np.any(b > BALANCE_HI):
         raise ValueError(f"balance outside support [{BALANCE_LO}, {BALANCE_HI}]")
+    from scipy.special import ndtr  # imported here to keep it out of `import collsim`
+
     u = (ndtr((b - BALANCE_MEAN) / BALANCE_SD) - _PHI_A) / _NORM
     return np.clip(u, 0.0, 1.0)[()] if u.ndim == 0 else np.clip(u, 0.0, 1.0)
 

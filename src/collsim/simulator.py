@@ -45,8 +45,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .population import Population
 from .rng import _unit_streams, stream
 

@@ -137,6 +137,19 @@ class TestMatern52:
         k_along_1 = matern52(np.zeros(2), np.array([0.0, 0.5]), np.array([5.0, 0.2]), 1.0)
         assert k_along_0 > k_along_1
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n, m", [(1000, 100), (150, 150)])
+    def test_distances_equal_summed_reduction_bitwise(self, n, m, d):
+        rng = np.random.default_rng(10 * d + n)
+        a, b = rng.random((n, d)), rng.random((m, d))
+        ell = rng.uniform(0.05, 3.0, d)
+        k, r, d2 = _matern52_parts(a, b, ell, 1.3)
+        want_d2 = ((a[:, None, :] - b[None, :, :]) / ell) ** 2
+        want_r = np.sqrt(want_d2.sum(axis=-1))
+        want_k = 1.3 * (1.0 + math.sqrt(5.0) * want_r + 5.0 * want_r**2 / 3.0) * np.exp(-math.sqrt(5.0) * want_r)
+        for got, want in ((k, want_k), (r, want_r), (d2, want_d2)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestLikelihoodGradient:
     @settings(max_examples=40, deadline=None)

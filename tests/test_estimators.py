@@ -79,7 +79,7 @@ class TestSampleMoments:
 class TestNormalQuantile:
     def test_against_reference_inverse(self):
         for q in (0.001, 0.025, 0.1, 0.5, 0.9, 0.975, 0.995, 0.9999):
-            assert normal_quantile(q) == pytest.approx(float(ndtri(q)), abs=1e-12)
+            assert normal_quantile(q) == float(ndtri(q))
 
     def test_symmetry(self):
         assert normal_quantile(0.975) == pytest.approx(-normal_quantile(0.025), abs=1e-13)
