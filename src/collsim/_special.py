@@ -93,8 +93,11 @@ _Q2 = (
 
 
 def _ratio(z, p, q):
-    """Cephes' ``z * polevl(z, p) / p1evl(z, q)``: Horner's rule from ``p[0]``, the
-    highest power, over ``q`` with an implicit leading coefficient of 1."""
+    """Cephes' ``z * polevl(z, p) / p1evl(z, q)``, operation for operation.
+
+    ``polevl`` is Horner's rule from ``p[0]``, the highest power; ``p1evl``
+    is the same with an implicit leading coefficient of 1.
+    """
     num = p[0] * z
     num += p[1]
     for c in p[2:]:
