@@ -106,15 +106,16 @@ def pilot_block_variance(
 
     The block runs under ``DEFAULT_SCHEDULE``, as in :func:`run_plan`, from
     the stream ``(seed, "pilot", portfolio_j)``, with its realisations
-    mapped over ``n_workers`` processes.  Pilot realisations live in their own
-    seed domain and are never part of the final estimator, so the budget
-    accounting is unaffected.
+    mapped over ``n_workers`` processes.  A realisation's total is the sum of
+    its account totals, as in :func:`run_plan`'s ``block_totals``.  Pilot
+    realisations live in their own seed domain and are never part of the
+    final estimator, so the budget accounting is unaffected.
     """
     if n_pilot < 2:
         raise ValueError(f"pilot variance needs n_pilot >= 2, got {n_pilot}")
     dep = population.portfolios[portfolio_j].dependent_ids
     if not len(dep):
         raise ValueError(f"portfolio {portfolio_j} has no dependent block")
-    items = _block_items(population, dep, seed, ("pilot", portfolio_j), n_pilot, horizon, "pilot")
-    totals = np.concatenate(list(_pool_map(_simulate_block_item, items, n_workers)))
+    items = _block_items(population, dep, seed, ("pilot", portfolio_j), n_pilot, horizon)
+    totals = np.concatenate([tot.sum(axis=1) for tot, _ in _pool_map(_simulate_block_item, items, n_workers)])
     return float(totals.var(ddof=1))

@@ -151,12 +151,16 @@ def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
     ``n_workers`` processes.  ``credit`` is the credit score whose CDF is
     ``c_tilde``, inverted once here so that callers can pass it on as the
     ``credit`` of :func:`_features`.  The moments are those of
-    :func:`collsim.simulator.row_moments`, which each chunk takes on its
-    points' totals.  Points whose sample variance is
-    zero up to floating-point noise are left out: paths that always collect
-    the full balance produce identical totals, and the computed variance is
-    then rounding jitter around zero, not a response.
+    :func:`collsim.simulator._segment_moments`, which each chunk takes on its
+    points' totals, bitwise those of each point's totals on their own.
+    Points whose sample variance is zero up to floating-point noise are left
+    out: paths that always collect the full balance produce identical totals,
+    and the computed variance is then rounding jitter around zero, not a
+    response.  Fewer than 4 realisations per point, with no kurtosis, are
+    rejected before any point runs.
     """
+    if n_real < 4:
+        raise ValueError(f"n_realisations must be at least 4 (a kurtosis per design point), got {n_real}")
     slices = []
     for (s, y), pts in design.items():
         pts = np.asarray(pts, dtype=float)
@@ -188,8 +192,6 @@ def generate_training_data(design: dict, n_realisations: int = 1000, seed: int =
     loses all of its points raises, as no model can be fitted there.  The
     design points run on ``n_workers`` processes.
     """
-    if n_realisations < 4:
-        raise ValueError("kurtosis needs at least 4 realisations per design point")
     observations = []
     dropped = 0
     for (s, y), kept in _design_moments(design, n_realisations, seed, "train", n_workers):

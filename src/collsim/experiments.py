@@ -101,6 +101,9 @@ class ExperimentConfig:
             raise ValueError("constrained plans need per-portfolio caps")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        for name, least in (("train_realisations", 4), ("sigma_reference_realisations", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
     @property
     def effective_budget(self) -> float:
@@ -179,8 +182,10 @@ def reference_sigmas(population: Population, n_realisations: int = 5000, seed: i
     block sigma covers them) and per-portfolio block sigma (NaN without a
     block).  Runs in its own seed domain: an account's sigma is the root of
     the variance its :func:`collsim.simulator._chunks` item (prefix
-    ``("sigma-ref",)``) returns, bitwise its totals' ``std(ddof=1)``.
+    ``("sigma-ref",)``) returns, bitwise that of its totals on their own.
     """
+    if n_realisations < 2:
+        raise ValueError(f"n_realisations must be at least 2 (a sample variance), got {n_realisations}")
     sigma = np.zeros(population.n)
     chunks = _chunks(seed, ("sigma-ref",), _independent_units(population, np.full(population.n, n_realisations)))
     for (_, _, ids, *_), (moments, _, _) in zip(chunks, _pool_map(_simulate_chunk, chunks, n_workers)):

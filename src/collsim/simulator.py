@@ -20,12 +20,12 @@ emulator design points) all run through :func:`_chunks`, in chunks of about
 ``_CHUNK_PATHS`` paths, and each dependent block's realisations through
 :func:`_block_items`, in items of about as many account-realisations (one
 realisation for a larger block, drawn month by month).  A chunk returns only
-its units' mean, variance and kurtosis, so no independent unit's totals
-outlive its chunk, and its uniforms and payments live in scratch buffers
-that each thread reuses (:func:`_scratch_array`).  With ``store_monthly``
-each chunk also reduces its accounts' monthly payments to two (horizon,)
-vectors, and a block item returns only its per-account totals and
-per-realisation monthly sums.
+its units' moments (:func:`_segment_moments`), so no independent unit's
+totals outlive its chunk, and its uniforms and payments live in scratch
+buffers that each thread reuses (:func:`_scratch_array`).  With
+``store_monthly`` each chunk also reduces its accounts' monthly payments to
+two (horizon,) vectors, and a block item returns only its per-account
+totals and per-realisation monthly sums.
 
 Every stage that runs many such work items (run_plan, block pilots, the
 emulator's design points, coverage repetitions) maps them through
@@ -118,47 +118,36 @@ def payment_probability(credit_score, segment, paid_prev):
 def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, unbiased variance and plain kurtosis of each row of a 2-D sample.
 
-    The moments are those of :func:`collsim.estimators.sample_moments`; rows
-    shorter than 2 (variance) or 4 (kurtosis) values, and rows with a zero
-    second moment (kurtosis), get NaN; each row's are bitwise the row's own.
+    The moments are those of :func:`_segment_moments`, one row per segment;
+    rows shorter than 2 (variance) or 4 (kurtosis) values, and rows with a
+    zero second moment (kurtosis), get NaN.
     """
     x = np.asarray(x, dtype=float)
     n_rows, n = x.shape
+    if n < 1:
+        raise ValueError("row_moments needs at least one value per row")
     return _segment_moments(x.ravel(), np.full(n_rows, n))
 
 
 def _segment_moments(values, counts):
-    """:func:`row_moments` of consecutive segments of ``values``, of ``counts[i]`` values each."""
-    if np.all(counts == counts[0]):  # the segments are the rows of one array
-        groups = [(slice(None), np.arange(len(values)).reshape(len(counts), -1))]
-    else:
-        # Segments below 128 values with as many whole blocks of 8 are summed as rows of one array,
-        # zero-padded to the end of that block: numpy's pairwise sum adds a row in blocks of 8 (up to
-        # 128) and then one value at a time, so the padding only adds + 0.0 last, keeping the bits.
-        first = np.cumsum(counts) - counts
-        width = np.where(counts < 128, counts | 7, counts)
-        groups = []
-        for w in np.unique(width):
-            seg = np.flatnonzero(width == w)
-            cols = first[seg, None] + np.arange(w)
-            groups.append((seg, np.where(cols < (first + counts)[seg, None], cols, len(values))))
+    """Mean, unbiased variance and plain kurtosis of consecutive segments of ``values``, ``counts[i]`` values each.
 
-    def sums(a):
-        a = np.append(a, 0.0)  # what the padding reads
-        out = np.empty(len(counts))
-        for seg, idx in groups:
-            out[seg] = a[idx].sum(axis=1)  # a C-contiguous gather: each row is reduced on its own
-        return out
-
-    # the operations of x.mean, x.var and ((x - mean) ** 4).mean, with each sum taken once
-    mean = sums(values) / counts
+    Every step is exactly rounded, so the bits depend on the values alone, not
+    on the CPU: each sum is ``np.add.reduceat`` over a segment (its first value
+    plus numpy's pairwise sum of the rest, whatever the segment's neighbours),
+    and squares are products, never ``pow``.  Every count must be at least 1:
+    ``reduceat`` gives an empty segment the value at its start.
+    """
+    first = np.cumsum(counts) - counts
+    mean = np.add.reduceat(values, first) / counts
     d = values - np.repeat(mean, counts)
-    ss, s4 = sums(d * d), sums(d**4)
+    d *= d
+    ss = np.add.reduceat(d, first)
+    s4 = np.add.reduceat(np.multiply(d, d, out=d), first)
     with np.errstate(divide="ignore", invalid="ignore"):
         variance = np.where(counts >= 2, ss / (counts - 1), np.nan)
         m2 = ss / counts
-        # float_power squares with the C library's pow, as a float64 scalar's m2**2 does
-        kurt = np.where((counts >= 4) & (m2 > 0), s4 / counts / np.float_power(m2, 2), np.nan)
+        kurt = np.where((counts >= 4) & (m2 > 0), s4 / counts / (m2 * m2), np.nan)
     return mean, variance, kurt
 
 
@@ -302,7 +291,7 @@ def _chunk_paths(chunk):
 
 
 def _simulate_chunk(chunk):
-    """The (3, units) :func:`row_moments` of a chunk's units, each of its own row of totals, and monthly sums.
+    """The (3, units) :func:`_segment_moments` of a chunk's units' totals, and monthly sums.
 
     The (horizon,) sums (None without ``store_monthly``) are over the units: of the
     monthly means ``m_i,t / R_i`` and of the weighted sample variances ``(1 +
@@ -354,7 +343,7 @@ def _independent_units(population: Population, counts):
     return (ids, *(col[ids] for col in columns))
 
 
-def _block_items(population: Population, dep, seed, key, r: int, horizon: int = HORIZON, reduce: str = "totals"):
+def _block_items(population: Population, dep, seed, key, r: int, horizon: int = HORIZON, month_sums: bool = False):
     """The :func:`_simulate_block_item` work items of ``r`` joint realisations of the block ``dep``.
 
     Realisation ``k`` uses draw block ``k`` of the stream ``(seed, *key)``.
@@ -369,24 +358,24 @@ def _block_items(population: Population, dep, seed, key, r: int, horizon: int = 
         population.eligible[dep],
         population.paid_last_month[dep],
     )
-    return [(seed, key, covariates, a, min(a + per_item, r), horizon, reduce) for a in range(0, r, per_item)]
+    return [(seed, key, covariates, a, min(a + per_item, r), horizon, month_sums) for a in range(0, r, per_item)]
 
 
 def _simulate_block_item(item):
     """Realisations ``[a, b)`` of a dependent block under ``DEFAULT_SCHEDULE``.
 
-    ``item`` is ``(seed, key, covariates, a, b, horizon, reduce)`` from
+    ``item`` is ``(seed, key, covariates, a, b, horizon, month_sums)`` from
     :func:`_block_items`.  Philox is counter-based: one step of its counter
     makes four draws, so advancing the stream by ``a * horizon * n / 4`` steps
     (and drawing the remainder) starts it at realisation ``a``.  A single
     realisation is drawn month by month, ``n`` uniforms at a time; several
-    are drawn in one call, into a scratch buffer.  With ``reduce`` "totals"
-    or "monthly" returns :func:`_simulate_block_realisation`'s (k, n) totals
-    and, for "monthly", its (k, horizon) monthly sums; with "pilot" returns
-    the (k,) realisation totals, each one sum over its (n, horizon) monthly
-    payments.
+    are drawn in one call, into a scratch buffer.  Returns
+    :func:`_simulate_block_realisation`'s (k, n) per-account totals and, with
+    ``month_sums``, its (k, horizon) monthly sums.  A realisation's block
+    total is the sum of its row of account totals, for :func:`run_plan` and
+    the pilots alike.
     """
-    seed, key, covariates, a, b, horizon, reduce = item
+    seed, key, covariates, a, b, horizon, month_sums = item
     k, n = b - a, len(covariates[0])
     g = stream(seed, *key)
     steps, rest = divmod(a * horizon * n, 4)
@@ -396,11 +385,7 @@ def _simulate_block_item(item):
         u = (g.random((1, n)) for _ in range(horizon))
     else:
         u = g.random(out=_scratch_array("uniforms", (k, horizon, n))).transpose(1, 0, 2)
-    if reduce != "pilot":
-        return _simulate_block_realisation(*covariates, DEFAULT_SCHEDULE, u, month_sums=reduce == "monthly")
-    monthly = _scratch_array("monthly", (k, n, horizon))
-    _simulate_block_realisation(*covariates, DEFAULT_SCHEDULE, u, out=monthly)
-    return monthly.reshape(k, -1).sum(axis=1)
+    return _simulate_block_realisation(*covariates, DEFAULT_SCHEDULE, u, month_sums=month_sums)
 
 
 # --------------------------------------------------------------------------
@@ -516,8 +501,9 @@ class RealisationPlan:
 class SimulationOutput:
     """Per-account moments of the realised totals (and optional monthly statistics) from one plan run.
 
-    Account ``i``'s ``counts[i]`` totals are kept only as the
-    :func:`row_moments` of its own row of them, and each block's totals.
+    Account ``i``'s ``counts[i]`` totals are kept only as their
+    :func:`_segment_moments`, bitwise those of its totals on their own, and
+    each block's realisation totals as the sums of its account totals.
 
     The monthly statistics of a ``store_monthly`` run are already summed over
     accounts: ``indep_monthly_mean[t]`` is the sum over independent accounts
@@ -608,11 +594,10 @@ def run_plan(
 
     chunks = _chunks(seed, ("sim",), _independent_units(population, counts), horizon, store_monthly)
     blocks = [(j, pf.dependent_ids) for j, pf in enumerate(population.portfolios) if len(pf.dependent_ids)]
-    reduce = "monthly" if store_monthly else "totals"
     block_items = [
         (j, item)
         for j, dep in blocks
-        for item in _block_items(population, dep, seed, ("sim", "block", j), counts[dep[0]], horizon, reduce)
+        for item in _block_items(population, dep, seed, ("sim", "block", j), counts[dep[0]], horizon, store_monthly)
     ]
     calls = [(_simulate_chunk, chunk) for chunk in chunks] + [(_simulate_block_item, item) for _, item in block_items]
     results = _pool_map(lambda call: call[0](call[1]), calls, n_workers)

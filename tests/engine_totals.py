@@ -3,8 +3,11 @@
 ``run_plan`` keeps only each account's mean, variance and kurtosis.
 :func:`raw_totals` maps the same chunk and block items as ``run_plan`` (same
 seed, stream keys, counts and horizon) through the engine's own functions and
-keeps every total.
+keeps every total.  :func:`assert_near_fsum` checks moments against sums
+taken with ``math.fsum``.
 """
+
+import math
 
 import numpy as np
 
@@ -40,3 +43,30 @@ def moments_of(totals):
 def output_moments(out):
     """A run's (3, N) per-account means, variances and kurtoses."""
     return np.stack([out.means, out.variances, out.kurtoses])
+
+
+FSUM_ULPS = 8  # numpy's pairwise sums of up to 300 values measured at most 6 ulps from math.fsum
+
+
+def assert_near_fsum(mean, variance, kurtosis, sample):
+    """``sample``'s moments within a few ulps of the same formulas summed with ``math.fsum``.
+
+    A mean off by ``delta`` moves the sum of squared deviations by ``n delta**2``
+    as well, so the variance may also be off by ``(FSUM_ULPS ulp(mean))**2``:
+    rounding jitter that a constant sample shows as a tiny positive variance.
+    The kurtosis is checked where both sides have one.
+    """
+    x = [float(v) for v in sample]
+    n = len(x)
+    m = math.fsum(x) / n
+    assert abs(mean - m) <= FSUM_ULPS * math.ulp(m), (mean, m)
+    if n < 2:
+        assert math.isnan(variance)
+        return
+    d2 = [(v - m) * (v - m) for v in x]
+    ss = math.fsum(d2)
+    v = ss / (n - 1)
+    assert abs(variance - v) <= FSUM_ULPS * math.ulp(v) + (FSUM_ULPS * math.ulp(m)) ** 2, (variance, v)
+    if n >= 4 and not math.isnan(kurtosis) and v > (FSUM_ULPS * math.ulp(m)) ** 2:
+        k = n * math.fsum(q * q for q in d2) / (ss * ss)
+        assert abs(kurtosis - k) <= 1e-13 * k, (kurtosis, k)

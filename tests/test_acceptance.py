@@ -36,6 +36,7 @@ from collsim.population import balance_cdf_inv, credit_cdf_inv, init_population
 from collsim.rng import stream
 from collsim.simulator import HORIZON, RealisationPlan, _simulate_paths, payment_probability, run_plan
 from engine_totals import moments_of, output_moments, raw_totals
+from exact_truth import exact
 
 ACC_SEED = 2026
 COVERAGE_REPS = 1000
@@ -226,17 +227,16 @@ def _simulate_point(b_tilde, c_tilde, s, y, n_real, g):
 
 def test_criterion_6_log_variance_noise_law(capsys):
     """The variance of the log sample variance matches (kappa - 1)/K within
-    25% at five low-kurtosis design points (kappa from a 10^6-realisation
-    reference, 500 replications of K=1000 each)."""
+    25% at five low-kurtosis design points (kappa = m4/var^2 of the exact
+    moments of ``bench/exact.py``, 500 replications of K=1000 each)."""
     points = [(1, 0, 0.6, 0.5), (1, 1, 0.7, 0.6), (2, 0, 0.6, 0.55), (2, 1, 0.8, 0.5), (2, 0, 0.9, 0.4)]
     k_real = 1000
     reps = 500
     ratios = []
     for s, y, b, c in points:
-        ref = _simulate_point(b, c, s, y, 10**6, stream(ACC_SEED, "noise-ref", s, y))
-        m2 = float(ref.var())
-        m4 = float(np.mean((ref - ref.mean()) ** 4))
-        kappa = m4 / m2**2
+        credit, balance = np.atleast_1d(credit_cdf_inv(c)), np.atleast_1d(balance_cdf_inv(b))
+        _, var, m4 = exact.total_moments(credit, [s], [bool(y)], balance)
+        kappa = float(m4[0] / var[0] ** 2)
         predicted = (kappa - 1.0) / k_real
         g = stream(ACC_SEED, "noise-law", s, y)
         logs = np.empty(reps)

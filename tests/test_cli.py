@@ -89,6 +89,17 @@ class TestErrors:
         assert rc == 1
         assert "Slater" in capsys.readouterr().err
 
+    def test_too_few_train_realisations_rejected(self, tmp_path, capsys):
+        rc = main(["train-emulator", "--out", str(tmp_path / "o"), "--train-realisations", "3"])
+        assert rc == 1
+        assert "error: train_realisations must be at least 4, got 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sigma_reference_realisations": 1}))
+        rc = main(["coverage-study", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: sigma_reference_realisations must be at least 2, got 1" in capsys.readouterr().err
+
     def test_zero_threads_rejected(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path), "--n-accounts", "10", "--threads", "0"])
         assert rc == 1

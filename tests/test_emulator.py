@@ -361,6 +361,14 @@ class TestEmulatorPredictions:
         monkeypatch.setattr(SegmentGP, "predict", lambda self, x: pytest.fail("variance computed"))
         sigma2_for_population(emulator, init_population(50, (1.0,), seed=46))
 
+    @pytest.mark.parametrize("n_real", [0, 1, 2, 3])
+    def test_validation_rejects_too_few_realisations_before_any_work(self, tiny_emulator, monkeypatch, n_real):
+        # 0 failed deep inside, 1 dropped every point and 2-3 gave NaN noise
+        emulator, _ = tiny_emulator
+        monkeypatch.setattr(collsim.emulator, "_pool_map", lambda *a: pytest.fail("simulated"))
+        with pytest.raises(ValueError, match=f"^n_realisations must be at least 4 .*, got {n_real}$"):
+            validate_emulator(emulator, random_design(2, seed=43), n_realisations=n_real, seed=44)
+
     def test_validation_matches_point_by_point_prediction(self, tiny_emulator):
         emulator, _ = tiny_emulator
         test = random_design(6, seed=43)

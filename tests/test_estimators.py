@@ -23,7 +23,8 @@ from collsim.estimators import (
 )
 from collsim.population import init_population
 from collsim.simulator import RealisationPlan, run_plan
-from engine_totals import raw_totals
+from engine_totals import assert_near_fsum, raw_totals
+from exact_truth import exact
 
 
 class TestSampleMoments:
@@ -51,29 +52,30 @@ class TestSampleMoments:
             sample_moments([1.0])
         with pytest.raises(ValueError):
             sample_moments([1.0, 2.0, 3.0], require="kurtosis")
+        with pytest.raises(ValueError, match="at least one value per row"):
+            row_moments(np.empty((3, 0)))
 
     def test_row_moments_equal_per_row_scalar_formula(self):
-        # the per-sample scalar formula that sample_moments used on its own, as the oracle;
-        # the data include rows whose scalar m2**2 differs in the last bit from m2 * m2
+        # each row's moments are those of the row on its own, bit for bit, and within a few ulps of
+        # the scalar formulas summed with math.fsum
         g = np.random.default_rng(4)
         for c in (1, 2, 3, 4, 7, 25):
             x = g.gamma(2.0, 40.0, (2000, c))
             x[0] = 5.0  # zero variance
-            mean, variance, kurt = row_moments(x)
+            moments = np.array(row_moments(x))
+            mean, variance, kurt = moments
             for k, row in enumerate(x):
-                assert mean[k] == row.mean()
+                assert moments[:, k].tobytes() == np.array(row_moments(row[None, :]))[:, 0].tobytes()
+                assert_near_fsum(mean[k], variance[k], kurt[k], row)
                 if c < 2:
                     assert math.isnan(variance[k])
                     continue
-                assert variance[k] == row.var(ddof=1)
-                m2 = row.var()
-                if c < 4 or m2 == 0.0:
-                    assert math.isnan(kurt[k])
-                else:
-                    assert kurt[k] == float(np.mean((row - float(row.mean())) ** 4)) / m2**2
+                assert math.isnan(kurt[k]) == (c < 4 or variance[k] == 0.0)
                 m = sample_moments(row)
                 assert (m.mean, m.variance) == (mean[k], variance[k])
                 assert m.kurtosis == kurt[k] or (math.isnan(m.kurtosis) and math.isnan(kurt[k]))
+            if c >= 2:
+                assert variance[0] == 0.0
 
 
 class TestNormalQuantile:
@@ -153,6 +155,30 @@ class TestEstimatorVariance:
         assert not len(pop.portfolios[0].dependent_ids)
         _, total = estimator_variance(inputs, RealisationPlan(counts=counts), pop)
         assert total == pytest.approx(19 / 2.0)
+
+
+class TestAgainstExactTruth:
+    """The paper's claim on independent accounts, against their exact moments (``bench/exact.py``)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_summed_sample_variances_are_unbiased_for_the_plan_variance(self, seed):
+        # the sum of per-account sample variances over their counts, sum s_i^2 / R_i, estimates the
+        # plan's variance sum sigma_i^2 / R_i: its z-score, with sd sqrt(sum Var(s_i^2) / R_i^2) from
+        # the exact fourth moments, stays within 4
+        pop = init_population(5000, (1.0,), seed=seed)
+        indep = pop.independent_ids
+        counts = np.ones(pop.n)  # each block runs once
+        counts[indep] = np.random.default_rng(seed).integers(2, 41, len(indep))
+        out = run_plan(pop, RealisationPlan(counts=counts), seed=seed + 100)
+        r = counts[indep]
+        mean, var, m4 = exact.total_moments(
+            pop.credit_score[indep], pop.segment[indep], pop.paid_last_month[indep], pop.balance[indep]
+        )
+        sd = np.sqrt(np.sum((exact.sample_variance_sd(var, m4, r) / r) ** 2))
+        z = (np.sum(out.variances[indep] / r) - np.sum(var / r)) / sd
+        assert abs(z) <= 4.0, z
+        z_mean = (np.sum(out.means[indep]) - np.sum(mean)) / np.sqrt(np.sum(var / r))
+        assert abs(z_mean) <= 4.0, z_mean
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import collsim.experiments
 from collsim.allocator import constrained_plan_for_population, constrained_problem_for_population, round_plan
 from collsim.emulator import fit_gp, generate_training_data, sliced_lhd
-from collsim.estimators import estimator_variance
+from collsim.estimators import estimator_variance, sample_moments
 from collsim.experiments import (
     ExperimentConfig,
     _pilot_block_sigmas,
@@ -48,6 +48,11 @@ class TestConfig:
         for threads in (0, -2):
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
                 ExperimentConfig(threads=threads)
+        with pytest.raises(ValueError, match="train_realisations must be at least 4, got 3"):
+            ExperimentConfig(train_realisations=3)
+        with pytest.raises(ValueError, match="sigma_reference_realisations must be at least 2, got 1"):
+            ExperimentConfig(sigma_reference_realisations=1)
+        assert ExperimentConfig(train_realisations=4, sigma_reference_realisations=2).train_realisations == 4
 
     def test_threads_default_to_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
@@ -253,14 +258,14 @@ class TestCoverageStudy:
 
 
 def _per_account_reference_sigmas(pop, n_realisations, seed):
-    """Reference sigmas from one ``stream()`` and one kernel call per account: the engine's oracle."""
+    """Reference sigmas from one ``stream()``, kernel call and sample per account: the engine's oracle."""
     sigma = np.zeros(pop.n)
     for i in pop.independent_ids:
         p0 = payment_probability(pop.credit_score[i], pop.segment[i], False)
         p1 = payment_probability(pop.credit_score[i], pop.segment[i], True)
         u = stream(seed, "sigma-ref", int(i)).random((n_realisations, HORIZON))
         totals, _ = _simulate_paths(p0, p1, pop.balance[i], pop.paid_last_month[i], u.T)
-        sigma[i] = totals.std(ddof=1)
+        sigma[i] = np.sqrt(sample_moments(totals).variance)
     return sigma, _pilot_block_sigmas(pop, n_realisations, derive_seed(seed, "sigma-ref-block"))
 
 
@@ -293,9 +298,16 @@ class TestReferenceSigmas:
         two = reference_sigmas(pop, n_realisations=n_realisations, seed=18, n_workers=2)
         assert two[0].tobytes() == expected.tobytes() and two[1].tobytes() == expected_block.tobytes()
 
+    @pytest.mark.parametrize("n_realisations", [0, 1])
+    def test_too_few_realisations_rejected_before_any_work(self, monkeypatch, n_realisations):
+        monkeypatch.setattr(collsim.experiments, "_pool_map", lambda *a: pytest.fail("simulated"))
+        pop = init_population(30, (0.8, 0.2), seed=17)
+        with pytest.raises(ValueError, match=f"^n_realisations must be at least 2 .*, got {n_realisations}$"):
+            reference_sigmas(pop, n_realisations=n_realisations, seed=18)
+
     def test_peak_memory_holds_each_chunks_uniforms_once(self):
         # one account per chunk: 5000 x 84 uniforms, 3.2 MiB, which a second, transposed copy took to 8.3 MiB;
-        # the peak is now a pilot item of the 54-account block, 75 realisations of uniforms and payments (5.7 MiB)
+        # pilot items of the 54-account block reuse that buffer for their uniforms and keep no payments
         pop = init_population(1000, (1.0,), seed=3)
         pop.portfolios  # the cached partition belongs to the population, not the run
         tracemalloc.start()

@@ -1,11 +1,14 @@
 """Repayment path simulation: hand-traced oracles and draw discipline."""
 
+import ast
 import concurrent.futures
+import inspect
 import json
 import math
 import multiprocessing
 import os
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -23,7 +26,6 @@ from collsim.estimators import (
     monthly_bands,
     normal_quantile,
     row_moments,
-    sample_moments,
     variance_inputs_from_samples,
 )
 from collsim.population import Account, init_population
@@ -43,7 +45,7 @@ from collsim.simulator import (
     payment_probability,
     run_plan,
 )
-from engine_totals import moments_of, output_moments, raw_totals
+from engine_totals import assert_near_fsum, moments_of, output_moments, raw_totals
 from fresh_process import run_fresh
 
 
@@ -476,13 +478,15 @@ class TestChunkedRunPlan:
         rows = json.loads(path.read_text())
         assert [r["account_id"] for r in rows] == list(range(pop.n))
         for rec, tot in zip(rows, raw_totals(pop, plan, seed=4)):
-            assert rec["mean"] == pytest.approx(np.mean(tot), rel=1e-9)
+            mean, variance, kurtosis = (float(v[0]) for v in row_moments(tot[None, :]))  # the account on its own
+            assert rec["mean"] == mean
             assert ("variance" in rec) == (len(tot) >= 2)
             if len(tot) >= 2:
-                assert rec["variance"] == pytest.approx(np.var(tot, ddof=1), rel=1e-9)
-            assert ("kurtosis" in rec) == (len(tot) >= 4 and np.var(tot) > 0)
+                assert rec["variance"] == variance
+            assert ("kurtosis" in rec) == (len(tot) >= 4 and variance > 0)
             if "kurtosis" in rec:
-                assert rec["kurtosis"] == sample_moments(tot).kurtosis
+                assert rec["kurtosis"] == kurtosis
+            assert_near_fsum(rec["mean"], rec.get("variance", math.nan), rec.get("kurtosis", math.nan), tot)
 
     def test_block_kernel_matches_reference(self):
         # several transition months, ties in credit score and accounts that pay before a transition
@@ -697,27 +701,35 @@ class TestMonthlyReductions:
         totals = raw_totals(pop, plan, seed=3)
         assert _same_bits(output_moments(out), moments_of(totals))
         assert _same_bits(output_moments(out), output_moments(expected))
+        for t, *moments in zip(totals, out.means, out.variances, out.kurtoses):
+            assert_near_fsum(*moments, t)
         means = estimate_mu(out, plan, pop)
-        assert means.total == float(np.sum([np.mean(t) for t in totals]))
+        assert means.total == float(np.sum(moments_of(totals)[0]))
         if np.all(plan.counts >= 2):
             sigma2 = variance_inputs_from_samples(out, pop).sigma2_independent
-            assert np.array_equal(sigma2, [np.var(t, ddof=1) for t in totals])
+            assert np.array_equal(sigma2, moments_of(totals)[1])
 
     def test_segment_moments_equal_each_segment_on_its_own(self):
-        # unequal counts across the padding rule's edges (blocks of 8, 128 values), in random order
+        # a random mix of counts 1-300 in random order: every segment's moments are the function's on
+        # that segment alone, bit for bit, whatever its neighbours, and near math.fsum sums
         g = np.random.default_rng(8)
-        edges = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 120, 126, 127, 128, 129, 135, 300]
-        counts = g.permutation(np.concatenate([edges, edges, g.integers(1, 200, 60)]))
+        counts = g.permutation(np.concatenate([np.arange(1, 301), g.integers(1, 301, 100)]))
         values = np.minimum(PAYMENT_CAP * g.integers(0, 85, counts.sum()), g.uniform(100.0, 6000.0, counts.sum()))
         values[: counts[0]] = 7.5  # a zero-variance segment
-        got = simulator._segment_moments(values, counts)
-        want = []
-        for seg in np.split(values, np.cumsum(counts)[:-1]):  # the formulas row_moments had on whole rows
-            mean, m2 = seg.mean(), seg.var()
-            variance = seg.var(ddof=1) if len(seg) >= 2 else np.nan
-            kurt = np.mean((seg - mean) ** 4) / np.float_power(m2, 2) if len(seg) >= 4 and m2 > 0 else np.nan
-            want.append((mean, variance, kurt))
-        assert _same_bits(np.array(got), np.array(want).T.copy())
+        got = np.array(simulator._segment_moments(values, counts))
+        for k, seg in enumerate(np.split(values, np.cumsum(counts)[:-1])):
+            alone = np.array(simulator._segment_moments(seg.copy(), np.array([len(seg)])))[:, 0]
+            assert got[:, k].tobytes() == alone.tobytes()
+            assert_near_fsum(*got[:, k], seg)
+        assert got[1, 0] == 0.0 or counts[0] == 1
+
+    def test_segment_moments_call_no_pow(self):
+        # pow's last bits depend on the CPU's code path; products and sums are exactly rounded
+        tree = ast.parse(textwrap.dedent(inspect.getsource(simulator._segment_moments)))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Pow), ast.unparse(node)
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            assert name not in ("pow", "power", "float_power"), ast.unparse(node)
 
     def test_summary_json_written_in_pieces_equals_one_dump(self, multi_chunk, tmp_path, monkeypatch):
         pop, plan, out = multi_chunk
@@ -988,7 +1000,8 @@ class TestBlockBatches:
         dep = pop.portfolios[0].dependent_ids
         n_pilot = 2 * _CHUNK_PATHS // len(dep) + 3
         ref = _reference_block_runs(pop, dep, stream(9, "pilot", 0), n_pilot)
-        expected = float(np.array([m.sum() for m in ref]).var(ddof=1))
+        # a realisation's total is the sum of its account totals, as run_plan's block totals
+        expected = float(np.stack([m.sum(axis=1) for m in ref]).sum(axis=1).var(ddof=1))
         assert pilot_block_variance(pop, 0, n_pilot=n_pilot, seed=9) == expected
 
     def test_worker_count_does_not_change_block_items(self, pop):
@@ -1052,21 +1065,28 @@ class TestBlockMemory:
             segment=np.full(n, 3),
             eligible=np.ones(n, dtype=bool),
             paid_last_month=g.random(n) < 0.3,
+            portfolios=[SimpleNamespace(dependent_ids=np.arange(n))],
         )
 
-    @pytest.mark.parametrize("reduce", ["totals", "monthly"])
-    def test_marginal_peak_memory_per_block_account(self, reduce):
-        # batches of whole realisations held (k, |D|, 84) uniforms and payments: 2.1 KB per block account
+    @pytest.mark.parametrize("use", ["totals", "monthly", "pilot"])
+    def test_marginal_peak_memory_per_block_account(self, use):
+        # batches of whole realisations held (k, |D|, 84) uniforms and payments: 2.1 KB per block account,
+        # and pilot items kept their (k, |D|, 84) payments: 812 B
         peaks, sizes = [], (6000, 12000)  # above _CHUNK_PATHS, so each item is one realisation
         for n in sizes:
             block = self._block(n)
             tracemalloc.start()
             try:
-                items = simulator._block_items(block, np.arange(n), 2, ("sim", "block", 0), 3, HORIZON, reduce)
-                results = [simulator._simulate_block_item(item) for item in items]
+                if use == "pilot":
+                    pilot_block_variance(block, 0, n_pilot=3, seed=2)
+                else:
+                    key = ("sim", "block", 0)
+                    items = simulator._block_items(block, np.arange(n), 2, key, 3, HORIZON, use == "monthly")
+                    results = [simulator._simulate_block_item(item) for item in items]
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert [tot.shape for tot, _ in results] == [(1, n)] * 3
+            if use != "pilot":
+                assert [tot.shape for tot, _ in results] == [(1, n)] * 3
         per_account = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
         assert per_account < 400, per_account  # about 150 B: the block's covariates, state and totals
