@@ -30,19 +30,20 @@ from .constrained import (
     problem_from_json,
     solution_to_json,
 )
-from .emulator import GpEmulator, random_design, validate_emulator
+from .emulator import GpEmulator
 from .estimators import estimator_variance
 from .experiments import (
     ExperimentConfig,
+    config_population,
     coverage_study,
     interval_estimate,
     optimized_plan,
     protect_experiment,
     simulate_experiment,
     train_emulator_experiment,
+    validate_on_test_design,
     write_sidecar,
 )
-from .population import init_population
 from .rng import derive_seed, stream
 from .simulator import RealisationPlan
 
@@ -109,11 +110,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_allocate(args) -> int:
     config = _config_from_args(args, name="allocate")
-    emulator = _load_emulator(args)
-    if emulator is None:
-        raise ValueError("allocate needs --emulator for per-account variance predictions")
-    pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
-    real, inputs = optimized_plan(pop, config, emulator, derive_seed(config.seed, "pilot"))
+    pop = config_population(config)
+    real, inputs = optimized_plan(pop, config, _load_emulator(args), derive_seed(config.seed, "pilot"))
     plan = round_plan(real, pop)
     _, var_opt = estimator_variance(inputs, real, pop)
     r_eq = config.effective_budget / pop.n
@@ -163,7 +161,7 @@ def cmd_protect(args) -> int:
 def cmd_interval(args) -> int:
     config = _config_from_args(args, name="interval")
     emulator = _load_emulator(args)
-    pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
+    pop = config_population(config)
     mu, interval = interval_estimate(
         pop, config, emulator, derive_seed(config.seed, "pilot"), derive_seed(config.seed, "estimate")
     )
@@ -214,10 +212,7 @@ def cmd_validate_emulator(args) -> int:
     emulator = _load_emulator(args)
     if emulator is None:
         raise ValueError("validate-emulator needs --emulator")
-    test = random_design(config.points_per_slice, seed=derive_seed(config.seed, "test"))
-    metrics = validate_emulator(
-        emulator, test, config.train_realisations, seed=derive_seed(config.seed, "validate"), n_workers=config.threads
-    )
+    metrics = validate_on_test_design(emulator, config)
     _write_json(_out_dir(args) / "validation.json", metrics, config)
     print(f"test-set sd correlation: {metrics['pooled']['sd_correlation']:.3f}")
     return 0

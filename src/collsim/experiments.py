@@ -4,6 +4,11 @@ Everything here is a pure function of (config, seed): populations, plans,
 estimation runs, truth realisations and pilot simulations each live in their
 own derived seed domain, so reruns are bitwise identical and truth draws are
 independent of estimation draws.
+
+Method M2's variance pre-estimates are assembled only by
+:func:`m2_variance_inputs`, for plans and for intervals alike, and one
+solve turns variance inputs into a plan: the active-set solution under
+per-portfolio caps.  The optimized plan is that solve with no caps.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 import typing
@@ -26,7 +32,6 @@ from .allocator import (
     constrained_plan_for_population,
     constrained_problem_for_population,
     pilot_block_variance,
-    plan_for_population,
     round_plan,
 )
 from .constrained import _read_json_object, active_set_solve, kkt_report, solution_to_json
@@ -56,6 +61,7 @@ from .simulator import RealisationPlan, _chunks, _independent_units, _pool_map, 
 __all__ = [
     "ExperimentConfig",
     "write_sidecar",
+    "config_population",
     "reference_sigmas",
     "optimized_plan",
     "build_plan",
@@ -64,6 +70,7 @@ __all__ = [
     "coverage_study",
     "protect_experiment",
     "train_emulator_experiment",
+    "validate_on_test_design",
     "simulate_experiment",
 ]
 
@@ -84,7 +91,6 @@ class ExperimentConfig:
     seed: int = 0
     threads: int = field(default_factory=_usable_cpus)  # worker processes of every Monte Carlo stage
     out_dir: str = "out"
-    emulator_path: str | None = None
     n_pilot: int = 50
     points_per_slice: int = 100
     train_realisations: int = 1000
@@ -101,9 +107,19 @@ class ExperimentConfig:
             raise ValueError("constrained plans need per-portfolio caps")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
-        for name, least in (("train_realisations", 4), ("sigma_reference_realisations", 2)):
+        for name, least in (
+            ("n_accounts", 1),
+            ("n_pilot", 2),
+            ("points_per_slice", 2),
+            ("train_realisations", 4),
+            ("sigma_reference_realisations", 2),
+        ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0):
+            raise ValueError(f"budget must be a positive finite number, got {self.budget}")
+        if not 0 < self.coverage_p < 1:
+            raise ValueError(f"coverage_p must be in (0, 1), got {self.coverage_p}")
 
     @property
     def effective_budget(self) -> float:
@@ -171,6 +187,11 @@ def write_sidecar(out_path, config: ExperimentConfig) -> None:
     Path(str(out_path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def config_population(config: ExperimentConfig, *key) -> Population:
+    """``config``'s population, seeded from ``(config.seed, "pop", *key)``; a repetition's key is its index."""
+    return init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop", *key))
+
+
 # --------------------------------------------------------------------------
 # Variance pre-estimation
 
@@ -203,68 +224,6 @@ def _pilot_block_sigmas(population, n_pilot, seed, n_workers=1):
     return out
 
 
-def _m2_pre_estimates(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
-    """Method M2 variance pre-estimates for a plan.
-
-    Each account takes the emulator's variance; each block takes the variance
-    of ``config.n_pilot`` pilot realisations drawn with ``seed``, stored as
-    the square of its sigma, so ``sqrt`` gives back that sigma exactly.
-    """
-    if emulator is None:
-        raise ValueError("optimized plans need a trained emulator")
-    sigma_block = _pilot_block_sigmas(population, config.n_pilot, seed, config.threads)
-    return VarianceInputs(
-        sigma2_independent=sigma2_for_population(emulator, population),
-        sigma2_block=sigma_block**2,
-        source=VarianceSource.EMULATOR,
-    )
-
-
-def optimized_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
-    """Real-valued variance-minimizing plan from emulator variances and block pilots.
-
-    Returns ``(plan, inputs)``: the plan and the M2 variance pre-estimates
-    that produced it (see :func:`_m2_pre_estimates`).
-    """
-    inputs = _m2_pre_estimates(population, config, emulator, seed)
-    real = plan_for_population(
-        population,
-        np.sqrt(inputs.sigma2_independent),
-        np.sqrt(inputs.sigma2_block),
-        config.effective_budget,
-    )
-    return real, inputs
-
-
-def _capped_solution(population: Population, sigma, sigma_block, config: ExperimentConfig):
-    """Active-set solution under ``config.caps``: ``(problem, solution, real plan)``."""
-    problem = constrained_problem_for_population(
-        population, sigma, sigma_block, config.caps, config.effective_budget
-    )
-    solution = active_set_solve(problem)
-    return problem, solution, constrained_plan_for_population(population, solution.plan)
-
-
-def build_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
-    """Integer plan plus the variance pre-estimates that produced it.
-
-    Returns ``(plan, inputs)``; ``inputs`` is None for the equal plan, else
-    the M2 pre-estimates of :func:`_m2_pre_estimates`.  The optimized plan
-    is the uncapped optimum; the constrained plan is the active-set solution
-    under ``config.caps``.
-    """
-    if config.plan_mode == "equal":
-        r = int(round(config.effective_budget / population.n))
-        return RealisationPlan.equal(population.n, max(r, 1)), None
-    if config.plan_mode == "optimized":
-        real, inputs = optimized_plan(population, config, emulator, seed)
-    else:
-        inputs = _m2_pre_estimates(population, config, emulator, seed)
-        sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
-        _, _, real = _capped_solution(population, sigma, sigma_block, config)
-    return round_plan(real, population), inputs
-
-
 def m2_variance_inputs(
     population: Population,
     config: ExperimentConfig,
@@ -273,34 +232,67 @@ def m2_variance_inputs(
     seed: int,
     plan_inputs: VarianceInputs | None = None,
 ) -> VarianceInputs:
-    """Method M2 variance inputs for an interval around ``output``'s estimate.
+    """Method M2 variance inputs, for a plan (``output`` None) or an interval around ``output``'s estimate.
 
-    Independent accounts take the emulator's variance.  A dependent block
-    takes the sample variance of the run's block totals when it has r_j >= 2
-    of them, and otherwise the variance of ``config.n_pilot`` pilot
-    realisations drawn with ``seed``.  ``plan_inputs`` are the pre-estimates
-    an optimized plan was built from; they are reused instead of being
-    computed again.
+    Independent accounts take the variances of ``plan_inputs`` (the
+    pre-estimates a plan was built from), else the emulator's.  A dependent
+    block takes the sample variance of ``output``'s block totals when it has
+    r_j >= 2 of them, else ``plan_inputs``'s, else the variance of
+    ``config.n_pilot`` pilot realisations drawn with ``seed``.
     """
     if plan_inputs is None:
         if emulator is None:
-            raise ValueError("method M2 needs an emulator")
+            raise ValueError("method M2 variances (optimized plans, M2 intervals) need an emulator")
         sigma2 = sigma2_for_population(emulator, population)
     else:
         sigma2 = plan_inputs.sigma2_independent
     sigma2_block = np.full(population.n_portfolios, np.nan)
-    for j, blk in output.block_totals.items():
+    for j, pf in enumerate(population.portfolios):
+        blk = output.block_totals.get(j, ()) if output is not None else ()
         if len(blk) >= 2:
             sigma2_block[j] = blk.var(ddof=1)
         elif plan_inputs is not None:
             sigma2_block[j] = plan_inputs.sigma2_block[j]
-        else:
+        elif len(pf.dependent_ids):
             sigma2_block[j] = pilot_block_variance(
                 population, j, n_pilot=config.n_pilot, seed=seed, n_workers=config.threads
             )
-    return VarianceInputs(
-        sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR
+    return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR)
+
+
+def _capped_solution(population: Population, inputs: VarianceInputs, caps, budget: float):
+    """Active-set solve of ``inputs`` under per-portfolio ``caps`` (inf: no cap): ``(problem, solution, real plan)``."""
+    problem = constrained_problem_for_population(
+        population, np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block), caps, budget
     )
+    solution = active_set_solve(problem)
+    return problem, solution, constrained_plan_for_population(population, solution.plan)
+
+
+def optimized_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int, caps=None):
+    """Real-valued variance-minimizing plan under optional per-portfolio ``caps``, and its M2 pre-estimates.
+
+    Returns ``(plan, inputs)``, ``inputs`` from :func:`m2_variance_inputs` with
+    block pilots drawn with ``seed``.  With no caps the active-set solve ends
+    after one pass, at the stationary plan with no active cap.
+    """
+    inputs = m2_variance_inputs(population, config, emulator, None, seed)
+    caps = np.full(population.n_portfolios, np.inf) if caps is None else caps
+    return _capped_solution(population, inputs, caps, config.effective_budget)[2], inputs
+
+
+def build_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
+    """Integer plan plus the variance pre-estimates that produced it (None for the equal plan).
+
+    The optimized plan is :func:`optimized_plan` with no caps; the
+    constrained plan is the same solve under ``config.caps``.
+    """
+    if config.plan_mode == "equal":
+        r = int(round(config.effective_budget / population.n))
+        return RealisationPlan.equal(population.n, max(r, 1)), None
+    caps = config.caps if config.plan_mode == "constrained" else None
+    real, inputs = optimized_plan(population, config, emulator, seed, caps)
+    return round_plan(real, population), inputs
 
 
 # --------------------------------------------------------------------------
@@ -327,9 +319,7 @@ def interval_estimate(
 
 
 def _coverage_repetition(config: ExperimentConfig, emulator, rep: int):
-    pop = init_population(
-        config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop", rep)
-    )
+    pop = config_population(config, rep)
     _, interval = interval_estimate(
         pop, config, emulator, derive_seed(config.seed, "pilot", rep), derive_seed(config.seed, "estimate", rep)
     )
@@ -418,38 +408,25 @@ def coverage_study(
 # Portfolio protection
 
 
-def protect_experiment(
-    config: ExperimentConfig,
-    emulator: GpEmulator | None = None,
-    sigma: np.ndarray | None = None,
-    sigma_block: np.ndarray | None = None,
-) -> dict:
+def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = None) -> dict:
     """Constrained allocation under per-portfolio variance caps, end to end.
 
-    Pre-estimates unit sigmas (emulator plus block pilots unless reference
-    sigmas are passed in), solves the active-set problem, simulates the
-    rounded plan and reports implied variances against the caps.
+    Pre-estimates unit variances (:func:`m2_variance_inputs` with an
+    emulator, :func:`reference_sigmas` without), solves the active-set
+    problem, simulates the rounded plan and reports implied variances
+    against the caps.
     """
     if config.caps is None:
         raise ValueError("protect experiments need per-portfolio caps")
-    pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
-    if sigma is None and emulator is not None:
-        inputs = _m2_pre_estimates(pop, config, emulator, derive_seed(config.seed, "pilot"))
-        sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
+    pop = config_population(config)
+    if emulator is not None:
+        inputs = m2_variance_inputs(pop, config, emulator, None, derive_seed(config.seed, "pilot"))
     else:
-        if sigma is None:
-            sigma, sigma_block = reference_sigmas(
-                pop,
-                config.sigma_reference_realisations,
-                seed=derive_seed(config.seed, "sigma"),
-                n_workers=config.threads,
-            )
-        inputs = VarianceInputs(
-            sigma2_independent=sigma**2,
-            sigma2_block=np.asarray(sigma_block) ** 2,
-            source=VarianceSource.REFERENCE,
+        sigma, block = reference_sigmas(
+            pop, config.sigma_reference_realisations, seed=derive_seed(config.seed, "sigma"), n_workers=config.threads
         )
-    problem, solution, real_plan = _capped_solution(pop, sigma, sigma_block, config)
+        inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=block**2, source=VarianceSource.REFERENCE)
+    problem, solution, real_plan = _capped_solution(pop, inputs, config.caps, config.effective_budget)
     int_plan = round_plan(real_plan, pop)
 
     var_real, _ = estimator_variance(inputs, real_plan, pop)
@@ -492,10 +469,7 @@ def train_emulator_experiment(config: ExperimentConfig, out_dir=None) -> tuple:
         design, config.train_realisations, seed=derive_seed(config.seed, "train"), n_workers=config.threads
     )
     emulator = fit_gp(observations)
-    test = random_design(config.points_per_slice, seed=derive_seed(config.seed, "test"))
-    metrics = validate_emulator(
-        emulator, test, config.train_realisations, seed=derive_seed(config.seed, "validate"), n_workers=config.threads
-    )
+    metrics = validate_on_test_design(emulator, config)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -513,13 +487,21 @@ def train_emulator_experiment(config: ExperimentConfig, out_dir=None) -> tuple:
     return emulator, metrics
 
 
+def validate_on_test_design(emulator: GpEmulator, config: ExperimentConfig) -> dict:
+    """:func:`validate_emulator` metrics of ``emulator`` on the config's random test design."""
+    test = random_design(config.points_per_slice, seed=derive_seed(config.seed, "test"))
+    return validate_emulator(
+        emulator, test, config.train_realisations, seed=derive_seed(config.seed, "validate"), n_workers=config.threads
+    )
+
+
 # --------------------------------------------------------------------------
 # Plain simulation run
 
 
 def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None = None, out_dir=None) -> dict:
     """Simulate one plan over one population and write the standard outputs."""
-    pop = init_population(config.n_accounts, config.portfolio_probs, seed=derive_seed(config.seed, "pop"))
+    pop = config_population(config)
     plan, _ = build_plan(pop, config, emulator, derive_seed(config.seed, "pilot"))
     output = run_plan(
         pop, plan, seed=derive_seed(config.seed, "estimate"), store_monthly=True, n_workers=config.threads

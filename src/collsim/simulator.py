@@ -136,10 +136,13 @@ def _segment_moments(values, counts):
     on the CPU: each sum is ``np.add.reduceat`` over a segment (its first value
     plus numpy's pairwise sum of the rest, whatever the segment's neighbours),
     and squares are products, never ``pow``.  Every count must be at least 1:
-    ``reduceat`` gives an empty segment the value at its start.
+    ``reduceat`` gives an empty segment the value at its start.  A segment of
+    equal values (an account that always pays its full balance) takes that
+    value as its mean, so its variance is an exact 0 and it has no kurtosis.
     """
     first = np.cumsum(counts) - counts
-    mean = np.add.reduceat(values, first) / counts
+    lo = np.minimum.reduceat(values, first)
+    mean = np.where(lo == np.maximum.reduceat(values, first), lo, np.add.reduceat(values, first) / counts)
     d = values - np.repeat(mean, counts)
     d *= d
     ss = np.add.reduceat(d, first)

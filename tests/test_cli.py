@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import collsim.experiments
 from collsim.allocator import pilot_block_variance
 from collsim.cli import main
 from collsim.emulator import GpEmulator
@@ -99,6 +100,18 @@ class TestErrors:
         rc = main(["coverage-study", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error: sigma_reference_realisations must be at least 2, got 1" in capsys.readouterr().err
+
+    def test_bad_config_values_rejected_before_any_work(self, tmp_path, capsys):
+        rc = main(["simulate", "--out", str(tmp_path / "o"), "--n-accounts", "200", "--budget", "-100"])
+        assert rc == 1
+        assert "error: budget must be a positive finite number, got -100.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"coverage_p": 1.5}))
+        rc = main(["coverage-study", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: coverage_p must be in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_threads_rejected(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path), "--n-accounts", "10", "--threads", "0"])
@@ -324,6 +337,38 @@ class TestEmulatorCommands:
         else:
             pilot = pilot_block_variance(pop, 0, n_pilot=config.n_pilot, seed=pilot_seed)
             assert inputs.sigma2_block[0] == pilot
+
+
+class TestM2Assembly:
+    @pytest.mark.parametrize(
+        "argv, pilots",
+        [
+            (["allocate"], [0, 1]),
+            (["interval", "--plan", "optimized", "--method", "M2"], [0, 1]),
+            (["interval", "--plan", "equal", "--method", "M2"], []),  # every block has 25 run totals
+            (["interval", "--plan", "equal", "--method", "M2", "--budget", "200"], [0, 1]),  # one each
+            (["protect", "--caps", "1e12", "1e12"], [0, 1]),
+        ],
+        ids=["allocate", "interval-optimized", "interval-equal", "interval-equal-one-each", "protect"],
+    )
+    def test_each_pre_estimate_is_made_once(self, emulator_file, tmp_path, monkeypatch, argv, pilots):
+        pilot_calls, predict_calls = [], []
+        pilot, predict = collsim.experiments.pilot_block_variance, collsim.experiments.sigma2_for_population
+
+        def counted_pilot(population, j, **kwargs):
+            pilot_calls.append(j)
+            return pilot(population, j, **kwargs)
+
+        def counted_predict(*args):
+            predict_calls.append(1)
+            return predict(*args)
+
+        monkeypatch.setattr(collsim.experiments, "pilot_block_variance", counted_pilot)
+        monkeypatch.setattr(collsim.experiments, "sigma2_for_population", counted_predict)
+        argv = argv + ["--n-accounts", "200", "--portfolio-probs", "0.5", "0.5", "--seed", "0"]
+        assert main(argv + ["--emulator", str(emulator_file), "--out", str(tmp_path)]) == 0
+        assert sorted(pilot_calls) == pilots  # the population has a block in each portfolio
+        assert predict_calls == [1]
 
 
 class TestCoverageStudy:

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collsim.experiments
-from collsim.allocator import constrained_plan_for_population, constrained_problem_for_population, round_plan
+from collsim.allocator import (
+    constrained_plan_for_population,
+    constrained_problem_for_population,
+    plan_for_population,
+    round_plan,
+)
 from collsim.emulator import fit_gp, generate_training_data, sliced_lhd
 from collsim.estimators import estimator_variance, sample_moments
 from collsim.experiments import (
@@ -20,6 +25,7 @@ from collsim.experiments import (
     _pilot_block_sigmas,
     build_plan,
     coverage_study,
+    optimized_plan,
     protect_experiment,
     reference_sigmas,
     train_emulator_experiment,
@@ -53,6 +59,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="sigma_reference_realisations must be at least 2, got 1"):
             ExperimentConfig(sigma_reference_realisations=1)
         assert ExperimentConfig(train_realisations=4, sigma_reference_realisations=2).train_realisations == 4
+        for name, value, message in (
+            ("budget", -100.0, "budget must be a positive finite number, got -100.0"),
+            ("budget", float("inf"), "budget must be a positive finite number, got inf"),
+            ("coverage_p", 1.5, r"coverage_p must be in \(0, 1\), got 1.5"),
+            ("n_pilot", 1, "n_pilot must be at least 2, got 1"),
+            ("points_per_slice", 1, "points_per_slice must be at least 2, got 1"),
+            ("n_accounts", 0, "n_accounts must be at least 1, got 0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ExperimentConfig(**{name: value})
 
     def test_threads_default_to_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
@@ -77,6 +93,9 @@ class TestConfig:
         path.write_text(json.dumps({"n_accounts": 10, "n_acounts": 5, "sed": 1}))
         with pytest.raises(ValueError, match=r"cfg\.json: unknown config keys \['n_acounts', 'sed'\]"):
             ExperimentConfig.from_file(path)
+        path.write_text(json.dumps({"emulator_path": "emu.json"}))  # not a field: nothing read it
+        with pytest.raises(ValueError, match=r"cfg\.json: unknown config keys \['emulator_path'\]"):
+            ExperimentConfig.from_file(path)
         path.write_text(json.dumps({"n_accounts": 10, "portfolio_probs": [0.5, 0.5]}))
         assert ExperimentConfig.from_file(path, seed=3) == ExperimentConfig(
             n_accounts=10, portfolio_probs=(0.5, 0.5), seed=3
@@ -94,7 +113,6 @@ class TestConfig:
             ("portfolio_probs", [0.5, "0.5"], "must be a list of numbers"),
             ("caps", 3, "must be a list of numbers or null"),
             ("plan_mode", 1, "must be a string"),
-            ("emulator_path", 7, "must be a string or null"),
         ],
     )
     def test_from_file_checks_value_types(self, tmp_path, key, value, expected):
@@ -344,6 +362,22 @@ class TestBuildPlan:
         assert variances[1] <= 1.0 * (1 + 1e-9)
         # rounding counts of about 1e5 moves the variance by a few parts in 1e6
         assert estimator_variance(inputs, plan, pop)[0][1] <= 1.0 * (1 + 1e-5)
+
+    def test_optimized_plan_is_the_solve_with_every_cap_infinite(self, small_emulator):
+        pop = init_population(200, (0.5, 0.5), seed=3)
+        assert all(len(pf.dependent_ids) for pf in pop.portfolios)
+        common = dict(n_accounts=200, portfolio_probs=(0.5, 0.5), budget=7000.0)
+        optimized = build_plan(pop, ExperimentConfig(plan_mode="optimized", **common), small_emulator, 5)
+        config = ExperimentConfig(plan_mode="constrained", caps=(np.inf, np.inf), **common)
+        capped = build_plan(pop, config, small_emulator, 5)
+        assert optimized[0].counts.tobytes() == capped[0].counts.tobytes()
+        for name in ("sigma2_independent", "sigma2_block"):
+            assert getattr(optimized[1], name).tobytes() == getattr(capped[1], name).tobytes()
+        # and the stationary plan with no active cap, bit for bit
+        real, inputs = optimized_plan(pop, config, small_emulator, 5)
+        sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
+        stationary = plan_for_population(pop, sigma, sigma_block, config.effective_budget)
+        assert real.counts.tobytes() == stationary.counts.tobytes()
 
 
 class TestTrainEmulator:

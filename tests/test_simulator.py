@@ -731,6 +731,21 @@ class TestMonthlyReductions:
             name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
             assert name not in ("pow", "power", "float_power"), ast.unparse(node)
 
+    def test_equal_totals_have_zero_variance_and_no_kurtosis(self, tmp_path):
+        # sum/n of three 0.1s is 0.10000000000000002; a mean off by some ulps gave equal totals a
+        # rounding-jitter variance and a kurtosis of 1.0 in collections_summary.json
+        mean, var, kurt = simulator._segment_moments(np.array([0.1, 0.1, 0.1, 0.7]), np.array([3, 1]))
+        assert mean.tolist() == [0.1, 0.7] and var[0] == 0.0 and np.isnan(var[1]) and np.isnan(kurt).all()
+        # accounts that always pay their full balance
+        pop = init_population(5000, (0.99, 0.01), seed=11)
+        out = run_plan(pop, RealisationPlan.equal(pop.n, 25), seed=12)
+        assert not np.any((out.variances > 0) & (out.variances <= 1e-12 * out.means**2))
+        constant = out.variances == 0
+        assert constant.sum() > 100 and np.isnan(out.kurtoses[constant]).all()
+        out.summary_json(tmp_path / "summary.json")
+        records = json.loads((tmp_path / "summary.json").read_text())
+        assert not [r for r in records if r["variance"] <= 1e-12 * r["mean"] ** 2 and "kurtosis" in r]
+
     def test_summary_json_written_in_pieces_equals_one_dump(self, multi_chunk, tmp_path, monkeypatch):
         pop, plan, out = multi_chunk
         records = []
