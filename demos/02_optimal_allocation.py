@@ -29,17 +29,17 @@ emulator = fit_gp(observations)
 
 pop = init_population(400, portfolio_probs=(1.0,), seed=5)
 sigma2 = sigma2_for_population(emulator, pop)
-sigma_block = np.full(1, np.nan)
+sigma2_block = np.full(1, np.nan)
 if len(pop.portfolios[0].dependent_ids):
-    sigma_block[0] = np.sqrt(pilot_block_variance(pop, 0, n_pilot=50, seed=6))
+    sigma2_block[0] = pilot_block_variance(pop, 0, n_pilot=50, seed=6)
+inputs = VarianceInputs(
+    sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR
+)
 
 budget = 25.0 * pop.n
-real_plan = plan_for_population(pop, np.sqrt(sigma2), sigma_block, budget)
+_, _, real_plan = plan_for_population(pop, inputs, budget)
 plan = round_plan(real_plan, pop)
 
-inputs = VarianceInputs(
-    sigma2_independent=sigma2, sigma2_block=sigma_block**2, source=VarianceSource.EMULATOR
-)
 _, var_opt = estimator_variance(inputs, real_plan, pop)
 _, var_eq = estimator_variance(inputs, RealisationPlan.equal(pop.n, 25), pop)
 

@@ -8,12 +8,7 @@ the remainder optimally.
 
 import numpy as np
 
-from collsim import active_set_solve, check_slater
-from collsim.allocator import (
-    constrained_plan_for_population,
-    constrained_problem_for_population,
-    round_plan,
-)
+from collsim import VarianceInputs, VarianceSource, check_slater, plan_for_population, round_plan
 from collsim.experiments import reference_sigmas
 from collsim.population import init_population
 
@@ -24,14 +19,14 @@ print(f"{pop.n} accounts; the protected portfolio holds only {n_small} of them")
 print("estimating per-unit standard deviations from pilot runs ...")
 sigma, sigma_block = reference_sigmas(pop, n_realisations=500, seed=3)
 
+inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2, source=VarianceSource.REFERENCE)
+
 caps = (1500.0**2, 60.0**2)
 budget = 25.0 * pop.n
-problem = constrained_problem_for_population(pop, sigma, sigma_block, caps, budget)
+problem, solution, real_plan = plan_for_population(pop, inputs, budget, caps)
+plan = round_plan(real_plan, pop)
 holds, margin = check_slater(problem)
 print(f"strict feasibility holds with budget margin {margin:,.0f}")
-
-solution = active_set_solve(problem)
-plan = round_plan(constrained_plan_for_population(pop, solution.plan), pop)
 
 variances = solution.plan.portfolio_variances(problem)
 print(f"\nactive caps: {sorted(solution.active) or 'none'}")

@@ -1,8 +1,11 @@
 """Variance-minimizing allocation of the simulation budget over a population.
 
-The allocation problem is the one of :mod:`collsim.constrained`; this module
-maps a population onto it and back.  With no caps the optimum is the
-stationarity solution with an empty active set:
+:func:`plan_for_population` is the one solve from variance inputs to a plan.
+It maps a population's per-account and per-block standard deviations onto
+the allocation problem of :mod:`collsim.constrained`, solves it by the
+active-set method under optional per-portfolio variance caps, and maps the
+solution back to per-account counts.  With no finite cap the solve ends after
+one pass, at the stationarity solution with an empty active set:
 
     R*_i = sigma_i * C / G          (independent account i)
     r*_j = (sigma_D,j / sqrt(|D_j|)) * C / G    (dependent block j)
@@ -17,20 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constrained import (
-    ConstrainedPlan,
-    ConstrainedProblem,
-    PortfolioInputs,
-    round_counts,
-    stationarity_solution,
-)
+from . import constrained
+from .constrained import ActiveSetSolution, ConstrainedProblem, PortfolioInputs, round_counts
+from .estimators import VarianceInputs
 from .population import Population
 from .simulator import HORIZON, RealisationPlan, _block_items, _pool_map, _simulate_block_item
 
 __all__ = [
     "round_plan",
-    "constrained_problem_for_population",
-    "constrained_plan_for_population",
     "plan_for_population",
     "pilot_block_variance",
 ]
@@ -47,51 +44,36 @@ def round_plan(plan: RealisationPlan, population: Population | None = None) -> R
     return RealisationPlan(counts=counts)
 
 
-def constrained_problem_for_population(
-    population: Population, sigma: np.ndarray, sigma_block: np.ndarray, caps, budget: float
-) -> ConstrainedProblem:
-    """One :class:`PortfolioInputs` per portfolio of ``population``.
+def plan_for_population(
+    population: Population, inputs: VarianceInputs, budget: float, caps=None
+) -> tuple[ConstrainedProblem, ActiveSetSolution, RealisationPlan]:
+    """Variance-minimizing real-valued plan of ``budget`` realisations: ``(problem, solution, plan)``.
 
-    ``sigma`` is indexed by account id (dependent entries are ignored);
-    ``sigma_block`` is indexed by portfolio, NaN where a portfolio has no
-    dependent block.
+    The standard deviations are the roots of ``inputs``' variances.  ``caps``
+    holds one variance cap per portfolio, ``np.inf`` for none; ``None``
+    leaves every portfolio uncapped.  ``problem`` has one
+    :class:`PortfolioInputs` per portfolio of ``population``, ``solution`` is
+    its :func:`collsim.constrained.active_set_solve`, and ``plan`` gives
+    every account its unit's count, a block's count to each of its members.
     """
-    sigma = np.asarray(sigma)
-    portfolios = []
-    for j, pf in enumerate(population.portfolios):
-        portfolios.append(
-            PortfolioInputs(
-                sigma_independent=sigma[pf.independent_ids],
-                sigma_block=float(sigma_block[j]) if len(pf.dependent_ids) else 0.0,
-                block_size=len(pf.dependent_ids),
-            )
+    sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
+    caps = np.full(population.n_portfolios, np.inf) if caps is None else np.asarray(caps, dtype=float)
+    portfolios = tuple(
+        PortfolioInputs(
+            sigma_independent=sigma[pf.independent_ids],
+            sigma_block=float(sigma_block[j]) if len(pf.dependent_ids) else 0.0,
+            block_size=len(pf.dependent_ids),
         )
-    return ConstrainedProblem(portfolios=tuple(portfolios), caps=np.asarray(caps, dtype=float), budget=budget)
-
-
-def constrained_plan_for_population(population: Population, plan: ConstrainedPlan) -> RealisationPlan:
-    """Per-account real-valued counts of a per-portfolio plan."""
+        for j, pf in enumerate(population.portfolios)
+    )
+    problem = ConstrainedProblem(portfolios=portfolios, caps=caps, budget=budget)
+    solution = constrained.active_set_solve(problem)  # through the module, so a replaced solver is seen
     counts = np.empty(population.n)
     for j, pf in enumerate(population.portfolios):
-        counts[pf.independent_ids] = plan.r_independent[j]
+        counts[pf.independent_ids] = solution.plan.r_independent[j]
         if len(pf.dependent_ids):
-            counts[pf.dependent_ids] = plan.r_block[j]
-    return RealisationPlan(counts=counts)
-
-
-def plan_for_population(
-    population: Population,
-    sigma_independent: np.ndarray,
-    sigma_block: np.ndarray,
-    budget: float,
-) -> RealisationPlan:
-    """Real-valued optimal plan per account id: the stationary plan with no caps.
-
-    Arguments are indexed as in :func:`constrained_problem_for_population`.
-    """
-    caps = np.full(population.n_portfolios, np.inf)
-    problem = constrained_problem_for_population(population, sigma_independent, sigma_block, caps, budget)
-    return constrained_plan_for_population(population, stationarity_solution(problem, frozenset()))
+            counts[pf.dependent_ids] = solution.plan.r_block[j]
+    return problem, solution, RealisationPlan(counts=counts)
 
 
 def pilot_block_variance(

@@ -135,12 +135,16 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_protect(args) -> int:
-    out = _out_dir(args)
     if getattr(args, "problem", None):
-        # standalone solve of a problem file, no simulation
+        # standalone solve of a problem file, no simulation; every check comes before the output directory
+        unused = ("--n-accounts", "--portfolio-probs", "--budget", "--caps", "--emulator")
+        given = [flag for flag in unused if getattr(args, flag[2:].replace("-", "_")) is not None]
+        if given:
+            raise ValueError(f"protect --problem takes the budget, caps and sigmas from the problem file; drop {', '.join(given)}")
         problem = problem_from_json(args.problem)
-        solution = active_set_solve(problem)
         config = _config_from_args(args, name="protect", caps=tuple(problem.caps))
+        solution = active_set_solve(problem)
+        out = _out_dir(args)
         plan_to_csv(problem, solution, out / "plan.csv")
         write_sidecar(out / "plan.csv", config)
         doc = solution_to_json(problem, solution)
@@ -150,7 +154,7 @@ def cmd_protect(args) -> int:
         return 0
     config = _config_from_args(args, name="protect")
     report = protect_experiment(config, emulator=_load_emulator(args))
-    _write_json(out / "protect_report.json", report, config)
+    _write_json(_out_dir(args) / "protect_report.json", report, config)
     print(
         "portfolio variances (rounded plan): "
         + ", ".join(f"{v:.4g}" for v in report["portfolio_variances_rounded_plan"])

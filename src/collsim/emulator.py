@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constrained import _read_json_object
 from .estimators import normal_quantile
 from .population import balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv
 from .rng import stream
@@ -475,13 +476,7 @@ class GpEmulator:
         if isinstance(path_or_doc, dict):
             doc, where = path_or_doc, "emulator"
         else:
-            where = str(path_or_doc)
-            try:
-                doc = json.loads(Path(path_or_doc).read_text())
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{where}: not valid JSON: {e}") from None
-            if not isinstance(doc, dict):
-                raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+            doc, where = _read_json_object(path_or_doc, "emulator"), str(path_or_doc)
         if doc.get("format_version") != _FORMAT_VERSION:
             raise ValueError(f"{where}: unsupported emulator format: {doc.get('format_version')}")
         for name, value in _STORED_SETTINGS.items():

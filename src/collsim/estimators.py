@@ -25,7 +25,7 @@ import numpy as np
 
 from ._special import ndtri
 from .population import Population
-from .simulator import RealisationPlan, SimulationOutput, row_moments
+from .simulator import RealisationPlan, SimulationOutput, _segment_moments
 
 __all__ = [
     "Moments",
@@ -34,7 +34,6 @@ __all__ = [
     "MuEstimate",
     "PredictionInterval",
     "sample_moments",
-    "row_moments",
     "normal_quantile",
     "estimate_mu",
     "estimator_variance",
@@ -74,7 +73,7 @@ def sample_moments(values, require: str = "variance") -> Moments:
         raise ValueError(f"variance needs at least 2 values, got {n}")
     if require == "kurtosis" and n < 4:
         raise ValueError(f"kurtosis needs at least 4 values, got {n}")
-    mean, variance, kurt = (float(v[0]) for v in row_moments(x[None, :]))
+    mean, variance, kurt = (float(v[0]) for v in _segment_moments(x, np.full(1, n)))
     return Moments(mean=mean, variance=variance, kurtosis=kurt)
 
 
@@ -148,22 +147,23 @@ class VarianceInputs:
             raise ValueError("block variances must be non-negative")
 
 
-def variance_inputs_from_samples(
-    output: SimulationOutput, population: Population, source: VarianceSource = VarianceSource.SAMPLE
-) -> VarianceInputs:
-    """M1 variance inputs: the output's per-account and block sample variances (requires R_i >= 2)."""
-    offenders = np.flatnonzero(output.counts < 2)
+def _require_two_realisations(what: str, offenders) -> None:
+    """Raise unless ``offenders``, the ids of accounts with R_i < 2, is empty; the message names the first 10."""
     if len(offenders):
         head = ", ".join(str(i) for i in offenders[:10])
         raise ValueError(
-            f"sample variances need R_i >= 2; offending accounts: {head}"
-            + (" ..." if len(offenders) > 10 else "")
+            f"{what} need R_i >= 2 for every account; offenders: {head}" + (" ..." if len(offenders) > 10 else "")
         )
+
+
+def variance_inputs_from_samples(output: SimulationOutput, population: Population) -> VarianceInputs:
+    """M1 variance inputs: the output's per-account and block sample variances (requires R_i >= 2)."""
+    _require_two_realisations("sample variances", np.flatnonzero(output.counts < 2))
     sigma2 = output.variances.copy()
     sigma2_block = np.full(population.n_portfolios, np.nan)
     for j, blk in output.block_totals.items():
         sigma2_block[j] = blk.var(ddof=1)
-    return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block, source=source)
+    return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.SAMPLE)
 
 
 def estimator_variance(inputs: VarianceInputs, plan: RealisationPlan, population: Population):
@@ -232,13 +232,7 @@ def prediction_interval(
         raise ValueError(f"coverage probability must lie in (0, 1), got {p}")
     indep = population.independent_ids
     if inputs.source is VarianceSource.SAMPLE:
-        low = indep[plan.counts[indep] < 2]
-        if len(low):
-            head = ", ".join(str(i) for i in low[:10])
-            raise ValueError(
-                f"M1 intervals need R_i >= 2 for every account; offenders: {head}"
-                + (" ..." if len(low) > 10 else "")
-            )
+        _require_two_realisations("M1 intervals", indep[plan.counts[indep] < 2])
     r_block, s2_block = [], []
     for j, pf in enumerate(population.portfolios):
         if len(pf.dependent_ids):
@@ -267,10 +261,7 @@ def monthly_bands(
     if output.indep_monthly_mean is None:
         raise ValueError("monthly bands need a run with store_monthly=True")
     counts = plan.counts
-    if np.any(counts < 2):
-        low = np.flatnonzero(counts < 2)
-        head = ", ".join(str(i) for i in low[:10])
-        raise ValueError(f"monthly bands need R_i >= 2 for every account; offenders: {head}")
+    _require_two_realisations("monthly bands", np.flatnonzero(counts < 2))
     if len(np.unique(counts)) != 1:
         raise ValueError("monthly bands require an equal-realisations plan")
 

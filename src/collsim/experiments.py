@@ -6,9 +6,10 @@ own derived seed domain, so reruns are bitwise identical and truth draws are
 independent of estimation draws.
 
 Method M2's variance pre-estimates are assembled only by
-:func:`m2_variance_inputs`, for plans and for intervals alike, and one
-solve turns variance inputs into a plan: the active-set solution under
-per-portfolio caps.  The optimized plan is that solve with no caps.
+:func:`m2_variance_inputs`, for plans and for intervals alike.  Every
+optimized, constrained and protection plan comes from one solve,
+:func:`collsim.allocator.plan_for_population`: the active-set solution under
+per-portfolio caps, the optimized plan being that solve with no caps.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocator import (
-    constrained_plan_for_population,
-    constrained_problem_for_population,
-    pilot_block_variance,
-    round_plan,
-)
-from .constrained import _read_json_object, active_set_solve, kkt_report, solution_to_json
+from .allocator import pilot_block_variance, plan_for_population, round_plan
+from .constrained import _read_json_object, kkt_report, solution_to_json
 from .emulator import (
     GpEmulator,
     fit_gp,
@@ -260,15 +256,6 @@ def m2_variance_inputs(
     return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR)
 
 
-def _capped_solution(population: Population, inputs: VarianceInputs, caps, budget: float):
-    """Active-set solve of ``inputs`` under per-portfolio ``caps`` (inf: no cap): ``(problem, solution, real plan)``."""
-    problem = constrained_problem_for_population(
-        population, np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block), caps, budget
-    )
-    solution = active_set_solve(problem)
-    return problem, solution, constrained_plan_for_population(population, solution.plan)
-
-
 def optimized_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int, caps=None):
     """Real-valued variance-minimizing plan under optional per-portfolio ``caps``, and its M2 pre-estimates.
 
@@ -277,8 +264,7 @@ def optimized_plan(population: Population, config: ExperimentConfig, emulator: G
     after one pass, at the stationary plan with no active cap.
     """
     inputs = m2_variance_inputs(population, config, emulator, None, seed)
-    caps = np.full(population.n_portfolios, np.inf) if caps is None else caps
-    return _capped_solution(population, inputs, caps, config.effective_budget)[2], inputs
+    return plan_for_population(population, inputs, config.effective_budget, caps)[2], inputs
 
 
 def build_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
@@ -426,7 +412,7 @@ def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = N
             pop, config.sigma_reference_realisations, seed=derive_seed(config.seed, "sigma"), n_workers=config.threads
         )
         inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=block**2, source=VarianceSource.REFERENCE)
-    problem, solution, real_plan = _capped_solution(pop, inputs, config.caps, config.effective_budget)
+    problem, solution, real_plan = plan_for_population(pop, inputs, config.effective_budget, config.caps)
     int_plan = round_plan(real_plan, pop)
 
     var_real, _ = estimator_variance(inputs, real_plan, pop)

@@ -192,10 +192,6 @@ class Population:
     def n(self) -> int:
         return len(self.balance)
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n)
-
     def account(self, i: int) -> Account:
         return Account(
             id=int(i),

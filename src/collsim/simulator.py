@@ -115,20 +115,6 @@ def payment_probability(credit_score, segment, paid_prev):
     return float(out) if out.ndim == 0 else out
 
 
-def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, unbiased variance and plain kurtosis of each row of a 2-D sample.
-
-    The moments are those of :func:`_segment_moments`, one row per segment;
-    rows shorter than 2 (variance) or 4 (kurtosis) values, and rows with a
-    zero second moment (kurtosis), get NaN.
-    """
-    x = np.asarray(x, dtype=float)
-    n_rows, n = x.shape
-    if n < 1:
-        raise ValueError("row_moments needs at least one value per row")
-    return _segment_moments(x.ravel(), np.full(n_rows, n))
-
-
 def _segment_moments(values, counts):
     """Mean, unbiased variance and plain kurtosis of consecutive segments of ``values``, ``counts[i]`` values each.
 
@@ -620,7 +606,7 @@ def run_plan(
         if store_monthly:
             block_monthly[j][a:b] = sums
     for j, dep in blocks:
-        moments[:, dep] = row_moments(block_rows[j])
+        moments[:, dep] = _segment_moments(block_rows[j].ravel(), np.full(len(dep), counts[dep[0]]))
 
     return SimulationOutput(
         counts=counts,

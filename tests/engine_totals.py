@@ -37,7 +37,7 @@ def raw_totals(population, plan, seed=0, horizon=HORIZON, n_workers=1):
 
 def moments_of(totals):
     """The (3, N) mean, unbiased variance and kurtosis of each account's totals, one account at a time."""
-    return np.array([[float(v[0]) for v in simulator.row_moments(np.array([t], dtype=float))] for t in totals]).T
+    return np.array([[float(v[0]) for v in simulator._segment_moments(np.asarray(t, dtype=float), np.full(1, len(t)))] for t in totals]).T
 
 
 def output_moments(out):

@@ -10,11 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from collsim.allocator import (
-    constrained_plan_for_population,
-    constrained_problem_for_population,
-    round_plan,
-)
+from collsim.allocator import plan_for_population, round_plan
 from collsim.cli import _random_problem
 from collsim.constrained import (
     ConstrainedProblem,
@@ -154,15 +150,13 @@ def test_criterion_4_portfolio_protection(capsys, population_99_1, reference):
     pop = population_99_1
     sigma, sigma_block = reference
     caps = (1000.0**2, 50.0**2)
-    problem = constrained_problem_for_population(pop, sigma, sigma_block, caps, budget=25.0 * pop.n)
-    solution = active_set_solve(problem)
-    real_plan = constrained_plan_for_population(pop, solution.plan)
-    int_plan = round_plan(real_plan, pop)
     inputs = VarianceInputs(
         sigma2_independent=sigma**2,
         sigma2_block=np.asarray(sigma_block) ** 2,
         source=VarianceSource.REFERENCE,
     )
+    _, solution, real_plan = plan_for_population(pop, inputs, 25.0 * pop.n, caps)
+    int_plan = round_plan(real_plan, pop)
     var_real, _ = estimator_variance(inputs, real_plan, pop)
     var_int, _ = estimator_variance(inputs, int_plan, pop)
     caps_arr = np.array(caps)

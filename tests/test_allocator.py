@@ -3,19 +3,9 @@
 import numpy as np
 import pytest
 
-from collsim.allocator import (
-    constrained_problem_for_population,
-    pilot_block_variance,
-    plan_for_population,
-    round_plan,
-)
-from collsim.constrained import (
-    ConstrainedProblem,
-    PortfolioInputs,
-    active_set_solve,
-    round_counts,
-    stationarity_solution,
-)
+from collsim.allocator import pilot_block_variance, plan_for_population, round_plan
+from collsim.constrained import ConstrainedProblem, PortfolioInputs, round_counts, stationarity_solution
+from collsim.estimators import VarianceInputs, VarianceSource
 from collsim.population import init_population
 from collsim.simulator import RealisationPlan
 
@@ -24,6 +14,11 @@ def _uncapped(budget, *portfolios):
     """The problem with no caps and its stationary plan with an empty active set."""
     problem = ConstrainedProblem(portfolios=portfolios, caps=np.full(len(portfolios), np.inf), budget=budget)
     return problem, stationarity_solution(problem, frozenset())
+
+
+def _inputs(sigma, sigma_block):
+    """Variance inputs whose roots are exactly ``sigma`` and ``sigma_block``."""
+    return VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2, source=VarianceSource.REFERENCE)
 
 
 class TestOptimalAllocation:
@@ -114,7 +109,7 @@ class TestPlanForPopulation:
         for j, pf in enumerate(pop.portfolios):
             if len(pf.dependent_ids):
                 sigma_block[j] = 20.0 + j
-        plan = plan_for_population(pop, sigma, sigma_block, budget=5000.0)
+        _, _, plan = plan_for_population(pop, _inputs(sigma, sigma_block), budget=5000.0)
         assert plan.cost == pytest.approx(5000.0)
         # proportionality within the independents
         indep = pop.independent_ids
@@ -131,17 +126,32 @@ class TestPlanForPopulation:
         scale = 5000.0 / (sigma[indep].sum() + block_weight)
         assert plan.counts[indep] == pytest.approx(sigma[indep] * scale, rel=1e-14)
 
+    @pytest.mark.parametrize("caps", [None, (np.inf, np.inf)])
+    def test_uncapped_plan_is_the_mapped_stationary_plan(self, caps):
+        pop = init_population(300, (0.5, 0.5), seed=12)
+        assert all(len(pf.dependent_ids) for pf in pop.portfolios)
+        sigma2 = np.random.Generator(np.random.Philox(key=9)).uniform(1, 100, size=300)
+        inputs = VarianceInputs(sigma2_independent=sigma2, sigma2_block=np.array([400.0, 90.0]), source=VarianceSource.EMULATOR)
+        problem, solution, plan = plan_for_population(pop, inputs, 7000.0, caps)
+        assert (solution.iterations, solution.active) == (1, frozenset())
+        stationary = stationarity_solution(problem, frozenset())
+        expected = np.empty(pop.n)
+        for j, pf in enumerate(pop.portfolios):
+            assert problem.portfolios[j].sigma_independent.tobytes() == np.sqrt(sigma2[pf.independent_ids]).tobytes()
+            expected[pf.independent_ids] = stationary.r_independent[j]
+            expected[pf.dependent_ids] = stationary.r_block[j]
+        assert plan.counts.tobytes() == expected.tobytes()
+
     def test_empty_portfolio(self):
         # a portfolio with no accounts has gamma = 0: it gets no budget and never binds a cap
         pop = init_population(100, (0.99, 0.01), seed=4)
         assert not (pop.portfolio == 1).any()
         sigma = np.random.Generator(np.random.Philox(key=8)).uniform(1, 10, size=100)
         sigma_block = np.array([30.0 if len(pop.portfolios[0].dependent_ids) else np.nan, np.nan])
-        plan = plan_for_population(pop, sigma, sigma_block, budget=2500.0)
+        _, _, plan = plan_for_population(pop, _inputs(sigma, sigma_block), budget=2500.0)
         assert plan.cost == pytest.approx(2500.0)
         round_plan(plan, pop).validate_for(pop)
-        problem = constrained_problem_for_population(pop, sigma, sigma_block, caps=(1e9, 1e-6), budget=2500.0)
-        solution = active_set_solve(problem)
+        problem, solution, _ = plan_for_population(pop, _inputs(sigma, sigma_block), 2500.0, caps=(1e9, 1e-6))
         assert solution.active == frozenset()
         assert solution.plan.portfolio_variances(problem)[1] == 0.0
         assert solution.plan.cost(problem) == pytest.approx(2500.0)

@@ -90,6 +90,22 @@ class TestErrors:
         assert rc == 1
         assert "Slater" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--budget", "-5"], "--budget"),
+            (["--budget", "5", "--n-accounts", "7"], "--n-accounts, --budget"),
+            (["--caps", "1", "--portfolio-probs", "1", "--emulator", "e.json"], "--portfolio-probs, --caps, --emulator"),
+        ],
+    )
+    def test_protect_problem_rejects_flags_before_any_output(self, tmp_path, capsys, flags, named):
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"budget": 100, "portfolios": [{"sigma_independent": [1, 2], "cap": "inf"}]}))
+        rc = main(["protect", "--problem", str(prob), "--out", str(tmp_path / "pout"), *flags])
+        assert rc == 1
+        assert f"from the problem file; drop {named}\n" in capsys.readouterr().err
+        assert not (tmp_path / "pout").exists()
+
     def test_too_few_train_realisations_rejected(self, tmp_path, capsys):
         rc = main(["train-emulator", "--out", str(tmp_path / "o"), "--train-realisations", "3"])
         assert rc == 1

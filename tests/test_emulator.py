@@ -33,10 +33,9 @@ from collsim.emulator import (
     sliced_lhd,
     validate_emulator,
 )
-from collsim.estimators import row_moments
 from collsim.population import balance_cdf, balance_cdf_inv, credit_cdf, credit_cdf_inv, init_population
 from collsim.rng import stream
-from collsim.simulator import _CHUNK_PATHS, HORIZON, _simulate_paths, payment_probability
+from collsim.simulator import _CHUNK_PATHS, HORIZON, _segment_moments, _simulate_paths, payment_probability
 
 
 def _min_dist2(pts: np.ndarray) -> float:
@@ -263,7 +262,8 @@ def _per_point_moments(pts, s, y, n_real, seed, domain):
         u = stream(seed, domain, s, y, l).random((n_real, HORIZON))
         totals.append(_simulate_paths(p0, p1, balance_cdf_inv(b_t), bool(y), u.T)[0])
         credits.append(credit)
-    moments = zip(pts, credits, *(m.tolist() for m in row_moments(np.array(totals))))
+    moments = _segment_moments(np.concatenate(totals), np.full(len(totals), n_real))
+    moments = zip(pts, credits, *(m.tolist() for m in moments))
     return [(b_t, c_t, cr, v, kurt) for (b_t, c_t), cr, mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)]
 
 
@@ -495,7 +495,7 @@ class TestStoredEmulatorChecked:
             GpEmulator.from_json(path)
         assert str(err.value) == f"{path}{expected}"
 
-    @pytest.mark.parametrize("text, expected", [("{not json", ": not valid JSON: "), ("[1]", ": expected a JSON object, got list")])
+    @pytest.mark.parametrize("text, expected", [("{not json", ": emulator is not valid JSON: "), ("[1]", ": emulator must be a JSON object, got list")])
     def test_bad_document_named(self, tmp_path, text, expected):
         path = tmp_path / "emulator.json"
         path.write_text(text)

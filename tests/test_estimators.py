@@ -17,12 +17,11 @@ from collsim.estimators import (
     monthly_bands,
     normal_quantile,
     prediction_interval,
-    row_moments,
     sample_moments,
     variance_inputs_from_samples,
 )
 from collsim.population import init_population
-from collsim.simulator import RealisationPlan, run_plan
+from collsim.simulator import RealisationPlan, _segment_moments, run_plan
 from engine_totals import assert_near_fsum, raw_totals
 from exact_truth import exact
 
@@ -52,20 +51,18 @@ class TestSampleMoments:
             sample_moments([1.0])
         with pytest.raises(ValueError):
             sample_moments([1.0, 2.0, 3.0], require="kurtosis")
-        with pytest.raises(ValueError, match="at least one value per row"):
-            row_moments(np.empty((3, 0)))
 
-    def test_row_moments_equal_per_row_scalar_formula(self):
+    def test_segment_moments_equal_per_row_scalar_formula(self):
         # each row's moments are those of the row on its own, bit for bit, and within a few ulps of
         # the scalar formulas summed with math.fsum
         g = np.random.default_rng(4)
         for c in (1, 2, 3, 4, 7, 25):
             x = g.gamma(2.0, 40.0, (2000, c))
             x[0] = 5.0  # zero variance
-            moments = np.array(row_moments(x))
+            moments = np.array(_segment_moments(x.ravel(), np.full(len(x), c)))
             mean, variance, kurt = moments
             for k, row in enumerate(x):
-                assert moments[:, k].tobytes() == np.array(row_moments(row[None, :]))[:, 0].tobytes()
+                assert moments[:, k].tobytes() == np.array(_segment_moments(row, np.full(1, c)))[:, 0].tobytes()
                 assert_near_fsum(mean[k], variance[k], kurt[k], row)
                 if c < 2:
                     assert math.isnan(variance[k])

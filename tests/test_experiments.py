@@ -11,15 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collsim.constrained
 import collsim.experiments
-from collsim.allocator import (
-    constrained_plan_for_population,
-    constrained_problem_for_population,
-    plan_for_population,
-    round_plan,
-)
+from collsim.allocator import plan_for_population, round_plan
 from collsim.emulator import fit_gp, generate_training_data, sliced_lhd
-from collsim.estimators import estimator_variance, sample_moments
+from collsim.estimators import VarianceInputs, VarianceSource, estimator_variance, sample_moments
 from collsim.experiments import (
     ExperimentConfig,
     _pilot_block_sigmas,
@@ -30,7 +26,6 @@ from collsim.experiments import (
     reference_sigmas,
     train_emulator_experiment,
 )
-from collsim.constrained import active_set_solve
 from collsim.population import init_population
 from collsim.rng import derive_seed, stream
 from collsim.simulator import _CHUNK_PATHS, HORIZON, RealisationPlan, _simulate_paths, payment_probability, run_plan
@@ -352,11 +347,8 @@ class TestBuildPlan:
         plan, inputs = build_plan(pop, config, small_emulator, 5)
         assert plan.is_integer
         assert not np.array_equal(plan.counts, optimized.counts)
-        sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
-        problem = constrained_problem_for_population(pop, sigma, sigma_block, config.caps, config.effective_budget)
-        solution = active_set_solve(problem)
+        _, solution, real = plan_for_population(pop, inputs, config.effective_budget, config.caps)
         assert solution.active == frozenset({1})
-        real = constrained_plan_for_population(pop, solution.plan)
         assert np.array_equal(plan.counts, round_plan(real, pop).counts)
         variances, _ = estimator_variance(inputs, real, pop)
         assert variances[1] <= 1.0 * (1 + 1e-9)
@@ -373,11 +365,28 @@ class TestBuildPlan:
         assert optimized[0].counts.tobytes() == capped[0].counts.tobytes()
         for name in ("sigma2_independent", "sigma2_block"):
             assert getattr(optimized[1], name).tobytes() == getattr(capped[1], name).tobytes()
-        # and the stationary plan with no active cap, bit for bit
+        # and the one solve with no caps, bit for bit
         real, inputs = optimized_plan(pop, config, small_emulator, 5)
-        sigma, sigma_block = np.sqrt(inputs.sigma2_independent), np.sqrt(inputs.sigma2_block)
-        stationary = plan_for_population(pop, sigma, sigma_block, config.effective_budget)
-        assert real.counts.tobytes() == stationary.counts.tobytes()
+        assert real.counts.tobytes() == plan_for_population(pop, inputs, config.effective_budget)[2].counts.tobytes()
+
+    def test_every_plan_is_solved_by_the_solver_module(self, small_emulator, monkeypatch):
+        """Optimized, constrained and protection plans all call ``collsim.constrained.active_set_solve``."""
+        solved_caps = []
+        solve = collsim.constrained.active_set_solve
+
+        def spy(problem):
+            solved_caps.append(problem.caps.tolist())
+            return solve(problem)
+
+        monkeypatch.setattr(collsim.constrained, "active_set_solve", spy)
+        pop = init_population(200, (0.9, 0.1), seed=3)
+        common = dict(n_accounts=200, portfolio_probs=(0.9, 0.1), budget=1e7)
+        build_plan(pop, ExperimentConfig(plan_mode="optimized", **common), small_emulator, 5)
+        build_plan(pop, ExperimentConfig(plan_mode="constrained", caps=(1e12, 1.0), **common), small_emulator, 5)
+        protect = dict(n_accounts=60, portfolio_probs=(0.8, 0.2), caps=(2000.0**2, 60.0**2), budget=2500.0, seed=9)
+        protect_experiment(ExperimentConfig(sigma_reference_realisations=120, **protect))
+        protect_experiment(ExperimentConfig(n_pilot=10, **protect), emulator=small_emulator)
+        assert solved_caps == [[np.inf, np.inf], [1e12, 1.0]] + [[2000.0**2, 60.0**2]] * 2
 
 
 class TestTrainEmulator:
@@ -396,11 +405,8 @@ class TestProtect:
     def test_constrained_plan_mapping(self):
         pop = init_population(60, (0.7, 0.3), seed=9)
         sigma, sigma_block = reference_sigmas(pop, n_realisations=60, seed=4)
-        problem = constrained_problem_for_population(
-            pop, sigma, sigma_block, caps=(1e9, 1e9), budget=1500.0
-        )
-        solution = active_set_solve(problem)
-        plan = constrained_plan_for_population(pop, solution.plan)
+        inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2, source=VarianceSource.REFERENCE)
+        _, _, plan = plan_for_population(pop, inputs, 1500.0, caps=(1e9, 1e9))
         assert plan.cost == pytest.approx(1500.0)
         # block members share one count
         for j, pf in enumerate(pop.portfolios):

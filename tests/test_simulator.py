@@ -25,7 +25,6 @@ from collsim.estimators import (
     estimate_mu,
     monthly_bands,
     normal_quantile,
-    row_moments,
     variance_inputs_from_samples,
 )
 from collsim.population import Account, init_population
@@ -478,7 +477,7 @@ class TestChunkedRunPlan:
         rows = json.loads(path.read_text())
         assert [r["account_id"] for r in rows] == list(range(pop.n))
         for rec, tot in zip(rows, raw_totals(pop, plan, seed=4)):
-            mean, variance, kurtosis = (float(v[0]) for v in row_moments(tot[None, :]))  # the account on its own
+            mean, variance, kurtosis = (float(v[0]) for v in simulator._segment_moments(tot, np.full(1, len(tot))))  # the account on its own
             assert rec["mean"] == mean
             assert ("variance" in rec) == (len(tot) >= 2)
             if len(tot) >= 2:
@@ -750,7 +749,7 @@ class TestMonthlyReductions:
         pop, plan, out = multi_chunk
         records = []
         for i, tot in enumerate(raw_totals(pop, plan, seed=4)):
-            mean, var, kurt = (float(v[0]) for v in row_moments(tot[None, :]))
+            mean, var, kurt = (float(v[0]) for v in simulator._segment_moments(tot, np.full(1, len(tot))))
             rec = {"account_id": i, "mean": mean}
             rec.update({"variance": var} if not math.isnan(var) else {})
             rec.update({"kurtosis": kurt} if not math.isnan(kurt) else {})
