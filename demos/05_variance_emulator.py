@@ -39,9 +39,5 @@ print(f"  credible coverage: {pooled['credible_coverage']:.2f} (nominal 0.95)")
 pop = init_population(5, (1.0,), seed=40)
 sds = np.sqrt(sigma2_for_population(emulator, pop))
 print("\npredictions for five sampled accounts:")
-for i, sd in enumerate(sds):
-    acc = pop.account(i)
-    print(
-        f"  balance {acc.balance:>8,.0f}, score {acc.credit_score:>6.2f}, "
-        f"segment {acc.segment}: predicted sd {sd:>8,.1f}"
-    )
+for balance, score, segment, sd in zip(pop.balance.tolist(), pop.credit_score.tolist(), pop.segment.tolist(), sds):
+    print(f"  balance {balance:>8,.0f}, score {score:>6.2f}, segment {segment}: predicted sd {sd:>8,.1f}")

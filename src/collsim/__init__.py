@@ -36,7 +36,6 @@ from .emulator import (
     validate_emulator,
 )
 from .estimators import (
-    Moments,
     MuEstimate,
     PredictionInterval,
     VarianceInputs,
@@ -46,12 +45,9 @@ from .estimators import (
     monthly_bands,
     normal_quantile,
     prediction_interval,
-    sample_moments,
     variance_inputs_from_samples,
 )
 from .population import (
-    Account,
-    CreditMixture,
     Population,
     balance_cdf,
     balance_cdf_inv,

@@ -33,14 +33,13 @@ __all__ = [
 ]
 
 
-def round_plan(plan: RealisationPlan, population: Population | None = None) -> RealisationPlan:
+def round_plan(plan: RealisationPlan, population: Population) -> RealisationPlan:
     """Integer plan from a real-valued plan; block counts are rounded once."""
     counts = round_counts(plan.counts)
-    if population is not None:
-        for pf in population.portfolios:
-            dep = pf.dependent_ids
-            if len(dep):
-                counts[dep] = round_counts([plan.counts[dep[0]]])[0]
+    for pf in population.portfolios:
+        dep = pf.dependent_ids
+        if len(dep):
+            counts[dep] = round_counts([plan.counts[dep[0]]])[0]
     return RealisationPlan(counts=counts)
 
 
@@ -81,7 +80,6 @@ def pilot_block_variance(
     portfolio_j: int,
     n_pilot: int = 50,
     seed: int = 0,
-    horizon: int = HORIZON,
     n_workers: int = 1,
 ) -> float:
     """Sample variance of the block total over ``n_pilot`` pilot realisations.
@@ -98,6 +96,6 @@ def pilot_block_variance(
     dep = population.portfolios[portfolio_j].dependent_ids
     if not len(dep):
         raise ValueError(f"portfolio {portfolio_j} has no dependent block")
-    items = _block_items(population, dep, seed, ("pilot", portfolio_j), n_pilot, horizon)
+    items = _block_items(population, dep, seed, ("pilot", portfolio_j), n_pilot, HORIZON)
     totals = np.concatenate([tot.sum(axis=1) for tot, _ in _pool_map(_simulate_block_item, items, n_workers)])
     return float(totals.var(ddof=1))

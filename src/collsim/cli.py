@@ -23,6 +23,7 @@ from .allocator import round_plan
 from .constrained import (
     ConstrainedProblem,
     PortfolioInputs,
+    _read_json_object,
     active_set_solve,
     brute_force_oracle,
     kkt_report,
@@ -82,6 +83,8 @@ def _config_from_args(args, **extra) -> ExperimentConfig:
     )
     overrides.update(extra)
     if args.config:
+        if "name" in _config_file_keys(args):
+            raise ValueError(f"{args.config}: the subcommand names the experiment; drop the config key 'name'")
         return ExperimentConfig.from_file(args.config, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
@@ -91,8 +94,13 @@ def _load_emulator(args) -> GpEmulator | None:
     return GpEmulator.from_json(path) if path else None
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or "out")
+def _config_file_keys(args) -> set:
+    """The keys of the ``--config`` file; none without one."""
+    return set(_read_json_object(args.config, "config")) if args.config else set()
+
+
+def _out_dir(config: ExperimentConfig) -> Path:
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -103,7 +111,7 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args, name="simulate")
-    report = simulate_experiment(config, emulator=_load_emulator(args), out_dir=_out_dir(args))
+    report = simulate_experiment(config, emulator=_load_emulator(args), out_dir=_out_dir(config))
     print(f"estimated total collections: {report['mu_total']:.2f}")
     return 0
 
@@ -116,7 +124,7 @@ def cmd_allocate(args) -> int:
     _, var_opt = estimator_variance(inputs, real, pop)
     r_eq = config.effective_budget / pop.n
     _, var_eq = estimator_variance(inputs, RealisationPlan.equal(pop.n, r_eq), pop)
-    out = _out_dir(args)
+    out = _out_dir(config)
     real.to_csv(pop, out / "plan.csv", int_counts=plan.counts.astype(int))
     write_sidecar(out / "plan.csv", config)
     _write_json(
@@ -139,12 +147,14 @@ def cmd_protect(args) -> int:
         # standalone solve of a problem file, no simulation; every check comes before the output directory
         unused = ("--n-accounts", "--portfolio-probs", "--budget", "--caps", "--emulator")
         given = [flag for flag in unused if getattr(args, flag[2:].replace("-", "_")) is not None]
+        keys = _config_file_keys(args)
+        given += [f"config key {k!r}" for k in ("n_accounts", "portfolio_probs", "budget", "caps") if k in keys]
         if given:
             raise ValueError(f"protect --problem takes the budget, caps and sigmas from the problem file; drop {', '.join(given)}")
         problem = problem_from_json(args.problem)
         config = _config_from_args(args, name="protect", caps=tuple(problem.caps))
         solution = active_set_solve(problem)
-        out = _out_dir(args)
+        out = _out_dir(config)
         plan_to_csv(problem, solution, out / "plan.csv")
         write_sidecar(out / "plan.csv", config)
         doc = solution_to_json(problem, solution)
@@ -154,7 +164,7 @@ def cmd_protect(args) -> int:
         return 0
     config = _config_from_args(args, name="protect")
     report = protect_experiment(config, emulator=_load_emulator(args))
-    _write_json(_out_dir(args) / "protect_report.json", report, config)
+    _write_json(_out_dir(config) / "protect_report.json", report, config)
     print(
         "portfolio variances (rounded plan): "
         + ", ".join(f"{v:.4g}" for v in report["portfolio_variances_rounded_plan"])
@@ -177,14 +187,14 @@ def cmd_interval(args) -> int:
         "method": config.interval_method,
         "relative_uncertainty": interval.relative_uncertainty,
     }
-    _write_json(_out_dir(args) / "interval.json", doc, config)
+    _write_json(_out_dir(config) / "interval.json", doc, config)
     print(f"[{interval.lower:.2f}, {interval.upper:.2f}] at p={config.coverage_p}")
     return 0
 
 
 def cmd_coverage_study(args) -> int:
     config = _config_from_args(args, name="coverage-study")
-    out = _out_dir(args)
+    out = _out_dir(config)
 
     def progress(done, total):
         if done % 100 == 0 or done == total:
@@ -206,7 +216,7 @@ def cmd_coverage_study(args) -> int:
 
 def cmd_train_emulator(args) -> int:
     config = _config_from_args(args, name="train-emulator")
-    _, metrics = train_emulator_experiment(config, out_dir=_out_dir(args))
+    _, metrics = train_emulator_experiment(config, out_dir=_out_dir(config))
     print(f"test-set sd correlation: {metrics['pooled']['sd_correlation']:.3f}")
     return 0
 
@@ -217,7 +227,7 @@ def cmd_validate_emulator(args) -> int:
     if emulator is None:
         raise ValueError("validate-emulator needs --emulator")
     metrics = validate_on_test_design(emulator, config)
-    _write_json(_out_dir(args) / "validation.json", metrics, config)
+    _write_json(_out_dir(config) / "validation.json", metrics, config)
     print(f"test-set sd correlation: {metrics['pooled']['sd_correlation']:.3f}")
     return 0
 
@@ -276,7 +286,7 @@ def cmd_oracle_check(args) -> int:
                 }
             )
     doc = {"instances": n_instances, "failures": failures, "passed": not failures}
-    _write_json(_out_dir(args) / "oracle_check.json", doc, config)
+    _write_json(_out_dir(config) / "oracle_check.json", doc, config)
     print(f"oracle check: {n_instances - len(failures)}/{n_instances} instances matched")
     return 0 if not failures else 1
 
@@ -289,7 +299,7 @@ def _add_common(p):
     p.add_argument("--config", help="JSON config file; explicit flags override its values")
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p.add_argument("--threads", type=int, default=None, help="worker processes for the Monte Carlo stages (default: the CPUs this process may use)")
-    p.add_argument("--out", default=None, help="output directory (default ./out)")
+    p.add_argument("--out", default=None, help="output directory (default: the config file's out_dir, else ./out)")
 
 
 def _add_population(p):

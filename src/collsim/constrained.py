@@ -288,13 +288,18 @@ def kkt_report(problem: ConstrainedProblem, solution: ActiveSetSolution) -> dict
     }
 
 
-def brute_force_oracle(problem: ConstrainedProblem, rtol: float = 1e-9):
+# Relative tolerance of the brute-force oracle's cap and multiplier-sign checks.
+_ORACLE_RTOL = 1e-9
+
+
+def brute_force_oracle(problem: ConstrainedProblem):
     """Enumerate every active set; return the best KKT-feasible candidate.
 
     Active sets range over the finite caps: an infinite cap cannot be tight,
     and making it active would give its portfolio zero counts.  Refuses more
     than 12 portfolios.  Returns ``None`` when no candidate is feasible
-    (consistent with a Slater failure).
+    (consistent with a Slater failure).  Caps and multiplier signs are
+    checked to a relative tolerance of ``_ORACLE_RTOL``.
     """
     n = problem.n_portfolios
     if n > 12:
@@ -311,7 +316,7 @@ def brute_force_oracle(problem: ConstrainedProblem, rtol: float = 1e-9):
             except InfeasibleProblemError:
                 continue
             variances = plan.portfolio_variances(problem)
-            if np.any(variances > caps * (1.0 + rtol)):
+            if np.any(variances > caps * (1.0 + _ORACLE_RTOL)):
                 continue
             inactive = [j for j in range(n) if j not in active and gamma[j] > 0]
             if inactive:
@@ -319,7 +324,7 @@ def brute_force_oracle(problem: ConstrainedProblem, rtol: float = 1e-9):
                 delta = np.array(
                     [(eps[j] / alpha) ** 2 - 1.0 if j in active else 0.0 for j in range(n)]
                 )
-                if np.any(delta < -rtol):
+                if np.any(delta < -_ORACLE_RTOL):
                     continue
             obj = plan.objective(problem)
             if best is None or obj < best[1] * (1.0 - 1e-15):
@@ -356,8 +361,8 @@ def _json_vector(v) -> np.ndarray:
     return x
 
 
-def problem_from_json(path_or_dict) -> ConstrainedProblem:
-    """Read a problem from a JSON document.
+def problem_from_json(path) -> ConstrainedProblem:
+    """Read a problem from a JSON file.
 
     Schema: ``{"budget": C, "portfolios": [{"sigma_independent": [...],
     "sigma_block": s, "block_size": n, "cap": V}, ...]}``; ``cap`` may be the
@@ -366,10 +371,7 @@ def problem_from_json(path_or_dict) -> ConstrainedProblem:
     portfolio index and the field; so does a file that is not JSON or not a
     JSON object.
     """
-    if isinstance(path_or_dict, dict):
-        doc, where = path_or_dict, "problem"
-    else:
-        doc, where = _read_json_object(path_or_dict, "problem"), str(path_or_dict)
+    doc, where = _read_json_object(path, "problem"), str(path)
 
     def field(obj, key, convert, what, context, default=None):
         if not isinstance(obj, dict):
@@ -401,8 +403,9 @@ def problem_from_json(path_or_dict) -> ConstrainedProblem:
     return ConstrainedProblem(portfolios=tuple(portfolios), caps=np.array(caps), budget=budget)
 
 
-def solution_to_json(problem: ConstrainedProblem, solution: ActiveSetSolution, path=None):
-    doc = {
+def solution_to_json(problem: ConstrainedProblem, solution: ActiveSetSolution) -> dict:
+    """The solution as a JSON document: active set, multipliers, plan, objective and KKT diagnostics."""
+    return {
         "active_set": sorted(solution.active),
         "iterations": solution.iterations,
         "alpha_trace": solution.alpha_trace,
@@ -418,10 +421,6 @@ def solution_to_json(problem: ConstrainedProblem, solution: ActiveSetSolution, p
             kkt_report(problem, solution) if not np.isnan(solution.lam) else {"fully_constrained": True}
         ),
     }
-    if path is not None:
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=2)
-    return doc
 
 
 def plan_to_csv(problem: ConstrainedProblem, solution: ActiveSetSolution, path) -> None:

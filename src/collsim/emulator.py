@@ -273,10 +273,8 @@ def matern52(x, x_prime, lengthscales, signal_variance):
     return k
 
 
-def _features(b_tilde, c_tilde, segment, y0, credit=None):
-    """Default 3-feature representation used by the per-segment GPs."""
-    if credit is None:
-        credit = credit_cdf_inv(c_tilde)
+def _features(b_tilde, c_tilde, segment, y0, credit):
+    """The 3 features of the per-segment GPs; ``credit`` is the credit score whose CDF is ``c_tilde``."""
     p1 = payment_probability(credit, segment, np.asarray(y0, dtype=bool))
     sd1 = np.sqrt(p1 * (1.0 - p1))
     return np.column_stack([np.atleast_1d(b_tilde), np.atleast_1d(c_tilde), np.atleast_1d(sd1)])
@@ -375,7 +373,7 @@ def _nll_grad_beta(theta, x, y, noise):
     return nll, grad, beta
 
 
-def _fit_single(x, y, noise, n_starts: int = 8, tol: float = 1e-8) -> SegmentGP:
+def _fit_single(x, y, noise) -> SegmentGP:
     from scipy.optimize import minimize
 
     dim = x.shape[1]
@@ -387,7 +385,7 @@ def _fit_single(x, y, noise, n_starts: int = 8, tol: float = 1e-8) -> SegmentGP:
         np.array([np.log(ell)] * dim + [np.log(tau)])
         for tau in tau_grid
         for ell in ell_grid
-    ][:n_starts]
+    ]
     bounds = [(np.log(1e-2), np.log(1e2))] * dim + [(np.log(var_y * 1e-4), np.log(var_y * 1e4))]
 
     best = None
@@ -398,7 +396,7 @@ def _fit_single(x, y, noise, n_starts: int = 8, tol: float = 1e-8) -> SegmentGP:
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"ftol": tol, "gtol": 1e-10, "maxiter": 500},
+            options={"ftol": 1e-8, "gtol": 1e-10, "maxiter": 500},
         )
         if best is None or res.fun < best.fun:
             best = res
@@ -431,11 +429,11 @@ class GpEmulator:
             raise ValueError(f"no fitted model for {segment!r}")
         return self.models[segment]
 
-    def predict_log(self, b_tilde, c_tilde, segment: int, y0, credit=None):
+    def predict_log(self, b_tilde, c_tilde, segment: int, y0, credit):
         """Log-scale posterior mean and variance for points in one segment."""
         return self._model(segment).predict(_features(b_tilde, c_tilde, segment, y0, credit=credit))
 
-    def predict_sigma2(self, b_tilde, c_tilde, segment: int, y0, credit=None):
+    def predict_sigma2(self, b_tilde, c_tilde, segment: int, y0, credit):
         """Posterior median of the variance: exp of the log-scale posterior mean."""
         model = self._model(segment)
         return np.exp(model.predict_mean(_features(b_tilde, c_tilde, segment, y0, credit=credit)))
@@ -464,8 +462,8 @@ class GpEmulator:
         return doc
 
     @classmethod
-    def from_json(cls, path_or_doc) -> "GpEmulator":
-        """Load an emulator written by :meth:`to_json`, from a path or a parsed document.
+    def from_json(cls, path) -> "GpEmulator":
+        """Load an emulator file written by :meth:`to_json`.
 
         Every model is checked as it is read: ``x_train`` (m, 3), ``y_train``
         and ``noise`` (m,), ``lengthscales`` (3,), every value a finite
@@ -473,10 +471,7 @@ class GpEmulator:
         non-negative.  A bad document raises one ``ValueError`` naming the
         file, the segment and the field.
         """
-        if isinstance(path_or_doc, dict):
-            doc, where = path_or_doc, "emulator"
-        else:
-            doc, where = _read_json_object(path_or_doc, "emulator"), str(path_or_doc)
+        doc, where = _read_json_object(path, "emulator"), str(path)
         if doc.get("format_version") != _FORMAT_VERSION:
             raise ValueError(f"{where}: unsupported emulator format: {doc.get('format_version')}")
         for name, value in _STORED_SETTINGS.items():

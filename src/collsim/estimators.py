@@ -1,4 +1,4 @@
-"""Monte Carlo estimators, sample moments and prediction intervals.
+"""Monte Carlo estimators, variance inputs and prediction intervals.
 
 The population estimate of expected total collections is the sum over
 accounts of the per-account realisation means; its variance under a plan with
@@ -25,15 +25,13 @@ import numpy as np
 
 from ._special import ndtri
 from .population import Population
-from .simulator import RealisationPlan, SimulationOutput, _segment_moments
+from .simulator import RealisationPlan, SimulationOutput
 
 __all__ = [
-    "Moments",
     "VarianceSource",
     "VarianceInputs",
     "MuEstimate",
     "PredictionInterval",
-    "sample_moments",
     "normal_quantile",
     "estimate_mu",
     "estimator_variance",
@@ -47,34 +45,6 @@ class VarianceSource(Enum):
     SAMPLE = "M1"
     EMULATOR = "M2"
     REFERENCE = "true"
-
-
-@dataclass(frozen=True)
-class Moments:
-    mean: float
-    variance: float
-    kurtosis: float  # plain kurtosis m4/m2^2 (normal = 3); NaN for degenerate samples
-
-
-def sample_moments(values, require: str = "variance") -> Moments:
-    """Mean, unbiased variance and plain kurtosis of a sample.
-
-    Kurtosis is m4/m2^2 with central *sample* moments; a zero second moment
-    makes it NaN (degenerate sample).  ``require`` names the highest moment
-    that must be computable: with the default ``"variance"`` a sample of 2 or
-    3 values succeeds with NaN kurtosis, while ``"kurtosis"`` demands at
-    least 4 values.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("sample_moments expects a 1-D sample")
-    n = len(x)
-    if n < 2:
-        raise ValueError(f"variance needs at least 2 values, got {n}")
-    if require == "kurtosis" and n < 4:
-        raise ValueError(f"kurtosis needs at least 4 values, got {n}")
-    mean, variance, kurt = (float(v[0]) for v in _segment_moments(x, np.full(1, n)))
-    return Moments(mean=mean, variance=variance, kurtosis=kurt)
 
 
 def normal_quantile(q: float) -> float:

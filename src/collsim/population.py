@@ -1,19 +1,24 @@
 """Synthetic account populations and covariate CDF transforms.
 
-Accounts carry an initial balance, a fixed credit score, an operational
-segment, a transition-eligibility flag and an indicator of whether the account
-paid in the month before the simulation starts.  Populations are partitioned
-into portfolios; within each portfolio the accounts that start in segment 3
-and are eligible for transition form the "dependent block", whose outcomes are
+A :class:`Population` holds one column per account attribute: an initial
+balance, a fixed credit score, an operational segment, a
+transition-eligibility flag and an indicator of whether the account paid in
+the month before the simulation starts.  Populations are partitioned into
+portfolios; within each portfolio the accounts that start in segment 3 and
+are eligible for transition form the "dependent block", whose outcomes are
 coupled through the capacity-constrained segment transitions.
 
-The module also provides the CDF / inverse-CDF transforms of the balance and
-credit-score distributions, which map covariates onto the unit square for the
-variance emulator's experimental design.  Population draws use the
-package's own normal quantile (:func:`collsim._special.ndtri`, bitwise
-scipy's), so drawing a population loads no scipy; the CDFs and the
-credit-score inverse, which only the emulator reaches, import
-``scipy.special.ndtr`` and ``scipy.optimize.brentq`` where they are called.
+The initialization distributions are module constants: a truncated normal
+balance, the credit-score normal mixture ``CREDIT_WEIGHTS``,
+``CREDIT_MEANS`` and ``CREDIT_SDS``, and the segment, eligibility and
+prior-payment probabilities.  The module also provides the CDF / inverse-CDF
+transforms of the balance and credit-score distributions, which map
+covariates onto the unit square for the variance emulator's experimental
+design.  Population draws use the package's own normal quantile
+(:func:`collsim._special.ndtri`, bitwise scipy's), so drawing a population
+loads no scipy; the CDFs and the credit-score inverse, which only the
+emulator reaches, import ``scipy.special.ndtr`` and ``scipy.optimize.brentq``
+where they are called.
 """
 
 from __future__ import annotations
@@ -29,11 +34,8 @@ from ._special import ndtri
 from .rng import _philox_uniforms, _unit_keys
 
 __all__ = [
-    "Account",
     "PortfolioIndex",
     "Population",
-    "CreditMixture",
-    "DEFAULT_CREDIT_MIXTURE",
     "init_population",
     "balance_cdf",
     "balance_cdf_inv",
@@ -49,6 +51,12 @@ BALANCE_HI = 10000.0
 PROB_PAID_BEFORE_START = 0.2
 SEGMENT_PROBS = (0.2, 0.2, 0.6)
 PROB_ELIGIBLE = 0.1
+# Normal mixture of initial credit scores.  The last component is written
+# N(-5, sqrt(0.1)) in some sources; we read it as variance 0.1.
+CREDIT_WEIGHTS = np.array([0.15, 0.05, 0.2, 0.6])
+CREDIT_MEANS = np.array([1.0, 4.0, -1.0, -5.0])
+CREDIT_SDS = np.sqrt([1.0, 1.0, 1.0, 0.1])
+_CREDIT_EDGES = np.cumsum(CREDIT_WEIGHTS)
 
 # Accounts per piece of init_population's draws and of to_csv's rows: the
 # temporaries of a piece stay under about a megabyte whatever the population size.
@@ -61,58 +69,6 @@ _B = (BALANCE_HI - BALANCE_MEAN) / BALANCE_SD
 _PHI_A = 0.022750131948179195  # scipy.special.ndtr(_A), _A = -2.0
 _PHI_B = 0.9999999999999681  # scipy.special.ndtr(_B), _B = 7.5
 _NORM = _PHI_B - _PHI_A
-
-
-@dataclass(frozen=True)
-class CreditMixture:
-    """Normal mixture for initial credit scores.
-
-    The final component is written N(-5, sqrt(0.1)) in some sources; we read
-    it as variance 0.1 by default, but the variance is configurable.
-    """
-
-    weights: tuple = (0.15, 0.05, 0.2, 0.6)
-    means: tuple = (1.0, 4.0, -1.0, -5.0)
-    variances: tuple = (1.0, 1.0, 1.0, 0.1)
-
-    def __post_init__(self):
-        if not np.isclose(sum(self.weights), 1.0):
-            raise ValueError("mixture weights must sum to 1")
-        if len(self.weights) != len(self.means) or len(self.means) != len(self.variances):
-            raise ValueError("mixture component lists must have equal length")
-
-    @property
-    def sds(self) -> np.ndarray:
-        return np.sqrt(np.asarray(self.variances))
-
-    def cdf(self, c):
-        from scipy.special import ndtr  # imported here to keep it out of `import collsim`
-
-        c = np.asarray(c, dtype=float)
-        w = np.asarray(self.weights)
-        mu = np.asarray(self.means)
-        sd = self.sds
-        return (w * ndtr((c[..., None] - mu) / sd)).sum(axis=-1)
-
-    def inv_cdf(self, u: float) -> float:
-        if not 0.0 < u < 1.0:
-            raise ValueError(f"u must lie in (0, 1), got {u}")
-        from scipy.optimize import brentq  # imported here to keep it out of `import collsim`
-
-        lo, hi = -40.0, 40.0
-        return brentq(lambda c: float(self.cdf(c)) - u, lo, hi, xtol=1e-13)
-
-    def sample(self, u_comp, u_val):
-        """Inverse-CDF sample using one uniform for the component, one for the value."""
-        edges = np.cumsum(self.weights)
-        comp = np.searchsorted(edges, u_comp, side="right")
-        comp = np.minimum(comp, len(self.weights) - 1)
-        mu = np.asarray(self.means)[comp]
-        sd = self.sds[comp]
-        return mu + sd * ndtri(u_val)
-
-
-DEFAULT_CREDIT_MIXTURE = CreditMixture()
 
 
 def balance_cdf(b):
@@ -135,34 +91,28 @@ def balance_cdf_inv(u):
     return float(b) if b.ndim == 0 else b
 
 
-def credit_cdf(c, mixture: CreditMixture = DEFAULT_CREDIT_MIXTURE):
+def credit_cdf(c):
     """CDF of the credit-score mixture."""
-    out = mixture.cdf(c)
+    from scipy.special import ndtr  # imported here to keep it out of `import collsim`
+
+    c = np.asarray(c, dtype=float)
+    out = (CREDIT_WEIGHTS * ndtr((c[..., None] - CREDIT_MEANS) / CREDIT_SDS)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
-def credit_cdf_inv(u, mixture: CreditMixture = DEFAULT_CREDIT_MIXTURE):
+def credit_cdf_inv(u):
     """Inverse of :func:`credit_cdf` via bracketed root finding."""
+    from scipy.optimize import brentq  # imported here to keep it out of `import collsim`
+
+    def inv(x: float) -> float:
+        if not 0.0 < x < 1.0:
+            raise ValueError(f"u must lie in (0, 1), got {x}")
+        return brentq(lambda c: credit_cdf(c) - x, -40.0, 40.0, xtol=1e-13)
+
     u_arr = np.asarray(u, dtype=float)
     if u_arr.ndim == 0:
-        return mixture.inv_cdf(float(u_arr))
-    return np.array([mixture.inv_cdf(float(x)) for x in u_arr])
-
-
-@dataclass(frozen=True)
-class Account:
-    """Covariates and initial state of one simulated debtor."""
-
-    id: int
-    balance: float
-    credit_score: float
-    segment: int
-    eligible: bool
-    paid_last_month: bool
-
-    def __post_init__(self):
-        if self.segment not in (1, 2, 3):
-            raise ValueError(f"segment must be in {{1,2,3}}, got {self.segment}")
+        return inv(float(u_arr))
+    return np.array([inv(float(x)) for x in u_arr])
 
 
 @dataclass(frozen=True)
@@ -191,16 +141,6 @@ class Population:
     @property
     def n(self) -> int:
         return len(self.balance)
-
-    def account(self, i: int) -> Account:
-        return Account(
-            id=int(i),
-            balance=float(self.balance[i]),
-            credit_score=float(self.credit_score[i]),
-            segment=int(self.segment[i]),
-            eligible=bool(self.eligible[i]),
-            paid_last_month=bool(self.paid_last_month[i]),
-        )
 
     @property
     def portfolios(self) -> list[PortfolioIndex]:
@@ -298,7 +238,6 @@ def init_population(
     n: int,
     portfolio_probs=(1.0,),
     seed: int = 0,
-    mixture: CreditMixture = DEFAULT_CREDIT_MIXTURE,
 ) -> Population:
     """Draw ``n`` accounts independently from the initialization distributions.
 
@@ -322,7 +261,8 @@ def init_population(
     balance = balance_cdf_inv(np.clip(u[:, 1], 1e-15, 1 - 1e-15))
     seg_edges = np.cumsum(SEGMENT_PROBS)
     segment = np.minimum(np.searchsorted(seg_edges, u[:, 2], side="right"), 2) + 1
-    credit = mixture.sample(u[:, 3], np.clip(u[:, 4], 1e-15, 1 - 1e-15))
+    comp = np.minimum(np.searchsorted(_CREDIT_EDGES, u[:, 3], side="right"), len(CREDIT_WEIGHTS) - 1)
+    credit = CREDIT_MEANS[comp] + CREDIT_SDS[comp] * ndtri(np.clip(u[:, 4], 1e-15, 1 - 1e-15))
     eligible = u[:, 5] < PROB_ELIGIBLE
     pf_edges = np.cumsum(probs)
     portfolio = np.minimum(np.searchsorted(pf_edges, u[:, 6], side="right"), len(probs) - 1)

@@ -4,7 +4,9 @@ Every stochastic component of the package draws from a Philox generator whose
 key is a hash of ``(seed, *key_parts)``.  This gives each logical unit (an
 account, a dependent block, a repetition of an experiment, ...) its own
 independent stream, so results do not depend on generation order or on the
-number of worker processes.
+number of worker processes.  The public entry points are :func:`stream` and
+:func:`derive_seed`; the bytes a key hashes are fixed in one place,
+:func:`_hasher`, whose state every key of the package starts from.
 
 Realisation-level streams use fixed-size draw blocks: realisation ``k`` of a
 unit consumes draw block ``k`` of the unit's stream, so two plans that assign
@@ -35,9 +37,9 @@ import numpy as np
 __all__ = ["stream", "derive_seed"]
 
 
-def _hasher(seed: int, key: tuple, base=None):
-    """SHA-256 state after ``(seed, *key)``; ``base`` is a state that already absorbed the seed."""
-    h = hashlib.sha256(str(int(seed)).encode()) if base is None else base.copy()
+def _hasher(seed: int, key: tuple):
+    """SHA-256 state after ``(seed, *key)``."""
+    h = hashlib.sha256(str(int(seed)).encode())
     for part in key:
         h.update(b"\x1f")
         if isinstance(part, (int, np.integer)):

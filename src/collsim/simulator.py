@@ -93,10 +93,6 @@ class TransitionSchedule:
         if len(c) and np.any(c < 0):
             raise ValueError("capacities must be non-negative")
 
-    @classmethod
-    def none(cls) -> "TransitionSchedule":
-        return cls(times=(), capacities=())
-
 
 DEFAULT_SCHEDULE = TransitionSchedule(times=(6, 12, 18, 24, 30, 36), capacities=(10,) * 6)
 

@@ -74,6 +74,24 @@ class TestConfigPrecedence:
         pop_lines = (tmp_path / "o" / "population.csv").read_text().strip().splitlines()
         assert len(pop_lines) == 16
 
+    def test_config_out_dir_is_honoured_and_out_wins(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": "from_config", "n_accounts": 20}))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "from_config" / "population.csv").exists()
+        assert not (tmp_path / "out").exists()
+        assert main(["simulate", "--config", str(cfg), "--out", "from_flag"]) == 0
+        assert (tmp_path / "from_flag" / "population.csv").exists()
+
+    def test_config_name_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "my-study", "n_accounts": 20}))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {cfg}: the subcommand names the experiment; drop the config key 'name'\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestErrors:
     def test_bad_args_exit_nonzero(self, tmp_path, capsys):
@@ -102,6 +120,22 @@ class TestErrors:
         prob = tmp_path / "prob.json"
         prob.write_text(json.dumps({"budget": 100, "portfolios": [{"sigma_independent": [1, 2], "cap": "inf"}]}))
         rc = main(["protect", "--problem", str(prob), "--out", str(tmp_path / "pout"), *flags])
+        assert rc == 1
+        assert f"from the problem file; drop {named}\n" in capsys.readouterr().err
+        assert not (tmp_path / "pout").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config, named",
+        [
+            ([], {"budget": 5, "n_accounts": 7}, "config key 'n_accounts', config key 'budget'"),
+            (["--budget", "5"], {"caps": [1], "portfolio_probs": [1]}, "--budget, config key 'portfolio_probs', config key 'caps'"),
+        ],
+    )
+    def test_protect_problem_rejects_config_keys_before_any_output(self, tmp_path, capsys, flags, config, named):
+        prob, cfg = tmp_path / "prob.json", tmp_path / "cfg.json"
+        prob.write_text(json.dumps({"budget": 100, "portfolios": [{"sigma_independent": [1, 2], "cap": "inf"}]}))
+        cfg.write_text(json.dumps(config))
+        rc = main(["protect", "--problem", str(prob), "--config", str(cfg), "--out", str(tmp_path / "pout"), *flags])
         assert rc == 1
         assert f"from the problem file; drop {named}\n" in capsys.readouterr().err
         assert not (tmp_path / "pout").exists()

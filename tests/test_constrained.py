@@ -217,28 +217,29 @@ def test_active_set_matches_brute_force_oracle(problem):
 
 
 class TestWireFormats:
-    def _problem(self):
-        return problem_from_json(
-            {
-                "budget": 500,
-                "portfolios": [
-                    {"sigma_independent": [30, 40], "sigma_block": 60, "block_size": 3, "cap": 900},
-                    {"sigma_independent": [100, 20], "cap": 700},
-                ],
-            }
-        )
+    def _problem(self, tmp_path):
+        path = tmp_path / "problem.json"
+        doc = {
+            "budget": 500,
+            "portfolios": [
+                {"sigma_independent": [30, 40], "sigma_block": 60, "block_size": 3, "cap": 900},
+                {"sigma_independent": [100, 20], "cap": 700},
+            ],
+        }
+        path.write_text(json.dumps(doc))
+        return problem_from_json(path)
 
     def test_problem_round_trip(self, tmp_path):
-        problem = self._problem()
+        problem = self._problem(tmp_path)
         assert problem.n_portfolios == 2
         assert problem.budget == 500.0
         assert problem.portfolios[0].block_size == 3
 
     def test_solution_json_and_csv(self, tmp_path):
-        problem = self._problem()
+        problem = self._problem(tmp_path)
         solution = active_set_solve(problem)
-        doc = solution_to_json(problem, solution, tmp_path / "sol.json")
-        back = json.loads((tmp_path / "sol.json").read_text())
+        doc = solution_to_json(problem, solution)
+        back = json.loads(json.dumps(doc))
         assert back["active_set"] == doc["active_set"]
         assert back["objective"] == pytest.approx(solution.plan.objective(problem))
         plan_to_csv(problem, solution, tmp_path / "plan.csv")

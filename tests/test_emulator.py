@@ -339,13 +339,13 @@ class TestEmulatorPredictions:
         pop = init_population(20, (1.0,), seed=41)
         sigma2 = sigma2_for_population(emulator, pop)
         for i in (0, 7, 13):
-            acc = pop.account(i)
+            credit = float(pop.credit_score[i])
             one = emulator.predict_sigma2(
-                balance_cdf(acc.balance),
-                credit_cdf(acc.credit_score),
-                acc.segment,
-                int(acc.paid_last_month),
-                credit=acc.credit_score,
+                balance_cdf(float(pop.balance[i])),
+                credit_cdf(credit),
+                int(pop.segment[i]),
+                int(pop.paid_last_month[i]),
+                credit=credit,
             )
             assert float(np.atleast_1d(one)[0]) == pytest.approx(sigma2[i], rel=1e-9)
 
@@ -353,10 +353,11 @@ class TestEmulatorPredictions:
         emulator, _ = tiny_emulator
         g = np.random.default_rng(45)
         b_t, c_t, y0 = g.random(40), g.random(40), g.integers(0, 2, 40)
+        credit = credit_cdf_inv(c_t)
         for s in (1, 2, 3):
-            x = _features(b_t, c_t, s, y0)
+            x = _features(b_t, c_t, s, y0, credit)
             full = np.exp(emulator.models[s].predict(x)[0])
-            assert np.array_equal(emulator.predict_sigma2(b_t, c_t, s, y0), full)
+            assert np.array_equal(emulator.predict_sigma2(b_t, c_t, s, y0, credit=credit), full)
         # the mean-only path never runs the posterior variance
         monkeypatch.setattr(SegmentGP, "predict", lambda self, x: pytest.fail("variance computed"))
         sigma2_for_population(emulator, init_population(50, (1.0,), seed=46))
@@ -377,8 +378,8 @@ class TestEmulatorPredictions:
         for (s, y), pts in test.items():
             if s != 2:
                 continue
-            for b_t, c_t, _, v, _ in dict(_design_moments(test, 200, 44, "validate"))[(s, y)]:
-                mean, _ = emulator.predict_log(b_t, c_t, s, np.array([y]))
+            for b_t, c_t, credit, v, _ in dict(_design_moments(test, 200, 44, "validate"))[(s, y)]:
+                mean, _ = emulator.predict_log(b_t, c_t, s, np.array([y]), credit=credit)
                 log_err.append(float(mean[0]) - np.log(v))
                 pred_sd.append(np.sqrt(np.exp(float(mean[0]))))
                 samp_sd.append(np.sqrt(v))
@@ -388,7 +389,7 @@ class TestEmulatorPredictions:
         assert seg["sd_correlation"] == pytest.approx(np.corrcoef(pred_sd, samp_sd)[0, 1], rel=1e-9)
 
     def test_features(self):
-        f = _features(0.2, 0.5, 1, 0)
+        f = _features(0.2, 0.5, 1, 0, credit_cdf_inv(0.5))
         assert f.shape == (1, 3)
         assert f[0, 0] == 0.2 and f[0, 1] == 0.5
         assert 0.0 < f[0, 2] <= 0.5  # sqrt(p(1-p))
@@ -448,16 +449,20 @@ class TestPersistence:
         pop = init_population(50, (1.0,), seed=42)
         assert sigma2_for_population(back, pop).tobytes() == sigma2_for_population(emulator, pop).tobytes()
 
-    def test_unknown_format_rejected(self):
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "emulator.json"
+        path.write_text(json.dumps({"format_version": 999, "models": {}}))
         with pytest.raises(ValueError, match="format"):
-            GpEmulator.from_json({"format_version": 999, "models": {}})
+            GpEmulator.from_json(path)
 
-    def test_only_segment_mode_and_median_prediction_load(self, tiny_emulator):
+    def test_only_segment_mode_and_median_prediction_load(self, tiny_emulator, tmp_path):
         doc = tiny_emulator[0].to_json()
         assert (doc["mode"], doc["prediction"]) == ("segment", "median")
+        path = tmp_path / "emulator.json"
         for field, value in (("mode", "slice"), ("prediction", "mean")):
+            path.write_text(json.dumps({**doc, field: value}))
             with pytest.raises(ValueError, match=field):
-                GpEmulator.from_json({**doc, field: value})
+                GpEmulator.from_json(path)
 
 
 class TestStoredEmulatorChecked:

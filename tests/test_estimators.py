@@ -1,4 +1,4 @@
-"""Moments, quantiles, mean/variance estimation and prediction intervals."""
+"""Sample moments, quantiles, mean/variance estimation and prediction intervals."""
 
 import math
 
@@ -17,40 +17,31 @@ from collsim.estimators import (
     monthly_bands,
     normal_quantile,
     prediction_interval,
-    sample_moments,
     variance_inputs_from_samples,
 )
 from collsim.population import init_population
 from collsim.simulator import RealisationPlan, _segment_moments, run_plan
-from engine_totals import assert_near_fsum, raw_totals
+from engine_totals import assert_near_fsum, moments_of, raw_totals
 from exact_truth import exact
 
 
 class TestSampleMoments:
     def test_hand_values(self):
-        m = sample_moments([0.0, 2.0])
-        assert m.mean == 1.0
-        assert m.variance == 2.0  # ddof=1
-        assert math.isnan(m.kurtosis)  # needs at least 4 points
+        mean, variance, kurt = moments_of([[0.0, 2.0]])[:, 0]
+        assert mean == 1.0
+        assert variance == 2.0  # ddof=1
+        assert math.isnan(kurt)  # needs at least 4 points
 
     def test_kurtosis_of_symmetric_sample(self):
         # {-1, -1, 1, 1}: m2 = 1, m4 = 1 -> kurtosis 1 (plain m4/m2^2, normal = 3)
-        m = sample_moments([-1.0, -1.0, 1.0, 1.0], require="kurtosis")
-        assert m.kurtosis == pytest.approx(1.0, abs=1e-14)
+        assert moments_of([[-1.0, -1.0, 1.0, 1.0]])[2, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_normal_kurtosis(self):
         g = np.random.Generator(np.random.Philox(key=9))
-        m = sample_moments(g.standard_normal(400000), require="kurtosis")
-        assert m.kurtosis == pytest.approx(3.0, abs=0.05)
+        assert moments_of([g.standard_normal(400000)])[2, 0] == pytest.approx(3.0, abs=0.05)
 
     def test_degenerate_kurtosis_is_nan(self):
-        assert math.isnan(sample_moments([5.0, 5.0, 5.0, 5.0]).kurtosis)
-
-    def test_insufficient_sizes_error(self):
-        with pytest.raises(ValueError):
-            sample_moments([1.0])
-        with pytest.raises(ValueError):
-            sample_moments([1.0, 2.0, 3.0], require="kurtosis")
+        assert math.isnan(moments_of([[5.0, 5.0, 5.0, 5.0]])[2, 0])
 
     def test_segment_moments_equal_per_row_scalar_formula(self):
         # each row's moments are those of the row on its own, bit for bit, and within a few ulps of
@@ -68,9 +59,6 @@ class TestSampleMoments:
                     assert math.isnan(variance[k])
                     continue
                 assert math.isnan(kurt[k]) == (c < 4 or variance[k] == 0.0)
-                m = sample_moments(row)
-                assert (m.mean, m.variance) == (mean[k], variance[k])
-                assert m.kurtosis == kurt[k] or (math.isnan(m.kurtosis) and math.isnan(kurt[k]))
             if c >= 2:
                 assert variance[0] == 0.0
 

@@ -15,7 +15,7 @@ import collsim.constrained
 import collsim.experiments
 from collsim.allocator import plan_for_population, round_plan
 from collsim.emulator import fit_gp, generate_training_data, sliced_lhd
-from collsim.estimators import VarianceInputs, VarianceSource, estimator_variance, sample_moments
+from collsim.estimators import VarianceInputs, VarianceSource, estimator_variance
 from collsim.experiments import (
     ExperimentConfig,
     _pilot_block_sigmas,
@@ -28,7 +28,15 @@ from collsim.experiments import (
 )
 from collsim.population import init_population
 from collsim.rng import derive_seed, stream
-from collsim.simulator import _CHUNK_PATHS, HORIZON, RealisationPlan, _simulate_paths, payment_probability, run_plan
+from collsim.simulator import (
+    _CHUNK_PATHS,
+    HORIZON,
+    RealisationPlan,
+    _segment_moments,
+    _simulate_paths,
+    payment_probability,
+    run_plan,
+)
 from engine_totals import raw_totals
 
 
@@ -278,7 +286,7 @@ def _per_account_reference_sigmas(pop, n_realisations, seed):
         p1 = payment_probability(pop.credit_score[i], pop.segment[i], True)
         u = stream(seed, "sigma-ref", int(i)).random((n_realisations, HORIZON))
         totals, _ = _simulate_paths(p0, p1, pop.balance[i], pop.paid_last_month[i], u.T)
-        sigma[i] = np.sqrt(sample_moments(totals).variance)
+        sigma[i] = np.sqrt(_segment_moments(totals, np.full(1, n_realisations))[1][0])
     return sigma, _pilot_block_sigmas(pop, n_realisations, derive_seed(seed, "sigma-ref-block"))
 
 

@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 import collsim.population as population
+from collsim._special import ndtri
 from collsim.population import (
-    DEFAULT_CREDIT_MIXTURE,
-    Account,
-    CreditMixture,
     Population,
     balance_cdf,
     balance_cdf_inv,
@@ -84,26 +82,28 @@ class TestCreditMixture:
         # 0.15*1 + 0.05*4 + 0.2*(-1) + 0.6*(-5) = -2.85
         g = np.random.Generator(np.random.Philox(key=123))
         u = g.random((200000, 2))
-        samples = DEFAULT_CREDIT_MIXTURE.sample(u[:, 0], np.clip(u[:, 1], 1e-12, 1 - 1e-12))
+        samples = _credit_scores(u[:, 0], np.clip(u[:, 1], 1e-12, 1 - 1e-12))
         assert samples.mean() == pytest.approx(-2.85, abs=0.02)
 
-    def test_final_component_variance_configurable(self):
-        wide = CreditMixture(variances=(1.0, 1.0, 1.0, 1.0))
-        # a wider final component moves mass below -5
-        assert wide.cdf(-6.0) > DEFAULT_CREDIT_MIXTURE.cdf(-6.0)
-
-    def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            CreditMixture(weights=(0.5, 0.5, 0.5, 0.5))
-
-
-class TestAccount:
-    def test_segment_validated(self):
-        with pytest.raises(ValueError):
-            Account(id=0, balance=1000.0, credit_score=0.0, segment=4, eligible=False, paid_last_month=False)
+    def test_final_component_has_variance_0_1(self):
+        # N(-5, sqrt(0.1)) read as variance 0.1: one sd below -5 holds 0.6 Phi(-1) of the mass
+        x = -5.0 - math.sqrt(0.1)
+        sds = (1.0, 1.0, 1.0, math.sqrt(0.1))
+        expected = sum(
+            w * 0.5 * (1.0 + math.erf((x - m) / (s * math.sqrt(2.0))))
+            for w, m, s in zip((0.15, 0.05, 0.2, 0.6), (1.0, 4.0, -1.0, -5.0), sds)
+        )
+        assert credit_cdf(x) == pytest.approx(expected, abs=1e-12)
+        assert credit_cdf(x) == pytest.approx(0.6 * 0.158655253931, abs=1e-5)
 
 
-def _per_account_population(n, portfolio_probs, seed, mixture=DEFAULT_CREDIT_MIXTURE):
+def _credit_scores(u_comp, u_val):
+    """The credit-score mixture's inverse-CDF draw: one uniform picks the component, one the value."""
+    comp = np.minimum(np.searchsorted(np.cumsum(population.CREDIT_WEIGHTS), u_comp, side="right"), 3)
+    return population.CREDIT_MEANS[comp] + population.CREDIT_SDS[comp] * ndtri(u_val)
+
+
+def _per_account_population(n, portfolio_probs, seed):
     """init_population with each account's seven uniforms drawn from its own generator."""
     u = np.array([stream(seed, "population", i).random(7) for i in range(n)]).reshape(n, 7)
     probs = np.asarray(portfolio_probs, dtype=float)
@@ -112,7 +112,7 @@ def _per_account_population(n, portfolio_probs, seed, mixture=DEFAULT_CREDIT_MIX
         paid_last_month=u[:, 0] < population.PROB_PAID_BEFORE_START,
         balance=balance_cdf_inv(np.clip(u[:, 1], 1e-15, 1 - 1e-15)),
         segment=np.minimum(np.searchsorted(seg_edges, u[:, 2], side="right"), 2) + 1,
-        credit_score=mixture.sample(u[:, 3], np.clip(u[:, 4], 1e-15, 1 - 1e-15)),
+        credit_score=_credit_scores(u[:, 3], np.clip(u[:, 4], 1e-15, 1 - 1e-15)),
         eligible=u[:, 5] < population.PROB_ELIGIBLE,
         portfolio=np.minimum(np.searchsorted(np.cumsum(probs), u[:, 6], side="right"), len(probs) - 1),
     )

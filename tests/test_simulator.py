@@ -27,7 +27,7 @@ from collsim.estimators import (
     normal_quantile,
     variance_inputs_from_samples,
 )
-from collsim.population import Account, init_population
+from collsim.population import init_population
 from collsim.rng import stream
 from collsim.simulator import (
     _CHUNK_PATHS,
@@ -72,6 +72,30 @@ class CollectionsPath:
     @property
     def total(self) -> float:
         return float(self.monthly.sum())
+
+
+@dataclass(frozen=True)
+class Account:
+    """Covariates and initial state of one account, the input of the single-unit oracle."""
+
+    id: int
+    balance: float
+    credit_score: float
+    segment: int
+    eligible: bool
+    paid_last_month: bool
+
+
+def account_of(pop, i) -> Account:
+    """Account ``i`` of a population, read from its columns."""
+    return Account(
+        id=int(i),
+        balance=float(pop.balance[i]),
+        credit_score=float(pop.credit_score[i]),
+        segment=int(pop.segment[i]),
+        eligible=bool(pop.eligible[i]),
+        paid_last_month=bool(pop.paid_last_month[i]),
+    )
 
 
 def simulate_independent(account: Account, horizon: int = HORIZON, rng=None, *, seed=None, realisation=0):
@@ -226,7 +250,7 @@ class TestBlockTransitions:
 
     def test_no_schedule_means_no_transitions(self):
         u = np.full((HORIZON, 2), 0.25)
-        monthly = self._block([2.0, 2.0], TransitionSchedule.none(), u)
+        monthly = self._block([2.0, 2.0], TransitionSchedule(times=(), capacities=()), u)
         # segment-3 probability sigmoid(-3.6) = 0.027 < 0.25: never pays
         assert monthly.sum() == 0.0
 
@@ -278,7 +302,7 @@ class TestRunPlan:
         totals = raw_totals(pop, plan, seed=21)
         for i in pop.independent_ids[:5]:
             for k in range(3):
-                path = simulate_independent(pop.account(i), seed=21, realisation=k)
+                path = simulate_independent(account_of(pop, i), seed=21, realisation=k)
                 assert totals[i][k] == pytest.approx(path.total, abs=1e-9)
 
     def test_block_totals_consistent(self):
@@ -662,7 +686,7 @@ class TestMonthlyReductions:
 
         mean, var = np.zeros(HORIZON), np.zeros(HORIZON)
         for i in pop.independent_ids:
-            acc, r = pop.account(i), int(counts[i])
+            acc, r = account_of(pop, i), int(counts[i])
             _, monthly = _simulate_paths(
                 payment_probability(acc.credit_score, acc.segment, False),
                 payment_probability(acc.credit_score, acc.segment, True),

@@ -1,5 +1,6 @@
-"""Source hygiene: every private function and class of collsim is used somewhere in it, and every
-public one somewhere in the repository."""
+"""Source hygiene: every private function and class of collsim is used somewhere in it, every public
+one and every defaulted parameter somewhere in the package, the demos or the benchmark.  A use in the
+tests alone does not count: code that only tests need does not belong in the package."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ import collsim
 
 SRC = Path(collsim.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
-READERS = (SRC, REPO / "tests", REPO / "demos", REPO / "bench")  # where a public name may be used
+READERS = (SRC, REPO / "demos", REPO / "bench")  # where a public name or a parameter may be used
 
 
 def private_definitions_and_uses(src=SRC):
@@ -86,7 +87,7 @@ def test_every_public_function_class_and_method_is_used():
     defined, names, attrs = public_definitions_and_uses()
     assert len(defined) > 100  # the walk found the package's public functions, classes and methods
     unused = unused_public(defined, names, attrs)
-    assert not unused, f"public names defined but never used in src, tests, demos or bench: {unused}"
+    assert not unused, f"public names defined but never used in src, demos or bench: {unused}"
 
 
 def test_gate_catches_a_public_method_nothing_reads(tmp_path):
@@ -100,3 +101,79 @@ def test_gate_catches_a_public_method_nothing_reads(tmp_path):
     defined, names, attrs = public_definitions_and_uses(src, (src, tests))
     assert sorted(defined) == ["Box", "Box.left_over", "Box.size", "make", "unread"]
     assert sorted(unused_public(defined, names, attrs)) == ["Box.left_over", "unread"]
+
+
+# Defaulted parameters that no call in READERS passes, each kept for the reason given.
+UNPASSED_ALLOWED = {
+    ("run_plan", "horizon"): "bench/tracing.py's run_plan counter binds the call and reads horizon; it goes with the tracer",
+    ("sliced_lhd", "exchange_iters"): "the LHD tests run the exchange at 0 to 500 iterations",
+}
+
+
+def unpassed_parameters(src=SRC, readers=READERS):
+    """``{(function, parameter): "file:line"}``: the defaulted parameters under ``src`` that no call under ``readers`` passes.
+
+    Every function and method counts, nested ones too.  A call passes a
+    parameter by keyword, by position (after ``self`` or ``cls``) or through
+    ``*`` or ``**``.  A call matches every definition of its name, called as a
+    bare name or as an attribute.
+    """
+    defaults = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    defaults[(node.name, arg.arg)] = (i - skip, f"{path.name}:{node.lineno}")
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        defaults[(node.name, arg.arg)] = (None, f"{path.name}:{node.lineno}")
+    keywords, most_positional, spread = set(), {}, set()
+    for root in readers:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                    spread.add(name)
+                keywords.update((name, k.arg) for k in node.keywords)
+                most_positional[name] = max(most_positional.get(name, 0), len(node.args))
+    return {
+        (name, param): where
+        for (name, param), (position, where) in defaults.items()
+        if name not in spread
+        and (name, param) not in keywords
+        and (position is None or most_positional.get(name, 0) <= position)
+    }
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    unpassed = unpassed_parameters()
+    left = {key: where for key, where in unpassed.items() if key not in UNPASSED_ALLOWED}
+    assert not left, f"defaulted parameters that no call in src, demos or bench passes: {left}"
+    passed_now = [key for key in UNPASSED_ALLOWED if key not in unpassed]
+    assert not passed_now, f"allowed parameters that some call now passes; drop them from UNPASSED_ALLOWED: {passed_now}"
+
+
+def test_parameter_gate_catches_a_dead_keyword_and_not_one_passed_by_position(tmp_path):
+    src, demos = tmp_path / "pkg", tmp_path / "demos"
+    src.mkdir(), demos.mkdir()
+    (src / "a.py").write_text(
+        "def draw(n, size=2, seed=0, dead=1):\n    pass\n\n\n"
+        "def spread(a=0, b=1):\n    pass\n\n\n"
+        "class Box:\n    def fill(self, k=0, *, level=3):\n        pass\n"
+    )
+    (demos / "d.py").write_text(
+        "from pkg.a import Box, draw, spread\n\n"
+        "draw(3, 5, seed=4)\nspread(*[1, 2])\nBox().fill(1, level=2)\n"
+    )
+    assert sorted(unpassed_parameters(src, (src, demos))) == [("draw", "dead")]
+    (demos / "d.py").write_text("from pkg.a import Box, draw\n\ndraw(3)\nBox().fill()\n")
+    assert sorted(unpassed_parameters(src, (src, demos))) == [
+        ("draw", "dead"), ("draw", "seed"), ("draw", "size"), ("fill", "k"), ("fill", "level"), ("spread", "a"), ("spread", "b")
+    ]
