@@ -18,7 +18,7 @@ for j, pf in enumerate(pop.portfolios):
 
 plan = RealisationPlan.equal(pop.n, 25)
 output = run_plan(pop, plan, seed=11, store_monthly=True)
-mu = estimate_mu(output, plan, pop)
+mu = estimate_mu(output, pop)
 
 print(f"\nexpected total collections: {mu.total:,.2f}")
 print(f"per portfolio: {', '.join(f'{v:,.2f}' for v in mu.per_portfolio)}")

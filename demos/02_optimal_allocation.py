@@ -10,7 +10,6 @@ import numpy as np
 from collsim import (
     RealisationPlan,
     VarianceInputs,
-    VarianceSource,
     estimator_variance,
     fit_gp,
     generate_training_data,
@@ -32,9 +31,7 @@ sigma2 = sigma2_for_population(emulator, pop)
 sigma2_block = np.full(1, np.nan)
 if len(pop.portfolios[0].dependent_ids):
     sigma2_block[0] = pilot_block_variance(pop, 0, n_pilot=50, seed=6)
-inputs = VarianceInputs(
-    sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR
-)
+inputs = VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block)
 
 budget = 25.0 * pop.n
 _, _, real_plan = plan_for_population(pop, inputs, budget)

@@ -20,7 +20,7 @@ N, R = 200, 25
 pop = init_population(N, (1.0,), seed=1)
 plan = RealisationPlan.equal(N, R)
 output = run_plan(pop, plan, seed=derive_seed(1, "estimate"))
-mu = estimate_mu(output, plan, pop)
+mu = estimate_mu(output, pop)
 inputs = variance_inputs_from_samples(output, pop)
 interval = prediction_interval(mu.total, inputs, plan, pop, p=0.95)
 
@@ -33,7 +33,7 @@ hits = 0
 for rep in range(100):
     pop = init_population(N, (1.0,), seed=derive_seed(2, "pop", rep))
     output = run_plan(pop, plan, seed=derive_seed(2, "estimate", rep))
-    mu = estimate_mu(output, plan, pop)
+    mu = estimate_mu(output, pop)
     inputs = variance_inputs_from_samples(output, pop)
     interval = prediction_interval(mu.total, inputs, plan, pop, p=0.95)
     truth = run_plan(pop, RealisationPlan.equal(N, 1), seed=derive_seed(2, "truth", rep))

@@ -8,7 +8,7 @@ the remainder optimally.
 
 import numpy as np
 
-from collsim import VarianceInputs, VarianceSource, check_slater, plan_for_population, round_plan
+from collsim import VarianceInputs, check_slater, plan_for_population, round_plan
 from collsim.experiments import reference_sigmas
 from collsim.population import init_population
 
@@ -19,7 +19,7 @@ print(f"{pop.n} accounts; the protected portfolio holds only {n_small} of them")
 print("estimating per-unit standard deviations from pilot runs ...")
 sigma, sigma_block = reference_sigmas(pop, n_realisations=500, seed=3)
 
-inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2, source=VarianceSource.REFERENCE)
+inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2)
 
 caps = (1500.0**2, 60.0**2)
 budget = 25.0 * pop.n

@@ -39,7 +39,6 @@ from .estimators import (
     MuEstimate,
     PredictionInterval,
     VarianceInputs,
-    VarianceSource,
     estimate_mu,
     estimator_variance,
     monthly_bands,

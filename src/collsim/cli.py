@@ -4,13 +4,15 @@ Subcommands cover the full workflow: simulation runs, optimal and
 cap-constrained budget allocation, prediction intervals, coverage studies,
 emulator training and validation, and a self-check of the constrained solver
 against a brute-force oracle.  Options can come from a JSON config file
-(``--config``); explicit flags override config values.  Exit status is 0 on
-success, 1 on any error, and 1 from ``oracle-check`` when a mismatch is found.
+(``--config``); explicit flags override config values; ``READS`` lists what
+each subcommand reads.  Exit status is 0 on success, 1 on any error, and 1
+from ``oracle-check`` when a mismatch is found.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -23,7 +25,6 @@ from .allocator import round_plan
 from .constrained import (
     ConstrainedProblem,
     PortfolioInputs,
-    _read_json_object,
     active_set_solve,
     brute_force_oracle,
     kkt_report,
@@ -40,6 +41,7 @@ from .experiments import (
     interval_estimate,
     optimized_plan,
     protect_experiment,
+    read_config_file,
     simulate_experiment,
     train_emulator_experiment,
     validate_on_test_design,
@@ -51,42 +53,42 @@ from .simulator import RealisationPlan
 log = logging.getLogger("collsim")
 
 
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"not JSON serializable: {type(x)}")
-
-
-def _write_json(path, doc, config=None):
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
-    if config is not None:
-        write_sidecar(path, config)
+def _write_json(path, doc, config: ExperimentConfig) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_sidecar(path, config)
     log.info("wrote %s", path)
 
 
-def _config_from_args(args, **extra) -> ExperimentConfig:
-    overrides = dict(
-        seed=args.seed,
-        threads=args.threads,
-        out_dir=args.out,
-        n_accounts=getattr(args, "n_accounts", None),
-        plan_mode=getattr(args, "plan", None),
-        budget=getattr(args, "budget", None),
-        interval_method=getattr(args, "method", None),
-        repetitions=getattr(args, "repetitions", None),
-        portfolio_probs=tuple(args.portfolio_probs) if getattr(args, "portfolio_probs", None) else None,
-        caps=tuple(args.caps) if getattr(args, "caps", None) else None,
-        points_per_slice=getattr(args, "points_per_slice", None),
-        train_realisations=getattr(args, "train_realisations", None),
-    )
-    overrides.update(extra)
-    if args.config:
-        if "name" in _config_file_keys(args):
-            raise ValueError(f"{args.config}: the subcommand names the experiment; drop the config key 'name'")
-        return ExperimentConfig.from_file(args.config, **overrides)
-    return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+# The config fields each form of a subcommand reads, besides seed, threads and out_dir.
+_PLAN = ("n_accounts", "portfolio_probs", "budget", "n_pilot")
+_INTERVAL = (*_PLAN, "plan_mode", "caps", "interval_method", "coverage_p")
+READS = {
+    "simulate": (*_PLAN, "plan_mode", "caps", "coverage_p"),
+    "allocate": _PLAN,
+    "protect": (*_PLAN, "caps", "sigma_reference_realisations"),
+    "protect --problem": (),
+    "interval": _INTERVAL,
+    "coverage-study": (*_INTERVAL, "repetitions"),
+    "train-emulator": ("points_per_slice", "train_realisations"),
+    "validate-emulator": ("points_per_slice", "train_realisations"),
+    "oracle-check": (),
+}
+
+
+def _config_from_args(args) -> ExperimentConfig:
+    """The ``--config`` file's settings under the flags given; a setting its form does not read raises first."""
+    form = args.command + (" --problem" if getattr(args, "problem", None) else "")
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ExperimentConfig)}
+    flags = {k: tuple(v) if isinstance(v, list) else v for k, v in flags.items() if v is not None}
+    settings = read_config_file(args.config) if args.config else {}
+    reads = {"seed", "threads", "out_dir", *READS[form]}
+    unread = [f"--{k.replace('_', '-')}" for k in flags if k not in reads]
+    keys = sorted(set(settings) - reads)
+    if keys:
+        unread.append(f"config keys {keys} of {args.config}")
+    if unread:
+        raise ValueError(f"{form} does not read {', '.join(unread)}")
+    return ExperimentConfig(**{**settings, **flags}, name=args.command)
 
 
 def _load_emulator(args) -> GpEmulator | None:
@@ -94,38 +96,27 @@ def _load_emulator(args) -> GpEmulator | None:
     return GpEmulator.from_json(path) if path else None
 
 
-def _config_file_keys(args) -> set:
-    """The keys of the ``--config`` file; none without one."""
-    return set(_read_json_object(args.config, "config")) if args.config else set()
-
-
-def _out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_simulate(args) -> int:
-    config = _config_from_args(args, name="simulate")
-    report = simulate_experiment(config, emulator=_load_emulator(args), out_dir=_out_dir(config))
+    config = _config_from_args(args)
+    report = simulate_experiment(config, _load_emulator(args))
     print(f"estimated total collections: {report['mu_total']:.2f}")
     return 0
 
 
 def cmd_allocate(args) -> int:
-    config = _config_from_args(args, name="allocate")
+    config = _config_from_args(args)
     pop = config_population(config)
     real, inputs = optimized_plan(pop, config, _load_emulator(args), derive_seed(config.seed, "pilot"))
     plan = round_plan(real, pop)
     _, var_opt = estimator_variance(inputs, real, pop)
     r_eq = config.effective_budget / pop.n
     _, var_eq = estimator_variance(inputs, RealisationPlan.equal(pop.n, r_eq), pop)
-    out = _out_dir(config)
-    real.to_csv(pop, out / "plan.csv", int_counts=plan.counts.astype(int))
+    out = config.make_out_dir()
+    real.to_csv(pop, out / "plan.csv")
     write_sidecar(out / "plan.csv", config)
     _write_json(
         out / "allocation_report.json",
@@ -143,18 +134,15 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_protect(args) -> int:
-    if getattr(args, "problem", None):
-        # standalone solve of a problem file, no simulation; every check comes before the output directory
-        unused = ("--n-accounts", "--portfolio-probs", "--budget", "--caps", "--emulator")
-        given = [flag for flag in unused if getattr(args, flag[2:].replace("-", "_")) is not None]
-        keys = _config_file_keys(args)
-        given += [f"config key {k!r}" for k in ("n_accounts", "portfolio_probs", "budget", "caps") if k in keys]
-        if given:
-            raise ValueError(f"protect --problem takes the budget, caps and sigmas from the problem file; drop {', '.join(given)}")
+    config = _config_from_args(args)
+    if args.problem:
+        # a standalone solve of the problem file, which holds the budget, caps and sigmas; no simulation
+        if args.emulator is not None:
+            raise ValueError("protect --problem does not read --emulator")
         problem = problem_from_json(args.problem)
-        config = _config_from_args(args, name="protect", caps=tuple(problem.caps))
+        config = dataclasses.replace(config, caps=tuple(problem.caps))
         solution = active_set_solve(problem)
-        out = _out_dir(config)
+        out = config.make_out_dir()
         plan_to_csv(problem, solution, out / "plan.csv")
         write_sidecar(out / "plan.csv", config)
         doc = solution_to_json(problem, solution)
@@ -162,9 +150,8 @@ def cmd_protect(args) -> int:
         _write_json(out / "protect_report.json", doc, config)
         print(f"active caps: {sorted(solution.active)}")
         return 0
-    config = _config_from_args(args, name="protect")
     report = protect_experiment(config, emulator=_load_emulator(args))
-    _write_json(_out_dir(config) / "protect_report.json", report, config)
+    _write_json(config.make_out_dir() / "protect_report.json", report, config)
     print(
         "portfolio variances (rounded plan): "
         + ", ".join(f"{v:.4g}" for v in report["portfolio_variances_rounded_plan"])
@@ -173,7 +160,7 @@ def cmd_protect(args) -> int:
 
 
 def cmd_interval(args) -> int:
-    config = _config_from_args(args, name="interval")
+    config = _config_from_args(args)
     emulator = _load_emulator(args)
     pop = config_population(config)
     mu, interval = interval_estimate(
@@ -187,14 +174,14 @@ def cmd_interval(args) -> int:
         "method": config.interval_method,
         "relative_uncertainty": interval.relative_uncertainty,
     }
-    _write_json(_out_dir(config) / "interval.json", doc, config)
+    _write_json(config.make_out_dir() / "interval.json", doc, config)
     print(f"[{interval.lower:.2f}, {interval.upper:.2f}] at p={config.coverage_p}")
     return 0
 
 
 def cmd_coverage_study(args) -> int:
-    config = _config_from_args(args, name="coverage-study")
-    out = _out_dir(config)
+    config = _config_from_args(args)
+    out = config.make_out_dir()
 
     def progress(done, total):
         if done % 100 == 0 or done == total:
@@ -215,19 +202,16 @@ def cmd_coverage_study(args) -> int:
 
 
 def cmd_train_emulator(args) -> int:
-    config = _config_from_args(args, name="train-emulator")
-    _, metrics = train_emulator_experiment(config, out_dir=_out_dir(config))
+    config = _config_from_args(args)
+    _, metrics = train_emulator_experiment(config)
     print(f"test-set sd correlation: {metrics['pooled']['sd_correlation']:.3f}")
     return 0
 
 
 def cmd_validate_emulator(args) -> int:
-    config = _config_from_args(args, name="validate-emulator")
-    emulator = _load_emulator(args)
-    if emulator is None:
-        raise ValueError("validate-emulator needs --emulator")
-    metrics = validate_on_test_design(emulator, config)
-    _write_json(_out_dir(config) / "validation.json", metrics, config)
+    config = _config_from_args(args)
+    metrics = validate_on_test_design(_load_emulator(args), config)
+    _write_json(config.make_out_dir() / "validation.json", metrics, config)
     print(f"test-set sd correlation: {metrics['pooled']['sd_correlation']:.3f}")
     return 0
 
@@ -255,7 +239,7 @@ def _random_problem(g, n_portfolios: int) -> ConstrainedProblem:
 
 
 def cmd_oracle_check(args) -> int:
-    config = _config_from_args(args, name="oracle-check")
+    config = _config_from_args(args)
     n_instances = args.instances
     rtol = 1e-8
     g = stream(config.seed, "oracle-check")
@@ -286,7 +270,7 @@ def cmd_oracle_check(args) -> int:
                 }
             )
     doc = {"instances": n_instances, "failures": failures, "passed": not failures}
-    _write_json(_out_dir(config) / "oracle_check.json", doc, config)
+    _write_json(config.make_out_dir() / "oracle_check.json", doc, config)
     print(f"oracle check: {n_instances - len(failures)}/{n_instances} instances matched")
     return 0 if not failures else 1
 
@@ -299,7 +283,7 @@ def _add_common(p):
     p.add_argument("--config", help="JSON config file; explicit flags override its values")
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p.add_argument("--threads", type=int, default=None, help="worker processes for the Monte Carlo stages (default: the CPUs this process may use)")
-    p.add_argument("--out", default=None, help="output directory (default: the config file's out_dir, else ./out)")
+    p.add_argument("--out", dest="out_dir", default=None, help="output directory (default: the config file's out_dir, else ./out)")
 
 
 def _add_population(p):
@@ -321,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a plan and write population, plan and collections outputs")
     _add_common(p)
     _add_population(p)
-    p.add_argument("--plan", choices=["equal", "optimized"], default=None)
+    p.add_argument("--plan", dest="plan_mode", choices=["equal", "optimized"], default=None)
     p.add_argument("--emulator", help="emulator JSON (needed for optimized plans)")
     p.set_defaults(func=cmd_simulate)
 
@@ -342,16 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interval", help="prediction interval for total collections")
     _add_common(p)
     _add_population(p)
-    p.add_argument("--plan", choices=["equal", "optimized"], default=None)
-    p.add_argument("--method", choices=["M1", "M2"], default=None, help="variance source for the interval")
+    p.add_argument("--plan", dest="plan_mode", choices=["equal", "optimized"], default=None)
+    p.add_argument("--method", dest="interval_method", choices=["M1", "M2"], default=None, help="variance source for the interval")
     p.add_argument("--emulator", help="emulator JSON (needed for M2 or optimized plans)")
     p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("coverage-study", help="repeated-interval coverage against fresh truths")
     _add_common(p)
     _add_population(p)
-    p.add_argument("--plan", choices=["equal", "optimized"], default=None)
-    p.add_argument("--method", choices=["M1", "M2"], default=None)
+    p.add_argument("--plan", dest="plan_mode", choices=["equal", "optimized"], default=None)
+    p.add_argument("--method", dest="interval_method", choices=["M1", "M2"], default=None)
     p.add_argument("--repetitions", type=int, default=None)
     p.add_argument("--emulator", help="emulator JSON")
     p.set_defaults(func=cmd_coverage_study)

@@ -46,6 +46,7 @@ __all__ = [
     "ActiveSetSolution",
     "InfeasibleProblemError",
     "round_counts",
+    "portfolio_variance",
     "stationarity_solution",
     "active_set_solve",
     "check_slater",
@@ -73,6 +74,15 @@ def round_counts(counts) -> np.ndarray:
         raise ValueError("counts must be non-negative before rounding")
     rounded = np.floor(c + 0.5)
     return np.where(c < 1.0, 1.0, rounded)
+
+
+def portfolio_variance(sigma2, counts, sigma2_block, r_block) -> float:
+    """One portfolio's estimator variance: sigma2_i / R_i summed over units with sigma2_i > 0, plus any sigma2_block / r_block."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = float(np.where(sigma2 > 0, sigma2 / counts, 0.0).sum())
+    if sigma2_block > 0:
+        v += sigma2_block / r_block
+    return v
 
 
 @dataclass(frozen=True)
@@ -143,15 +153,10 @@ class ConstrainedPlan:
         return total
 
     def portfolio_variances(self, problem: ConstrainedProblem) -> np.ndarray:
-        out = np.empty(problem.n_portfolios)
-        for j, pf in enumerate(problem.portfolios):
-            s2 = np.asarray(pf.sigma_independent) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = float(np.where(s2 > 0, s2 / self.r_independent[j], 0.0).sum())
-            if pf.sigma_block > 0:
-                v += pf.sigma_block**2 / float(self.r_block[j])
-            out[j] = v
-        return out
+        return np.array([
+            portfolio_variance(np.asarray(pf.sigma_independent) ** 2, self.r_independent[j], pf.sigma_block**2, self.r_block[j])
+            for j, pf in enumerate(problem.portfolios)
+        ])
 
     def objective(self, problem: ConstrainedProblem) -> float:
         return float(self.portfolio_variances(problem).sum())

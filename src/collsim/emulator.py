@@ -139,7 +139,6 @@ class TrainingObservation:
     log_variance: float
     noise_variance: float  # (kappa - 1) / K, clamped to be non-negative
     kurtosis: float
-    realisations_used: int
 
 
 def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
@@ -207,7 +206,6 @@ def generate_training_data(design: dict, n_realisations: int = 1000, seed: int =
                     log_variance=float(np.log(v)),
                     noise_variance=max((kurt - 1.0) / n_realisations, 0.0),
                     kurtosis=kurt,
-                    realisations_used=int(n_realisations),
                 )
             )
         dropped += len(design[(s, y)]) - len(kept)
@@ -440,7 +438,8 @@ class GpEmulator:
 
     # -------------------------------------------------------------- storage
 
-    def to_json(self, path=None):
+    def to_json(self, path) -> dict:
+        """Write the emulator to the JSON file at ``path``, the format :meth:`from_json` reads; returns the document."""
         def pack(m: SegmentGP):
             return {
                 "x_train": m.x_train.tolist(),
@@ -457,8 +456,7 @@ class GpEmulator:
             **_STORED_SETTINGS,
             "models": {str(k): pack(m) for k, m in self.models.items()},
         }
-        if path is not None:
-            Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return doc
 
     @classmethod

@@ -19,16 +19,15 @@ variance emulator (method M2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from ._special import ndtri
+from .constrained import portfolio_variance
 from .population import Population
 from .simulator import RealisationPlan, SimulationOutput
 
 __all__ = [
-    "VarianceSource",
     "VarianceInputs",
     "MuEstimate",
     "PredictionInterval",
@@ -39,12 +38,6 @@ __all__ = [
     "monthly_bands",
     "variance_inputs_from_samples",
 ]
-
-
-class VarianceSource(Enum):
-    SAMPLE = "M1"
-    EMULATOR = "M2"
-    REFERENCE = "true"
 
 
 def normal_quantile(q: float) -> float:
@@ -69,19 +62,16 @@ class MuEstimate:
     per_month: np.ndarray | None  # length horizon, None if monthly stats absent
 
 
-def estimate_mu(output: SimulationOutput, plan: RealisationPlan, population: Population) -> MuEstimate:
-    """Unbiased Monte Carlo estimates of expected collections.
+def estimate_mu(output: SimulationOutput, population: Population) -> MuEstimate:
+    """Unbiased Monte Carlo estimates of expected collections from a :func:`collsim.simulator.run_plan` output.
 
     Returns the population total (the sum of the output's per-account
     means), the per-portfolio totals (which sum exactly to the population
     total) and, when the output carries monthly statistics, the
-    per-month expected collections.
+    per-month expected collections.  ``run_plan`` gave every account a realisation.
     """
-    if output.n != population.n or plan.n != population.n:
-        raise ValueError("output, plan and population sizes disagree")
-    empty = np.flatnonzero(output.counts == 0)
-    if len(empty):
-        raise ValueError(f"account {empty[0]} has no realisations")
+    if output.n != population.n:
+        raise ValueError(f"output covers {output.n} accounts, population has {population.n}")
     means = output.means
     per_portfolio = np.array([means[population.portfolio == j].sum() for j in range(population.n_portfolios)])
     per_month = None if output.indep_monthly_mean is None else _monthly_means(output)
@@ -102,12 +92,12 @@ class VarianceInputs:
 
     ``sigma2_independent`` is indexed by account id (entries for dependent
     accounts are ignored); ``sigma2_block`` is indexed by portfolio, NaN where
-    a portfolio has no dependent block.
+    a portfolio has no dependent block.  Sample variances (method M1) come
+    from :func:`variance_inputs_from_samples`, which needs R_i >= 2 everywhere.
     """
 
     sigma2_independent: np.ndarray
     sigma2_block: np.ndarray
-    source: VarianceSource
 
     def __post_init__(self):
         if np.any(np.asarray(self.sigma2_independent) < 0):
@@ -133,7 +123,7 @@ def variance_inputs_from_samples(output: SimulationOutput, population: Populatio
     sigma2_block = np.full(population.n_portfolios, np.nan)
     for j, blk in output.block_totals.items():
         sigma2_block[j] = blk.var(ddof=1)
-    return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.SAMPLE)
+    return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block)
 
 
 def estimator_variance(inputs: VarianceInputs, plan: RealisationPlan, population: Population):
@@ -142,17 +132,11 @@ def estimator_variance(inputs: VarianceInputs, plan: RealisationPlan, population
         raise ValueError("plan counts must be non-negative")
     per_portfolio = np.empty(population.n_portfolios)
     for j, pf in enumerate(population.portfolios):
-        s2 = inputs.sigma2_independent[pf.independent_ids]
-        r = plan.counts[pf.independent_ids]
-        # zero-variance accounts contribute nothing even with a zero count
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = float(np.where(s2 > 0, s2 / r, 0.0).sum())
-        if len(pf.dependent_ids):
-            s2d = inputs.sigma2_block[j]
-            if np.isnan(s2d):
-                raise ValueError(f"portfolio {j} has a dependent block but no block variance input")
-            v += s2d / plan.counts[pf.dependent_ids[0]]
-        per_portfolio[j] = v
+        ids, dep = pf.independent_ids, pf.dependent_ids
+        s2d, r_block = (inputs.sigma2_block[j], plan.counts[dep[0]]) if len(dep) else (0.0, 0.0)
+        if np.isnan(s2d):
+            raise ValueError(f"portfolio {j} has a dependent block but no block variance input")
+        per_portfolio[j] = portfolio_variance(inputs.sigma2_independent[ids], plan.counts[ids], s2d, r_block)
     return per_portfolio, float(per_portfolio.sum())
 
 
@@ -201,8 +185,6 @@ def prediction_interval(
     if not 0.0 < p < 1.0:
         raise ValueError(f"coverage probability must lie in (0, 1), got {p}")
     indep = population.independent_ids
-    if inputs.source is VarianceSource.SAMPLE:
-        _require_two_realisations("M1 intervals", indep[plan.counts[indep] < 2])
     r_block, s2_block = [], []
     for j, pf in enumerate(population.portfolios):
         if len(pf.dependent_ids):
@@ -215,22 +197,19 @@ def prediction_interval(
     return PredictionInterval(center=float(mu_hat), half_width=z * float(np.sqrt(var)), coverage_p=p)
 
 
-def monthly_bands(
-    output: SimulationOutput,
-    plan: RealisationPlan,
-    p: float = 0.95,
-) -> list[PredictionInterval]:
+def monthly_bands(output: SimulationOutput, p: float = 0.95) -> list[PredictionInterval]:
     """Per-month prediction intervals from month-specific sample variances.
 
     Only defined for M1 with an equal-realisations plan, mirroring the fact
-    that the variance emulator predicts total-collection variances only.
-    The centres are :func:`estimate_mu`'s ``per_month``; the variance of
-    month ``t`` is the run's ``indep_monthly_var[t]`` plus, for each block,
-    its sample variance over realisations times ``1 + 1/r_j``.
+    that the variance emulator predicts total-collection variances only; the
+    plan is read from the output's counts.  The centres are
+    :func:`estimate_mu`'s ``per_month``; the variance of month ``t`` is the
+    run's ``indep_monthly_var[t]`` plus, for each block, its sample variance
+    over realisations times ``1 + 1/r_j``.
     """
     if output.indep_monthly_mean is None:
         raise ValueError("monthly bands need a run with store_monthly=True")
-    counts = plan.counts
+    counts = output.counts
     _require_two_realisations("monthly bands", np.flatnonzero(counts < 2))
     if len(np.unique(counts)) != 1:
         raise ValueError("monthly bands require an equal-realisations plan")

@@ -43,7 +43,6 @@ from .emulator import (
 )
 from .estimators import (
     VarianceInputs,
-    VarianceSource,
     estimate_mu,
     estimator_variance,
     monthly_bands,
@@ -56,6 +55,7 @@ from .simulator import RealisationPlan, _chunks, _independent_units, _pool_map, 
 
 __all__ = [
     "ExperimentConfig",
+    "read_config_file",
     "write_sidecar",
     "config_population",
     "reference_sigmas",
@@ -121,19 +121,11 @@ class ExperimentConfig:
     def effective_budget(self) -> float:
         return self.budget if self.budget is not None else 25.0 * self.n_accounts
 
-    @classmethod
-    def from_file(cls, path, **overrides) -> "ExperimentConfig":
-        doc = _read_json_object(path, "config")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {unknown}")
-        hints = typing.get_type_hints(cls)
-        for k, v in doc.items():
-            _check_json_value(path, k, hints[k], v)
-            if isinstance(v, list):
-                doc[k] = tuple(v)
-        doc.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**doc)
+    def make_out_dir(self) -> Path:
+        """``out_dir``, made with its parents if missing: where every output of the run goes."""
+        out = Path(self.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
 
     def _output_fields(self) -> dict:
         """The fields that can change an output: all but ``out_dir`` and ``threads``."""
@@ -166,6 +158,18 @@ def _check_json_value(path, key, hint, value) -> None:
     what, ok = _JSON_KINDS[args[0] if args else hint]
     if not ok(value):
         raise ValueError(f"{path}: config key {key!r} must be {what}{' or null' if optional else ''}, got {value!r}")
+
+
+def read_config_file(path) -> dict:
+    """The settings of a JSON config file, lists as tuples; an unknown key or a value of the wrong type raises, naming the file."""
+    doc = _read_json_object(path, "config")
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {unknown}")
+    hints = typing.get_type_hints(ExperimentConfig)
+    for k, v in doc.items():
+        _check_json_value(path, k, hints[k], v)
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
 def _digest(doc: dict) -> str:
@@ -253,7 +257,7 @@ def m2_variance_inputs(
             sigma2_block[j] = pilot_block_variance(
                 population, j, n_pilot=config.n_pilot, seed=seed, n_workers=config.threads
             )
-    return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block, source=VarianceSource.EMULATOR)
+    return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block)
 
 
 def optimized_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int, caps=None):
@@ -296,7 +300,7 @@ def interval_estimate(
     """
     plan, plan_inputs = build_plan(population, config, emulator, pilot_seed)
     output = run_plan(population, plan, seed=estimate_seed, n_workers=config.threads)
-    mu = estimate_mu(output, plan, population)
+    mu = estimate_mu(output, population)
     if config.interval_method == "M1":
         inputs = variance_inputs_from_samples(output, population)
     else:
@@ -411,7 +415,7 @@ def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = N
         sigma, block = reference_sigmas(
             pop, config.sigma_reference_realisations, seed=derive_seed(config.seed, "sigma"), n_workers=config.threads
         )
-        inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=block**2, source=VarianceSource.REFERENCE)
+        inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=block**2)
     problem, solution, real_plan = plan_for_population(pop, inputs, config.effective_budget, config.caps)
     int_plan = round_plan(real_plan, pop)
 
@@ -419,7 +423,7 @@ def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = N
     var_int, _ = estimator_variance(inputs, int_plan, pop)
 
     output = run_plan(pop, int_plan, seed=derive_seed(config.seed, "estimate"), n_workers=config.threads)
-    mu = estimate_mu(output, int_plan, pop)
+    mu = estimate_mu(output, pop)
 
     mean_counts = [
         float(int_plan.counts[pop.portfolio == j].mean()) for j in range(pop.n_portfolios)
@@ -444,11 +448,11 @@ def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = N
 # Emulator training
 
 
-def train_emulator_experiment(config: ExperimentConfig, out_dir=None) -> tuple:
+def train_emulator_experiment(config: ExperimentConfig) -> tuple:
     """Design, simulate, fit and validate the variance emulator.
 
     Returns ``(emulator, metrics)``; writes design/training CSVs plus the
-    emulator JSON and metrics JSON when an output directory is given.
+    emulator JSON and metrics JSON, with sidecars, to ``config.out_dir``.
     """
     design = sliced_lhd(config.points_per_slice, seed=derive_seed(config.seed, "design"), n_workers=config.threads)
     observations = generate_training_data(
@@ -456,20 +460,18 @@ def train_emulator_experiment(config: ExperimentConfig, out_dir=None) -> tuple:
     )
     emulator = fit_gp(observations)
     metrics = validate_on_test_design(emulator, config)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "design.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["segment", "y0", "b_tilde", "c_tilde"])
-            for (s, y), pts in design.items():
-                for b_t, c_t in pts:
-                    w.writerow([s, y, repr(float(b_t)), repr(float(c_t))])
-        training_data_to_csv(observations, out / "training.csv")
-        emulator.to_json(out / "emulator.json")
-        (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-        for name in ("design.csv", "training.csv", "emulator.json", "metrics.json"):
-            write_sidecar(out / name, config)
+    out = config.make_out_dir()
+    with open(out / "design.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["segment", "y0", "b_tilde", "c_tilde"])
+        for (s, y), pts in design.items():
+            for b_t, c_t in pts:
+                w.writerow([s, y, repr(float(b_t)), repr(float(c_t))])
+    training_data_to_csv(observations, out / "training.csv")
+    emulator.to_json(out / "emulator.json")
+    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    for name in ("design.csv", "training.csv", "emulator.json", "metrics.json"):
+        write_sidecar(out / name, config)
     return emulator, metrics
 
 
@@ -485,14 +487,14 @@ def validate_on_test_design(emulator: GpEmulator, config: ExperimentConfig) -> d
 # Plain simulation run
 
 
-def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None = None, out_dir=None) -> dict:
-    """Simulate one plan over one population and write the standard outputs."""
+def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None) -> dict:
+    """Simulate one plan over one population; write the standard outputs, with sidecars, to ``config.out_dir``."""
     pop = config_population(config)
     plan, _ = build_plan(pop, config, emulator, derive_seed(config.seed, "pilot"))
     output = run_plan(
         pop, plan, seed=derive_seed(config.seed, "estimate"), store_monthly=True, n_workers=config.threads
     )
-    mu = estimate_mu(output, plan, pop)
+    mu = estimate_mu(output, pop)
     report = {
         "experiment": config.name,
         "mu_total": mu.total,
@@ -501,7 +503,7 @@ def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None = 
     }
     bands = None
     if np.all(plan.counts >= 2) and len(np.unique(plan.counts)) == 1:
-        bands = monthly_bands(output, plan, p=config.coverage_p)
+        bands = monthly_bands(output, p=config.coverage_p)
         inputs = variance_inputs_from_samples(output, pop)
         interval = prediction_interval(mu.total, inputs, plan, pop, p=config.coverage_p)
         report["interval"] = {
@@ -509,30 +511,28 @@ def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None = 
             "upper": interval.upper,
             "coverage_p": config.coverage_p,
         }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        pop.to_csv(out / "population.csv")
-        pop.write_manifest(out / "population.manifest.json")
-        plan.to_csv(pop, out / "plan.csv", int_counts=plan.counts.astype(int))
-        output.summary_json(out / "collections_summary.json")
-        with open(out / "curve.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["month", "mean", "lower", "upper"])
-            for t in range(output.horizon):
-                mean_t = mu.per_month[t]
-                if bands is not None:
-                    w.writerow([t + 1, f"{mean_t:.2f}", f"{bands[t].lower:.2f}", f"{bands[t].upper:.2f}"])
-                else:
-                    w.writerow([t + 1, f"{mean_t:.2f}", "", ""])
-        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        for name in (
-            "population.csv",
-            "population.manifest.json",
-            "plan.csv",
-            "collections_summary.json",
-            "curve.csv",
-            "report.json",
-        ):
-            write_sidecar(out / name, config)
+    out = config.make_out_dir()
+    pop.to_csv(out / "population.csv")
+    pop.write_manifest(out / "population.manifest.json")
+    plan.to_csv(pop, out / "plan.csv")
+    output.summary_json(out / "collections_summary.json")
+    with open(out / "curve.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["month", "mean", "lower", "upper"])
+        for t in range(output.horizon):
+            mean_t = mu.per_month[t]
+            if bands is not None:
+                w.writerow([t + 1, f"{mean_t:.2f}", f"{bands[t].lower:.2f}", f"{bands[t].upper:.2f}"])
+            else:
+                w.writerow([t + 1, f"{mean_t:.2f}", "", ""])
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for name in (
+        "population.csv",
+        "population.manifest.json",
+        "plan.csv",
+        "collections_summary.json",
+        "curve.csv",
+        "report.json",
+    ):
+        write_sidecar(out / name, config)
     return report

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import expit
+from .constrained import round_counts
 from .population import Population
 from .rng import _unit_streams, stream
 
@@ -464,9 +465,12 @@ class RealisationPlan:
             if len(dep) and len(np.unique(self.counts[dep])) > 1:
                 raise ValueError(f"dependent block of portfolio {j} has unequal counts")
 
-    def to_csv(self, population: Population, path, int_counts: np.ndarray | None = None) -> None:
+    def to_csv(self, population: Population, path) -> None:
+        """One row per unit, each block first: ``count_real`` and its :func:`collsim.constrained.round_counts`."""
+        int_counts = round_counts(self.counts)
+
         def row(unit, kind, i):
-            return [unit, kind, repr(float(self.counts[i])), int(int_counts[i]) if int_counts is not None else ""]
+            return [unit, kind, repr(float(self.counts[i])), int(int_counts[i])]
 
         with open(path, "w", newline="") as f:
             w = csv.writer(f)

@@ -21,7 +21,7 @@ from collsim.constrained import (
     stationarity_solution,
 )
 from collsim.emulator import SegmentGP, validate_emulator
-from collsim.estimators import VarianceInputs, VarianceSource, estimator_variance
+from collsim.estimators import VarianceInputs, estimator_variance
 from collsim.experiments import (
     ExperimentConfig,
     coverage_study,
@@ -153,7 +153,6 @@ def test_criterion_4_portfolio_protection(capsys, population_99_1, reference):
     inputs = VarianceInputs(
         sigma2_independent=sigma**2,
         sigma2_block=np.asarray(sigma_block) ** 2,
-        source=VarianceSource.REFERENCE,
     )
     _, solution, real_plan = plan_for_population(pop, inputs, 25.0 * pop.n, caps)
     int_plan = round_plan(real_plan, pop)
@@ -246,12 +245,12 @@ def test_criterion_6_log_variance_noise_law(capsys):
     assert ok, ratios
 
 
-def test_criterion_7_emulator_quality(capsys):
+def test_criterion_7_emulator_quality(capsys, tmp_path):
     """The trained emulator predicts test-set standard deviations with pooled
     correlation >= 0.9, yields strictly positive variances, and its GP algebra
     reproduces an exact 3-point posterior to 1e-10."""
     cfg = ExperimentConfig(
-        name="acc7", points_per_slice=100, train_realisations=1000, seed=ACC_SEED
+        name="acc7", points_per_slice=100, train_realisations=1000, seed=ACC_SEED, out_dir=str(tmp_path)
     )
     emulator, metrics = train_emulator_experiment(cfg)
     corr = metrics["pooled"]["sd_correlation"]

@@ -5,7 +5,7 @@ import pytest
 
 from collsim.allocator import pilot_block_variance, plan_for_population, round_plan
 from collsim.constrained import ConstrainedProblem, PortfolioInputs, round_counts, stationarity_solution
-from collsim.estimators import VarianceInputs, VarianceSource
+from collsim.estimators import VarianceInputs
 from collsim.population import init_population
 from collsim.simulator import RealisationPlan
 
@@ -18,7 +18,7 @@ def _uncapped(budget, *portfolios):
 
 def _inputs(sigma, sigma_block):
     """Variance inputs whose roots are exactly ``sigma`` and ``sigma_block``."""
-    return VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2, source=VarianceSource.REFERENCE)
+    return VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2)
 
 
 class TestOptimalAllocation:
@@ -131,7 +131,7 @@ class TestPlanForPopulation:
         pop = init_population(300, (0.5, 0.5), seed=12)
         assert all(len(pf.dependent_ids) for pf in pop.portfolios)
         sigma2 = np.random.Generator(np.random.Philox(key=9)).uniform(1, 100, size=300)
-        inputs = VarianceInputs(sigma2_independent=sigma2, sigma2_block=np.array([400.0, 90.0]), source=VarianceSource.EMULATOR)
+        inputs = VarianceInputs(sigma2_independent=sigma2, sigma2_block=np.array([400.0, 90.0]))
         problem, solution, plan = plan_for_population(pop, inputs, 7000.0, caps)
         assert (solution.iterations, solution.active) == (1, frozenset())
         stationary = stationarity_solution(problem, frozenset())

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import collsim.experiments
 from collsim.allocator import pilot_block_variance
-from collsim.cli import main
+from collsim.cli import READS, _config_from_args, build_parser, main
 from collsim.emulator import GpEmulator
 from collsim.estimators import estimate_mu, prediction_interval
 from collsim.experiments import ExperimentConfig, build_plan, m2_variance_inputs
@@ -62,9 +63,9 @@ class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_accounts": 10, "seed": 1}))
-        c = ExperimentConfig.from_file(cfg, seed=9)
-        assert c.n_accounts == 10  # from file
-        assert c.seed == 9  # flag wins
+        assert main(["simulate", "--config", str(cfg), "--seed", "9", "--out", str(tmp_path / "o")]) == 0
+        assert len((tmp_path / "o" / "population.csv").read_text().strip().splitlines()) == 11  # from file
+        assert json.loads((tmp_path / "o" / "plan.csv.meta.json").read_text())["seed"] == 9  # flag wins
 
     def test_cli_uses_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -89,7 +90,84 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"name": "my-study", "n_accounts": 20}))
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert f"error: {cfg}: the subcommand names the experiment; drop the config key 'name'\n" in capsys.readouterr().err
+        assert f"error: simulate does not read config keys ['name'] of {cfg}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+# The argv of each form of a subcommand; the input files named here do not exist, so a run that reads one fails.
+FORM_ARGV = {
+    "simulate": ["simulate"],
+    "allocate": ["allocate", "--emulator", "missing-emulator.json"],
+    "protect": ["protect"],
+    "protect --problem": ["protect", "--problem", "missing-problem.json"],
+    "interval": ["interval"],
+    "coverage-study": ["coverage-study"],
+    "train-emulator": ["train-emulator"],
+    "validate-emulator": ["validate-emulator", "--emulator", "missing-emulator.json"],
+    "oracle-check": ["oracle-check"],
+}
+# A valid value, other than the default, for every config field a form may read.
+SETTINGS = {
+    "n_accounts": 12,
+    "portfolio_probs": [0.5, 0.5],
+    "budget": 300.0,
+    "plan_mode": "optimized",
+    "caps": [1e9, 2e9],
+    "interval_method": "M2",
+    "coverage_p": 0.9,
+    "repetitions": 3,
+    "n_pilot": 7,
+    "points_per_slice": 5,
+    "train_realisations": 40,
+    "sigma_reference_realisations": 30,
+    "seed": 5,
+    "threads": 1,
+}
+
+
+class TestSettingsEachFormReads:
+    def test_table_covers_every_form(self):
+        assert sorted(FORM_ARGV) == sorted(READS)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert all(set(reads) <= fields - {"name", "seed", "threads", "out_dir"} for reads in READS.values())
+
+    @pytest.mark.parametrize("form", sorted(READS))
+    def test_a_key_the_form_does_not_read_is_rejected_before_any_input_or_output(self, tmp_path, capsys, form):
+        unread = sorted({f.name for f in dataclasses.fields(ExperimentConfig)} - set(READS[form]) - {"seed", "threads", "out_dir"})
+        assert "name" in unread
+        defaults = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig(threads=1))))
+        cfg = tmp_path / "cfg.json"
+        for key in unread:
+            cfg.write_text(json.dumps({key: SETTINGS.get(key, defaults[key])}))
+            rc = main([*FORM_ARGV[form], "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert f"error: {form} does not read config keys [{key!r}] of {cfg}\n" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [
+            (["simulate", "--n-accounts", "20", "--seed", "1"], {"repetitions": 5, "points_per_slice": 7}, "['points_per_slice', 'repetitions']"),
+            (["train-emulator"], {"n_accounts": 20, "coverage_p": 0.9}, "['coverage_p', 'n_accounts']"),
+        ],
+    )
+    def test_every_unread_key_is_named(self, tmp_path, capsys, argv, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {argv[0]} does not read config keys {named} of {cfg}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("form", sorted(READS))
+    def test_every_key_the_form_reads_is_taken(self, tmp_path, form):
+        settings = {k: SETTINGS[k] for k in (*READS[form], "seed", "threads")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, "out_dir": str(tmp_path / "o")}))
+        config = _config_from_args(build_parser().parse_args([*FORM_ARGV[form], "--config", str(cfg)]))
+        assert config.name == FORM_ARGV[form][0]
+        assert config.out_dir == str(tmp_path / "o")
+        for key, value in settings.items():
+            assert getattr(config, key) == (tuple(value) if isinstance(value, list) else value), key
         assert not (tmp_path / "o").exists()
 
 
@@ -113,7 +191,8 @@ class TestErrors:
         [
             (["--budget", "-5"], "--budget"),
             (["--budget", "5", "--n-accounts", "7"], "--n-accounts, --budget"),
-            (["--caps", "1", "--portfolio-probs", "1", "--emulator", "e.json"], "--portfolio-probs, --caps, --emulator"),
+            (["--caps", "1", "--portfolio-probs", "1"], "--portfolio-probs, --caps"),
+            (["--emulator", "e.json"], "--emulator"),
         ],
     )
     def test_protect_problem_rejects_flags_before_any_output(self, tmp_path, capsys, flags, named):
@@ -121,14 +200,14 @@ class TestErrors:
         prob.write_text(json.dumps({"budget": 100, "portfolios": [{"sigma_independent": [1, 2], "cap": "inf"}]}))
         rc = main(["protect", "--problem", str(prob), "--out", str(tmp_path / "pout"), *flags])
         assert rc == 1
-        assert f"from the problem file; drop {named}\n" in capsys.readouterr().err
+        assert f"error: protect --problem does not read {named}\n" in capsys.readouterr().err
         assert not (tmp_path / "pout").exists()
 
     @pytest.mark.parametrize(
         "flags, config, named",
         [
-            ([], {"budget": 5, "n_accounts": 7}, "config key 'n_accounts', config key 'budget'"),
-            (["--budget", "5"], {"caps": [1], "portfolio_probs": [1]}, "--budget, config key 'portfolio_probs', config key 'caps'"),
+            ([], {"budget": 5, "n_accounts": 7}, "config keys ['budget', 'n_accounts'] of {cfg}"),
+            (["--budget", "5"], {"caps": [1], "portfolio_probs": [1]}, "--budget, config keys ['caps', 'portfolio_probs'] of {cfg}"),
         ],
     )
     def test_protect_problem_rejects_config_keys_before_any_output(self, tmp_path, capsys, flags, config, named):
@@ -137,7 +216,7 @@ class TestErrors:
         cfg.write_text(json.dumps(config))
         rc = main(["protect", "--problem", str(prob), "--config", str(cfg), "--out", str(tmp_path / "pout"), *flags])
         assert rc == 1
-        assert f"from the problem file; drop {named}\n" in capsys.readouterr().err
+        assert f"error: protect --problem does not read {named.format(cfg=cfg)}\n" in capsys.readouterr().err
         assert not (tmp_path / "pout").exists()
 
     def test_too_few_train_realisations_rejected(self, tmp_path, capsys):
@@ -147,9 +226,10 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"sigma_reference_realisations": 1}))
-        rc = main(["coverage-study", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        rc = main(["protect", "--caps", "1e9", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error: sigma_reference_realisations must be at least 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_values_rejected_before_any_work(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "o"), "--n-accounts", "200", "--budget", "-100"])
@@ -377,7 +457,7 @@ class TestEmulatorCommands:
         int_plan, plan_inputs = build_plan(pop, config, emulator, pilot_seed)
         output = run_plan(pop, int_plan, seed=derive_seed(2, "estimate"))
         inputs = m2_variance_inputs(pop, config, emulator, output, pilot_seed, plan_inputs)
-        interval = prediction_interval(estimate_mu(output, int_plan, pop).total, inputs, int_plan, pop)
+        interval = prediction_interval(estimate_mu(output, pop).total, inputs, int_plan, pop)
         assert (doc["lower"], doc["upper"]) == (interval.lower, interval.upper)
 
         blk = output.block_totals[0]

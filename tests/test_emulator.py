@@ -286,7 +286,6 @@ class TestUnitEngine:
             for o in observations
         ]
         assert got == expected
-        assert all(o.realisations_used == 1000 for o in observations)
 
     @pytest.mark.parametrize("n_points, n_real", [(9, 1500), (3, _CHUNK_PATHS + 7), (1, 5)])
     def test_validation_moments_equal_per_point_oracle(self, n_points, n_real):
@@ -313,8 +312,7 @@ class TestTrainingData:
     def test_noise_law(self, tiny_emulator):
         _, obs = tiny_emulator
         for o in obs:
-            assert o.noise_variance == pytest.approx(max((o.kurtosis - 1.0) / o.realisations_used, 0.0))
-            assert o.realisations_used == 250
+            assert o.noise_variance == pytest.approx(max((o.kurtosis - 1.0) / 250, 0.0))  # the fixture's 250 realisations
             assert np.isfinite(o.log_variance)
 
     def test_all_slices_present(self, tiny_emulator):
@@ -456,9 +454,10 @@ class TestPersistence:
             GpEmulator.from_json(path)
 
     def test_only_segment_mode_and_median_prediction_load(self, tiny_emulator, tmp_path):
-        doc = tiny_emulator[0].to_json()
-        assert (doc["mode"], doc["prediction"]) == ("segment", "median")
         path = tmp_path / "emulator.json"
+        doc = tiny_emulator[0].to_json(path)
+        assert (doc["mode"], doc["prediction"]) == ("segment", "median")
+        assert json.loads(path.read_text()) == doc  # the document it returns is the one it wrote
         for field, value in (("mode", "slice"), ("prediction", "mean")):
             path.write_text(json.dumps({**doc, field: value}))
             with pytest.raises(ValueError, match=field):
@@ -492,9 +491,9 @@ class TestStoredEmulatorChecked:
         ],
     )
     def test_bad_field_named(self, tmp_path, edit, expected):
-        doc = GpEmulator(models={1: _synthetic_gp()}).to_json()
-        edit(doc, doc["models"]["1"])
         path = tmp_path / "emulator.json"
+        doc = GpEmulator(models={1: _synthetic_gp()}).to_json(path)
+        edit(doc, doc["models"]["1"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as err:
             GpEmulator.from_json(path)
@@ -521,7 +520,6 @@ class TestFitValidation:
                 log_variance=1.0,
                 noise_variance=0.01,
                 kurtosis=3.0,
-                realisations_used=100,
             )
         ] * 3
         with pytest.raises(ValueError, match="observations"):

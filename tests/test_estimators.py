@@ -11,7 +11,6 @@ from scipy.special import ndtri
 from collsim.estimators import (
     PredictionInterval,
     VarianceInputs,
-    VarianceSource,
     estimate_mu,
     estimator_variance,
     monthly_bands,
@@ -88,13 +87,13 @@ def small_run():
 class TestEstimateMu:
     def test_portfolio_totals_sum_exactly(self, small_run):
         pop, plan, out = small_run
-        mu = estimate_mu(out, plan, pop)
+        mu = estimate_mu(out, pop)
         assert mu.per_portfolio.sum() == pytest.approx(mu.total, abs=1e-9)
         assert mu.per_month.sum() == pytest.approx(mu.total, abs=1e-6)
 
     def test_equals_mean_of_account_means(self, small_run):
         pop, plan, out = small_run
-        mu = estimate_mu(out, plan, pop)
+        mu = estimate_mu(out, pop)
         manual = sum(float(np.mean(t)) for t in raw_totals(pop, plan, seed=5))
         assert mu.total == pytest.approx(manual, abs=1e-9)
 
@@ -114,7 +113,7 @@ class TestEstimatorVariance:
             if len(pf.dependent_ids):
                 s2_block[j] = 3.0 + j
                 expected[j] += s2_block[j] / 4.0
-        inputs = VarianceInputs(sigma2_independent=s2, sigma2_block=s2_block, source=VarianceSource.SAMPLE)
+        inputs = VarianceInputs(sigma2_independent=s2, sigma2_block=s2_block)
         per_pf, total = estimator_variance(inputs, plan, pop)
         assert per_pf == pytest.approx(expected, rel=1e-12)
         assert total == pytest.approx(expected.sum(), rel=1e-12)
@@ -122,9 +121,7 @@ class TestEstimatorVariance:
     def test_missing_block_variance_raises(self):
         pop = init_population(300, (1.0,), seed=8)
         assert len(pop.portfolios[0].dependent_ids) >= 1
-        inputs = VarianceInputs(
-            sigma2_independent=np.ones(300), sigma2_block=np.array([np.nan]), source=VarianceSource.SAMPLE
-        )
+        inputs = VarianceInputs(sigma2_independent=np.ones(300), sigma2_block=np.array([np.nan]))
         with pytest.raises(ValueError, match="block"):
             estimator_variance(inputs, RealisationPlan.equal(300, 2), pop)
 
@@ -134,9 +131,7 @@ class TestEstimatorVariance:
         s2[3] = 0.0
         counts = np.full(20, 2.0)
         counts[3] = 0.0
-        inputs = VarianceInputs(
-            sigma2_independent=s2, sigma2_block=np.array([np.nan]), source=VarianceSource.REFERENCE
-        )
+        inputs = VarianceInputs(sigma2_independent=s2, sigma2_block=np.array([np.nan]))
         assert not len(pop.portfolios[0].dependent_ids)
         _, total = estimator_variance(inputs, RealisationPlan(counts=counts), pop)
         assert total == pytest.approx(19 / 2.0)
@@ -184,7 +179,7 @@ def test_estimator_variance_does_not_rise_when_a_count_grows(n, share, seed, uni
         if len(pf.dependent_ids):
             s2_block[j] = g.uniform(0.0, 1e8)
             counts[pf.dependent_ids] = g.uniform(0.5, 100.0)
-    inputs = VarianceInputs(sigma2_independent=s2, sigma2_block=s2_block, source=VarianceSource.REFERENCE)
+    inputs = VarianceInputs(sigma2_independent=s2, sigma2_block=s2_block)
     # grow one unit's count: an independent account, or every account of its block
     i = unit % n
     grown = counts.copy()
@@ -200,7 +195,6 @@ class TestVarianceInputsFromSamples:
     def test_matches_manual_sample_variances(self, small_run):
         pop, plan, out = small_run
         inputs = variance_inputs_from_samples(out, pop)
-        assert inputs.source is VarianceSource.SAMPLE
         totals = raw_totals(pop, plan, seed=5)
         for i in (0, 7, 42):
             assert inputs.sigma2_independent[i] == pytest.approx(np.var(totals[i], ddof=1))
@@ -233,18 +227,11 @@ class TestPredictionInterval:
         assert iv.half_width == pytest.approx(normal_quantile(0.95) * math.sqrt(v), rel=1e-12)
         assert iv.center == 1000.0
 
-    def test_sample_source_requires_two_realisations(self):
+    def test_given_variances_take_single_realisations(self):
+        # variances that do not come from the run (emulator, pilots) need no second realisation
         pop = init_population(10, (1.0,), seed=3)
-        inputs = VarianceInputs(
-            sigma2_independent=np.ones(10), sigma2_block=np.array([np.nan]), source=VarianceSource.SAMPLE
-        )
         assert not len(pop.portfolios[0].dependent_ids)
-        with pytest.raises(ValueError, match="offenders"):
-            prediction_interval(0.0, inputs, RealisationPlan.equal(10, 1), pop)
-        # an emulator source is fine with single realisations
-        em = VarianceInputs(
-            sigma2_independent=np.ones(10), sigma2_block=np.array([np.nan]), source=VarianceSource.EMULATOR
-        )
+        em = VarianceInputs(sigma2_independent=np.ones(10), sigma2_block=np.array([np.nan]))
         iv = prediction_interval(0.0, em, RealisationPlan.equal(10, 1), pop)
         assert iv.half_width > 0
 
@@ -258,9 +245,9 @@ class TestPredictionInterval:
 class TestMonthlyBands:
     def test_bands_are_coherent(self, small_run):
         pop, plan, out = small_run
-        bands = monthly_bands(out, plan, p=0.95)
+        bands = monthly_bands(out, p=0.95)
         assert len(bands) == out.horizon
-        mu = estimate_mu(out, plan, pop)
+        mu = estimate_mu(out, pop)
         centers = np.array([b.center for b in bands])
         assert centers == pytest.approx(mu.per_month, abs=1e-6)
         assert all(b.half_width >= 0 for b in bands)
@@ -269,12 +256,13 @@ class TestMonthlyBands:
         pop, plan, _ = small_run
         out = run_plan(pop, plan, seed=5, store_monthly=False)
         with pytest.raises(ValueError, match="store_monthly"):
-            monthly_bands(out, plan)
+            monthly_bands(out)
 
     def test_requires_equal_plan(self, small_run):
         pop, plan, out = small_run
         counts = plan.counts.copy()
         indep = pop.independent_ids
         counts[indep[0]] = 9.0
+        out = run_plan(pop, RealisationPlan(counts=counts), seed=5, store_monthly=True)
         with pytest.raises(ValueError, match="equal"):
-            monthly_bands(out, RealisationPlan(counts=counts))
+            monthly_bands(out)

@@ -15,7 +15,7 @@ import collsim.constrained
 import collsim.experiments
 from collsim.allocator import plan_for_population, round_plan
 from collsim.emulator import fit_gp, generate_training_data, sliced_lhd
-from collsim.estimators import VarianceInputs, VarianceSource, estimator_variance
+from collsim.estimators import VarianceInputs, estimator_variance
 from collsim.experiments import (
     ExperimentConfig,
     _pilot_block_sigmas,
@@ -23,6 +23,7 @@ from collsim.experiments import (
     coverage_study,
     optimized_plan,
     protect_experiment,
+    read_config_file,
     reference_sigmas,
     train_emulator_experiment,
 )
@@ -91,16 +92,16 @@ class TestConfig:
         assert ExperimentConfig(seed=1, threads=2, out_dir="elsewhere").config_hash() == base
         assert ExperimentConfig(seed=2, threads=2, out_dir="elsewhere").config_hash() != base
 
-    def test_from_file_names_unknown_keys(self, tmp_path):
+    def test_read_config_file_names_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_accounts": 10, "n_acounts": 5, "sed": 1}))
         with pytest.raises(ValueError, match=r"cfg\.json: unknown config keys \['n_acounts', 'sed'\]"):
-            ExperimentConfig.from_file(path)
+            read_config_file(path)
         path.write_text(json.dumps({"emulator_path": "emu.json"}))  # not a field: nothing read it
         with pytest.raises(ValueError, match=r"cfg\.json: unknown config keys \['emulator_path'\]"):
-            ExperimentConfig.from_file(path)
+            read_config_file(path)
         path.write_text(json.dumps({"n_accounts": 10, "portfolio_probs": [0.5, 0.5]}))
-        assert ExperimentConfig.from_file(path, seed=3) == ExperimentConfig(
+        assert ExperimentConfig(**read_config_file(path), seed=3) == ExperimentConfig(
             n_accounts=10, portfolio_probs=(0.5, 0.5), seed=3
         )
 
@@ -118,16 +119,16 @@ class TestConfig:
             ("plan_mode", 1, "must be a string"),
         ],
     )
-    def test_from_file_checks_value_types(self, tmp_path, key, value, expected):
+    def test_read_config_file_checks_value_types(self, tmp_path, key, value, expected):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: value}))
         with pytest.raises(ValueError, match=rf"cfg\.json: config key '{key}' {expected}, got"):
-            ExperimentConfig.from_file(path)
+            read_config_file(path)
 
-    def test_from_file_accepts_ints_for_floats_and_nulls_for_optionals(self, tmp_path):
+    def test_read_config_file_accepts_ints_for_floats_and_nulls_for_optionals(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"budget": 700, "coverage_p": 0.9, "caps": None, "portfolio_probs": [1]}))
-        assert ExperimentConfig.from_file(path) == ExperimentConfig(budget=700, coverage_p=0.9, portfolio_probs=(1,))
+        assert ExperimentConfig(**read_config_file(path)) == ExperimentConfig(budget=700, coverage_p=0.9, portfolio_probs=(1,))
 
 
 class TestSeedDomains:
@@ -402,8 +403,10 @@ class TestTrainEmulator:
         written = []
         for threads in (1, 2):
             out = tmp_path / f"threads-{threads}"
-            cfg = ExperimentConfig(name="t", points_per_slice=6, train_realisations=300, seed=4, threads=threads)
-            train_emulator_experiment(cfg, out_dir=out)
+            cfg = ExperimentConfig(
+                name="t", points_per_slice=6, train_realisations=300, seed=4, threads=threads, out_dir=str(out)
+            )
+            train_emulator_experiment(cfg)
             written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(written[0]) == 8  # four files and their sidecars
         assert written[0] == written[1]
@@ -413,7 +416,7 @@ class TestProtect:
     def test_constrained_plan_mapping(self):
         pop = init_population(60, (0.7, 0.3), seed=9)
         sigma, sigma_block = reference_sigmas(pop, n_realisations=60, seed=4)
-        inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2, source=VarianceSource.REFERENCE)
+        inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2)
         _, _, plan = plan_for_population(pop, inputs, 1500.0, caps=(1e9, 1e9))
         assert plan.cost == pytest.approx(1500.0)
         # block members share one count

@@ -707,10 +707,10 @@ class TestMonthlyReductions:
             var += (1.0 + 1.0 / r_j) * blk.var(axis=0, ddof=1)
             band_var += (1.0 + 1.0 / r_j) * out.block_monthly[j].var(axis=0, ddof=1)
 
-        np.testing.assert_allclose(estimate_mu(out, plan, pop).per_month, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(estimate_mu(out, pop).per_month, mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(band_var, var, rtol=1e-12, atol=0)
         if equal:
-            bands = monthly_bands(out, plan)
+            bands = monthly_bands(out)
             z = normal_quantile(0.975)
             np.testing.assert_allclose([b.half_width for b in bands], z * np.sqrt(var), rtol=1e-12, atol=0)
 
@@ -726,7 +726,7 @@ class TestMonthlyReductions:
         assert _same_bits(output_moments(out), output_moments(expected))
         for t, *moments in zip(totals, out.means, out.variances, out.kurtoses):
             assert_near_fsum(*moments, t)
-        means = estimate_mu(out, plan, pop)
+        means = estimate_mu(out, pop)
         assert means.total == float(np.sum(moments_of(totals)[0]))
         if np.all(plan.counts >= 2):
             sigma2 = variance_inputs_from_samples(out, pop).sigma2_independent
@@ -1031,7 +1031,7 @@ class TestBlockBatches:
         assert _same_bits(output_moments(out)[:, dep], moments_of(acc_tot.T))
         assert np.array_equal(out.block_monthly[0], np.stack([m.sum(axis=0) for m in ref]))
         block_mean = np.mean([m.sum(axis=0) for m in ref], axis=0)
-        per_month = estimate_mu(out, RealisationPlan(counts=counts), pop).per_month
+        per_month = estimate_mu(out, pop).per_month
         np.testing.assert_allclose(per_month, out.indep_monthly_mean + block_mean, rtol=1e-12)
 
     def test_pilot_variance_matches_per_realisation_oracle(self, pop):

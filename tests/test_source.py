@@ -1,6 +1,7 @@
 """Source hygiene: every private function and class of collsim is used somewhere in it, every public
-one and every defaulted parameter somewhere in the package, the demos or the benchmark.  A use in the
-tests alone does not count: code that only tests need does not belong in the package."""
+one and every defaulted parameter somewhere in the package, the demos or the benchmark, and every
+dataclass field is read there.  A use in the tests alone does not count: code that only tests need
+does not belong in the package."""
 
 import ast
 from pathlib import Path
@@ -177,3 +178,52 @@ def test_parameter_gate_catches_a_dead_keyword_and_not_one_passed_by_position(tm
     assert sorted(unpassed_parameters(src, (src, demos))) == [
         ("draw", "dead"), ("draw", "seed"), ("draw", "size"), ("fill", "k"), ("fill", "level"), ("spread", "a"), ("spread", "b")
     ]
+
+
+def dataclass_fields_and_reads(src=SRC, readers=READERS):
+    """``({"Class.field": "file:line"}, attributes read)``: the fields of the dataclasses under ``src``, the reads under ``readers``.
+
+    A dataclass is a class decorated with ``dataclass`` or ``dataclass(...)``;
+    a field is an annotated name in its body.  A read is an attribute loaded
+    anywhere; an assignment to an attribute is not a read.
+    """
+
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    defined, reads = {}, set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        defined[f"{node.name}.{item.target.id}"] = f"{path.name}:{item.lineno}"
+    for root in readers:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.attr)
+    return defined, reads
+
+
+def test_every_dataclass_field_is_read():
+    defined, reads = dataclass_fields_and_reads()
+    assert len(defined) > 40  # the walk found the package's dataclass fields
+    unread = {name: where for name, where in defined.items() if name.rpartition(".")[2] not in reads}
+    assert not unread, f"dataclass fields that nothing in src, demos or bench reads: {unread}"
+
+
+def test_field_gate_catches_a_field_nothing_reads(tmp_path):
+    src, demos = tmp_path / "pkg", tmp_path / "demos"
+    src.mkdir(), demos.mkdir()
+    (src / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Box:\n    size: int\n    left_over: int = 0\n\n\n"
+        "@dataclasses.dataclass\nclass Bag:\n    items: list\n\n\n"
+        "class Plain:\n    note: str = ''\n"
+    )
+    (demos / "d.py").write_text("from pkg.a import Bag, Box\n\nprint(Box(1).size, Bag([]).items)\nBag([]).left_over = 3\n")
+    defined, reads = dataclass_fields_and_reads(src, (src, demos))
+    assert sorted(defined) == ["Bag.items", "Box.left_over", "Box.size"]
+    assert [name for name in defined if name.rpartition(".")[2] not in reads] == ["Box.left_over"]
