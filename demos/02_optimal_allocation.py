@@ -35,7 +35,7 @@ inputs = VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block)
 
 budget = 25.0 * pop.n
 _, _, real_plan = plan_for_population(pop, inputs, budget)
-plan = round_plan(real_plan, pop)
+plan = round_plan(real_plan)
 
 _, var_opt = estimator_variance(inputs, real_plan, pop)
 _, var_eq = estimator_variance(inputs, RealisationPlan.equal(pop.n, 25), pop)

@@ -24,7 +24,7 @@ inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=sigma_block**2
 caps = (1500.0**2, 60.0**2)
 budget = 25.0 * pop.n
 problem, solution, real_plan = plan_for_population(pop, inputs, budget, caps)
-plan = round_plan(real_plan, pop)
+plan = round_plan(real_plan)
 holds, margin = check_slater(problem)
 print(f"strict feasibility holds with budget margin {margin:,.0f}")
 

@@ -33,14 +33,12 @@ __all__ = [
 ]
 
 
-def round_plan(plan: RealisationPlan, population: Population) -> RealisationPlan:
-    """Integer plan from a real-valued plan; block counts are rounded once."""
-    counts = round_counts(plan.counts)
-    for pf in population.portfolios:
-        dep = pf.dependent_ids
-        if len(dep):
-            counts[dep] = round_counts([plan.counts[dep[0]]])[0]
-    return RealisationPlan(counts=counts)
+def round_plan(plan: RealisationPlan) -> RealisationPlan:
+    """Integer plan from a real-valued plan: :func:`collsim.constrained.round_counts` of every count.
+
+    The members of a block share one real count, so they share its rounding.
+    """
+    return RealisationPlan(round_counts(plan.counts))
 
 
 def plan_for_population(

@@ -5,8 +5,9 @@ cap-constrained budget allocation, prediction intervals, coverage studies,
 emulator training and validation, and a self-check of the constrained solver
 against a brute-force oracle.  Options can come from a JSON config file
 (``--config``); explicit flags override config values; ``READS`` lists what
-each subcommand reads.  Exit status is 0 on success, 1 on any error, and 1
-from ``oracle-check`` when a mismatch is found.
+each subcommand reads, and only a run that uses ``--emulator`` takes it.
+Exit status is 0 on success, 1 on any error, and 1 from ``oracle-check``
+when a mismatch is found.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ def _write_json(path, doc, config: ExperimentConfig) -> None:
 
 # The config fields each form of a subcommand reads, besides seed, threads and out_dir.
 _PLAN = ("n_accounts", "portfolio_probs", "budget", "n_pilot")
-_INTERVAL = (*_PLAN, "plan_mode", "caps", "interval_method", "coverage_p")
+_INTERVAL = (*_PLAN, "plan_mode", "interval_method", "coverage_p")
 READS = {
-    "simulate": (*_PLAN, "plan_mode", "caps", "coverage_p"),
+    "simulate": (*_PLAN, "plan_mode", "coverage_p"),
     "allocate": _PLAN,
     "protect": (*_PLAN, "caps", "sigma_reference_realisations"),
     "protect --problem": (),
@@ -75,14 +76,23 @@ READS = {
 }
 
 
+def _reads_emulator(form: str, settings: dict) -> bool:
+    """Whether a run of ``form`` with ``settings`` uses ``--emulator``: only optimized plans and M2 intervals do."""
+    if form in ("simulate", "interval", "coverage-study"):
+        return settings.get("plan_mode") == "optimized" or settings.get("interval_method") == "M2"
+    return form in ("allocate", "protect", "validate-emulator")
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    """The ``--config`` file's settings under the flags given; a setting its form does not read raises first."""
+    """The ``--config`` file's settings under the flags given; a setting or ``--emulator`` the run does not read raises first."""
     form = args.command + (" --problem" if getattr(args, "problem", None) else "")
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ExperimentConfig)}
     flags = {k: tuple(v) if isinstance(v, list) else v for k, v in flags.items() if v is not None}
     settings = read_config_file(args.config) if args.config else {}
     reads = {"seed", "threads", "out_dir", *READS[form]}
     unread = [f"--{k.replace('_', '-')}" for k in flags if k not in reads]
+    if getattr(args, "emulator", None) and not _reads_emulator(form, {**settings, **flags}):
+        unread.append("--emulator")
     keys = sorted(set(settings) - reads)
     if keys:
         unread.append(f"config keys {keys} of {args.config}")
@@ -111,7 +121,7 @@ def cmd_allocate(args) -> int:
     config = _config_from_args(args)
     pop = config_population(config)
     real, inputs = optimized_plan(pop, config, _load_emulator(args), derive_seed(config.seed, "pilot"))
-    plan = round_plan(real, pop)
+    plan = round_plan(real)
     _, var_opt = estimator_variance(inputs, real, pop)
     r_eq = config.effective_budget / pop.n
     _, var_eq = estimator_variance(inputs, RealisationPlan.equal(pop.n, r_eq), pop)
@@ -137,8 +147,6 @@ def cmd_protect(args) -> int:
     config = _config_from_args(args)
     if args.problem:
         # a standalone solve of the problem file, which holds the budget, caps and sigmas; no simulation
-        if args.emulator is not None:
-            raise ValueError("protect --problem does not read --emulator")
         problem = problem_from_json(args.problem)
         config = dataclasses.replace(config, caps=tuple(problem.caps))
         solution = active_set_solve(problem)

@@ -1,15 +1,16 @@
 """Monte Carlo estimators, variance inputs and prediction intervals.
 
 The population estimate of expected total collections is the sum over
-accounts of the per-account realisation means; its variance under a plan with
-per-account counts R_i and per-block counts r_j is
+accounts of the per-account realisation means.  :func:`estimator_variance`,
+its variance under a plan with per-account counts R_i and per-block counts
+r_j, is the one formula for a plan's variance:
 
-    sigma2_block_j / r_j + sum_i sigma2_i / R_i    (summed over portfolios).
+    sum_i sigma2_i / R_i + sum_j sigma2_D,j / r_j.
 
-Prediction intervals combine the natural variability of the collections with
-the Monte Carlo error of the mean estimate:
+A prediction interval adds the collections' own variance, sum_i sigma2_i +
+sum_j sigma2_D,j, so its half width is (only this module applies 1 + 1/R)
 
-    half_width = z_(1+p)/2 * sqrt( sigma2_D (1 + 1/r) + sum_i sigma2_i (1 + 1/R_i) ).
+    z_(1+p)/2 * sqrt( sum_i sigma2_i (1 + 1/R_i) + sum_j sigma2_D,j (1 + 1/r_j) ).
 
 Per-account variances come either from the realisation sample variances
 (method M1, requires R_i >= 2 everywhere) or from the Gaussian-process
@@ -166,14 +167,6 @@ class PredictionInterval:
         return 2.0 * self.half_width / self.center
 
 
-def _prediction_error_variance(sigma2_indep, r_indep, sigma2_block, r_block):
-    v = float((sigma2_indep * (1.0 + 1.0 / r_indep)).sum())
-    for s2d, r in zip(sigma2_block, r_block):
-        if not np.isnan(s2d):
-            v += s2d * (1.0 + 1.0 / r)
-    return v
-
-
 def prediction_interval(
     mu_hat: float,
     inputs: VarianceInputs,
@@ -181,18 +174,12 @@ def prediction_interval(
     population: Population,
     p: float = 0.95,
 ) -> PredictionInterval:
-    """Normal-quantile prediction interval for the realised total collections."""
+    """Normal-quantile prediction interval for the realised total: :func:`estimator_variance` plus the units' own variance."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"coverage probability must lie in (0, 1), got {p}")
-    indep = population.independent_ids
-    r_block, s2_block = [], []
-    for j, pf in enumerate(population.portfolios):
-        if len(pf.dependent_ids):
-            s2_block.append(inputs.sigma2_block[j])
-            r_block.append(plan.counts[pf.dependent_ids[0]])
-    var = _prediction_error_variance(
-        inputs.sigma2_independent[indep], plan.counts[indep], s2_block, r_block
-    )
+    _, var = estimator_variance(inputs, plan, population)
+    blocks = [j for j, pf in enumerate(population.portfolios) if len(pf.dependent_ids)]
+    var += inputs.sigma2_independent[population.independent_ids].sum() + inputs.sigma2_block[blocks].sum()
     z = normal_quantile((1.0 + p) / 2.0)
     return PredictionInterval(center=float(mu_hat), half_width=z * float(np.sqrt(var)), coverage_p=p)
 
@@ -204,8 +191,8 @@ def monthly_bands(output: SimulationOutput, p: float = 0.95) -> list[PredictionI
     that the variance emulator predicts total-collection variances only; the
     plan is read from the output's counts.  The centres are
     :func:`estimate_mu`'s ``per_month``; the variance of month ``t`` is the
-    run's ``indep_monthly_var[t]`` plus, for each block, its sample variance
-    over realisations times ``1 + 1/r_j``.
+    run's ``indep_monthly_var[t]`` plus each block's sample variance over
+    realisations, times ``1 + 1/R`` for the one count R.
     """
     if output.indep_monthly_mean is None:
         raise ValueError("monthly bands need a run with store_monthly=True")
@@ -216,7 +203,8 @@ def monthly_bands(output: SimulationOutput, p: float = 0.95) -> list[PredictionI
 
     var = output.indep_monthly_var.copy()
     for blk in output.block_monthly.values():
-        var += blk.var(axis=0, ddof=1) * (1.0 + 1.0 / len(blk))
+        var += blk.var(axis=0, ddof=1)
+    var *= 1.0 + 1.0 / counts[0]
     z = normal_quantile((1.0 + p) / 2.0)
     return [
         PredictionInterval(center=float(c), half_width=z * float(np.sqrt(v)), coverage_p=p)

@@ -7,7 +7,7 @@ independent of estimation draws.
 
 Method M2's variance pre-estimates are assembled only by
 :func:`m2_variance_inputs`, for plans and for intervals alike.  Every
-optimized, constrained and protection plan comes from one solve,
+optimized and protection plan comes from one solve,
 :func:`collsim.allocator.plan_for_population`: the active-set solution under
 per-portfolio caps, the optimized plan being that solve with no caps.
 """
@@ -78,9 +78,9 @@ class ExperimentConfig:
     name: str = "experiment"
     n_accounts: int = 1000
     portfolio_probs: tuple = (1.0,)
-    plan_mode: str = "equal"  # equal | optimized | constrained
+    plan_mode: str = "equal"  # equal | optimized
     budget: float | None = None  # defaults to 25 realisations per account
-    caps: tuple | None = None  # per-portfolio variance caps (constrained mode)
+    caps: tuple | None = None  # per-portfolio variance caps (protect)
     interval_method: str = "M1"  # M1 | M2
     coverage_p: float = 0.95
     repetitions: int = 1000
@@ -95,12 +95,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.plan_mode not in ("equal", "optimized", "constrained"):
+        if self.plan_mode not in ("equal", "optimized"):
             raise ValueError(f"unknown plan mode {self.plan_mode!r}")
         if self.interval_method not in ("M1", "M2"):
             raise ValueError(f"unknown interval method {self.interval_method!r}")
-        if self.plan_mode == "constrained" and self.caps is None:
-            raise ValueError("constrained plans need per-portfolio caps")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         for name, least in (
@@ -260,29 +258,27 @@ def m2_variance_inputs(
     return VarianceInputs(sigma2_independent=sigma2, sigma2_block=sigma2_block)
 
 
-def optimized_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int, caps=None):
-    """Real-valued variance-minimizing plan under optional per-portfolio ``caps``, and its M2 pre-estimates.
+def optimized_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
+    """Real-valued variance-minimizing plan, and its M2 pre-estimates.
 
     Returns ``(plan, inputs)``, ``inputs`` from :func:`m2_variance_inputs` with
     block pilots drawn with ``seed``.  With no caps the active-set solve ends
     after one pass, at the stationary plan with no active cap.
     """
     inputs = m2_variance_inputs(population, config, emulator, None, seed)
-    return plan_for_population(population, inputs, config.effective_budget, caps)[2], inputs
+    return plan_for_population(population, inputs, config.effective_budget)[2], inputs
 
 
 def build_plan(population: Population, config: ExperimentConfig, emulator: GpEmulator | None, seed: int):
     """Integer plan plus the variance pre-estimates that produced it (None for the equal plan).
 
-    The optimized plan is :func:`optimized_plan` with no caps; the
-    constrained plan is the same solve under ``config.caps``.
+    The optimized plan is :func:`optimized_plan`, rounded.
     """
     if config.plan_mode == "equal":
         r = int(round(config.effective_budget / population.n))
         return RealisationPlan.equal(population.n, max(r, 1)), None
-    caps = config.caps if config.plan_mode == "constrained" else None
-    real, inputs = optimized_plan(population, config, emulator, seed, caps)
-    return round_plan(real, population), inputs
+    real, inputs = optimized_plan(population, config, emulator, seed)
+    return round_plan(real), inputs
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +413,7 @@ def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = N
         )
         inputs = VarianceInputs(sigma2_independent=sigma**2, sigma2_block=block**2)
     problem, solution, real_plan = plan_for_population(pop, inputs, config.effective_budget, config.caps)
-    int_plan = round_plan(real_plan, pop)
+    int_plan = round_plan(real_plan)
 
     var_real, _ = estimator_variance(inputs, real_plan, pop)
     var_int, _ = estimator_variance(inputs, int_plan, pop)

@@ -280,9 +280,9 @@ def _simulate_chunk(chunk):
     """The (3, units) :func:`_segment_moments` of a chunk's units' totals, and monthly sums.
 
     The (horizon,) sums (None without ``store_monthly``) are over the units: of the
-    monthly means ``m_i,t / R_i`` and of the weighted sample variances ``(1 +
-    1/R_i) max(s2_i,t, 0)``, with ``m_i,t`` the sum of unit ``i``'s payments in
-    month ``t`` and ``s2_i,t`` their unbiased variance (NaN for R_i = 1).
+    monthly means ``m_i,t / R_i`` and of the sample variances ``max(s2_i,t, 0)``,
+    with ``m_i,t`` the sum of unit ``i``'s payments in month ``t`` and ``s2_i,t``
+    their unbiased variance (NaN at R_i = 1, an exact 0/0).
     """
     r, store_monthly = chunk[3], chunk[-1]
     tot, pay = _chunk_paths(chunk)
@@ -299,8 +299,6 @@ def _simulate_chunk(chunk):
     with np.errstate(divide="ignore", invalid="ignore"):
         var /= r - 1.0
     np.maximum(var, 0.0, out=var)
-    var *= 1.0 + 1.0 / r
-    var[:, r < 2] = np.nan
     return moments, mean.sum(axis=1), var.sum(axis=1)
 
 
@@ -496,11 +494,12 @@ class SimulationOutput:
 
     The monthly statistics of a ``store_monthly`` run are already summed over
     accounts: ``indep_monthly_mean[t]`` is the sum over independent accounts
-    of ``m_i,t / R_i`` and ``indep_monthly_var[t]`` the sum of
-    ``(1 + 1/R_i) max(s2_i,t, 0)`` (NaN if some R_i = 1), where ``m_i,t`` and
-    ``s2_i,t`` are the sum and unbiased variance of account ``i``'s month-t
-    payments over its realisations.  Each dependent block keeps its monthly
-    collections per realisation in ``block_monthly``.
+    of ``m_i,t / R_i`` and ``indep_monthly_var[t]`` the plain sum of
+    ``max(s2_i,t, 0)`` (NaN if some R_i = 1), where ``m_i,t`` and ``s2_i,t``
+    are the sum and unbiased variance of account ``i``'s month-t payments over
+    its realisations.  Each dependent block keeps its monthly collections per
+    realisation in ``block_monthly``.  :func:`collsim.estimators.monthly_bands`
+    turns these variances into intervals.
     """
 
     counts: np.ndarray  # (N,) realisations per account

@@ -2,18 +2,20 @@
 
 ``bench/exact.py`` restates the independent-account model without calling
 collsim and gives each account's exact mean, variance and fourth central
-moment.  It is loaded from its file, and no bytecode cache is written beside it.
+moment.  Benchmark modules are loaded from their files by
+:func:`load_bench_module`, and no bytecode cache is written beside them.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "bench" / "exact.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("bench_exact", _PATH)
+def load_bench_module(name):
+    """The module ``bench/<name>.py``, loaded from its file without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", _BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -23,4 +25,4 @@ def _load():
     return module
 
 
-exact = _load()
+exact = load_bench_module("exact")

@@ -5,6 +5,7 @@ then asserts.  The suite is heavy; the coverage criterion alone runs 3000
 repeated studies and takes several minutes on one CPU.
 """
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from collsim.constrained import (
     stationarity_solution,
 )
 from collsim.emulator import SegmentGP, validate_emulator
-from collsim.estimators import VarianceInputs, estimator_variance
+from collsim.estimators import VarianceInputs, estimator_variance, normal_quantile
 from collsim.experiments import (
     ExperimentConfig,
     coverage_study,
@@ -65,29 +66,41 @@ def _gammas(population, sigma, sigma_block):
     return np.array(out)
 
 
-def test_criterion_1_interval_coverage_and_width(capsys):
+def test_criterion_1_interval_coverage_and_width(capsys, tmp_path):
     """95% intervals cover the realised total within 2pp at three population
-    sizes, with relative uncertainty near its references and decreasing in N."""
+    sizes, with relative uncertainty near its references and decreasing in N.
+
+    The interval's variance is calibrated too: with z = (truth - midpoint) / sd,
+    sd the half width over z_0.975, the mean of z^2 over the repetitions is 1
+    within 3.5 of its standard errors sqrt(2 / reps) (z normal, kurtosis 3)."""
     targets = {100: 0.124, 250: 0.062, 1000: 0.034}
-    results = {}
+    z2_bound = 3.5 * math.sqrt(2.0 / COVERAGE_REPS)
+    results, z2 = {}, {}
     for n in (100, 250, 1000):
         cfg = ExperimentConfig(
             name=f"acc1-n{n}", n_accounts=n, repetitions=COVERAGE_REPS, seed=ACC_SEED
         )
-        results[n] = coverage_study(cfg)
+        checkpoint = tmp_path / f"n{n}.json"
+        results[n] = coverage_study(cfg, checkpoint_path=checkpoint)
+        records = json.loads(checkpoint.read_text())["records"]
+        assert len(records) == COVERAGE_REPS
+        z = [(r["truth"] - r["midpoint"]) / (r["length"] / (2.0 * normal_quantile(0.975))) for r in records]
+        z2[n] = float(np.mean(np.square(z)))
     cov_ok = all(abs(results[n]["coverage"] - 0.95) <= 0.02 for n in results)
     rel = {n: results[n]["relative_uncertainty"] for n in results}
     rel_ok = all(abs(rel[n] / targets[n] - 1.0) <= 0.25 for n in results)
     dec_ok = rel[100] > rel[250] > rel[1000]
+    z2_ok = all(abs(z2[n] - 1.0) <= z2_bound for n in results)
     detail = ", ".join(
-        f"N={n}: cov={results[n]['coverage']:.3f} rel={rel[n]:.4f} (target {targets[n]})"
+        f"N={n}: cov={results[n]['coverage']:.3f} rel={rel[n]:.4f} (target {targets[n]}) mean z^2={z2[n]:.3f}"
         for n in results
     )
-    ok = cov_ok and rel_ok and dec_ok
+    ok = cov_ok and rel_ok and dec_ok and z2_ok
     _report(capsys, f"ACCEPTANCE 1 interval coverage: {'PASS' if ok else 'FAIL'} [{detail}]")
     assert cov_ok, detail
     assert rel_ok, detail
     assert dec_ok, detail
+    assert z2_ok, detail
 
 
 def test_criterion_2_variance_reduction(capsys, population_99_1, reference):
@@ -155,7 +168,7 @@ def test_criterion_4_portfolio_protection(capsys, population_99_1, reference):
         sigma2_block=np.asarray(sigma_block) ** 2,
     )
     _, solution, real_plan = plan_for_population(pop, inputs, 25.0 * pop.n, caps)
-    int_plan = round_plan(real_plan, pop)
+    int_plan = round_plan(real_plan)
     var_real, _ = estimator_variance(inputs, real_plan, pop)
     var_int, _ = estimator_variance(inputs, int_plan, pop)
     caps_arr = np.array(caps)

@@ -94,7 +94,7 @@ class TestRounding:
         assert len(dep) >= 2
         counts = np.full(300, 2.7)
         counts[dep] = 3.4
-        plan = round_plan(RealisationPlan(counts=counts), pop)
+        plan = round_plan(RealisationPlan(counts=counts))
         assert np.all(plan.counts[dep] == 3.0)
         plan.validate_for(pop)
         assert plan.is_integer
@@ -115,7 +115,7 @@ class TestPlanForPopulation:
         indep = pop.independent_ids
         ratio = plan.counts[indep] / sigma[indep]
         assert np.ptp(ratio) / ratio[0] < 1e-12
-        plan_int = round_plan(plan, pop)
+        plan_int = round_plan(plan)
         plan_int.validate_for(pop)
         # the closed form R_i = sigma_i C / G, G summed over units
         block_weight = sum(
@@ -150,7 +150,7 @@ class TestPlanForPopulation:
         sigma_block = np.array([30.0 if len(pop.portfolios[0].dependent_ids) else np.nan, np.nan])
         _, _, plan = plan_for_population(pop, _inputs(sigma, sigma_block), budget=2500.0)
         assert plan.cost == pytest.approx(2500.0)
-        round_plan(plan, pop).validate_for(pop)
+        round_plan(plan).validate_for(pop)
         problem, solution, _ = plan_for_population(pop, _inputs(sigma, sigma_block), 2500.0, caps=(1e9, 1e-6))
         assert solution.active == frozenset()
         assert solution.plan.portfolio_variances(problem)[1] == 0.0

@@ -171,6 +171,44 @@ class TestSettingsEachFormReads:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, form",
+        [
+            (["simulate", "--n-accounts", "10"], "simulate"),
+            (["interval", "--n-accounts", "10", "--method", "M1"], "interval"),
+            (["coverage-study", "--plan", "equal", "--method", "M1"], "coverage-study"),
+            (["protect", "--problem", "missing-problem.json"], "protect --problem"),
+        ],
+    )
+    def test_emulator_rejected_by_a_run_that_does_not_use_it(self, tmp_path, capsys, argv, form):
+        rc = main([*argv, "--emulator", "missing.json", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {form} does not read --emulator\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--plan", "optimized"],
+            ["interval", "--method", "M2"],
+            ["coverage-study", "--plan", "optimized"],
+            ["protect", "--caps", "1e9"],
+        ],
+    )
+    def test_emulator_read_by_a_run_that_uses_it(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.json"
+        assert main([*argv, "--n-accounts", "10", "--emulator", str(missing), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert str(missing) in err and "does not read" not in err
+
+    def test_emulator_taken_with_an_optimized_plan_from_the_config_file(self, emulator_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plan_mode": "optimized", "n_accounts": 30}))
+        argv = ["simulate", "--config", str(cfg), "--emulator", str(emulator_file), "--threads", "1"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "plan.csv").exists()
+
+
 class TestErrors:
     def test_bad_args_exit_nonzero(self, tmp_path, capsys):
         rc = main(["interval", "--out", str(tmp_path), "--method", "M2", "--n-accounts", "10"])

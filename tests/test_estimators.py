@@ -227,6 +227,23 @@ class TestPredictionInterval:
         assert iv.half_width == pytest.approx(normal_quantile(0.95) * math.sqrt(v), rel=1e-12)
         assert iv.center == 1000.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_half_width_formula_on_an_unequal_plan_with_blocks(self, seed):
+        # the per-unit formula sum sigma2_i (1 + 1/R_i) + sum sigma2_D (1 + 1/r_j), summed unit by unit
+        pop = init_population(400, (0.5, 0.3, 0.2), seed=seed)
+        assert all(len(pf.dependent_ids) for pf in pop.portfolios)
+        g = np.random.default_rng(seed)
+        s2 = g.uniform(0.0, 1e6, pop.n) * (g.random(pop.n) < 0.9)  # some zero-variance accounts
+        counts = g.integers(1, 40, pop.n).astype(float)
+        s2_block = g.uniform(1e3, 1e8, pop.n_portfolios)
+        for pf in pop.portfolios:
+            counts[pf.dependent_ids] = g.integers(1, 40)
+        inputs = VarianceInputs(sigma2_independent=s2, sigma2_block=s2_block)
+        v = math.fsum(s2[i] * (1 + 1 / counts[i]) for i in pop.independent_ids)
+        v += math.fsum(s2_block[j] * (1 + 1 / counts[pf.dependent_ids[0]]) for j, pf in enumerate(pop.portfolios))
+        iv = prediction_interval(50.0, inputs, RealisationPlan(counts=counts), pop, p=0.8)
+        assert iv.half_width == pytest.approx(normal_quantile(0.9) * math.sqrt(v), rel=1e-12)
+
     def test_given_variances_take_single_realisations(self):
         # variances that do not come from the run (emulator, pilots) need no second realisation
         pop = init_population(10, (1.0,), seed=3)

@@ -53,8 +53,8 @@ class TestConfig:
             ExperimentConfig(interval_method="M3")
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
-        with pytest.raises(ValueError, match="caps"):
-            ExperimentConfig(plan_mode="constrained")
+        with pytest.raises(ValueError, match="unknown plan mode 'constrained'"):
+            ExperimentConfig(plan_mode="constrained", caps=(1.0,))  # caps are protect's alone
         for threads in (0, -2):
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
                 ExperimentConfig(threads=threads)
@@ -347,18 +347,16 @@ def small_emulator():
 
 
 class TestBuildPlan:
-    def test_constrained_plan_meets_caps(self, small_emulator):
+    def test_capped_plan_meets_caps(self, small_emulator):
         pop = init_population(200, (0.9, 0.1), seed=3)
         # a cap of 1.0 on portfolio 1 needs about 4.1e6 realisations, hence the budget
-        common = dict(n_accounts=200, portfolio_probs=(0.9, 0.1), budget=1e7)
-        optimized, _ = build_plan(pop, ExperimentConfig(plan_mode="optimized", **common), small_emulator, 5)
-        config = ExperimentConfig(plan_mode="constrained", caps=(1e12, 1.0), **common)
-        plan, inputs = build_plan(pop, config, small_emulator, 5)
+        config = ExperimentConfig(plan_mode="optimized", n_accounts=200, portfolio_probs=(0.9, 0.1), budget=1e7)
+        optimized, inputs = build_plan(pop, config, small_emulator, 5)
+        _, solution, real = plan_for_population(pop, inputs, config.effective_budget, (1e12, 1.0))
+        plan = round_plan(real)
         assert plan.is_integer
         assert not np.array_equal(plan.counts, optimized.counts)
-        _, solution, real = plan_for_population(pop, inputs, config.effective_budget, config.caps)
         assert solution.active == frozenset({1})
-        assert np.array_equal(plan.counts, round_plan(real, pop).counts)
         variances, _ = estimator_variance(inputs, real, pop)
         assert variances[1] <= 1.0 * (1 + 1e-9)
         # rounding counts of about 1e5 moves the variance by a few parts in 1e6
@@ -368,18 +366,17 @@ class TestBuildPlan:
         pop = init_population(200, (0.5, 0.5), seed=3)
         assert all(len(pf.dependent_ids) for pf in pop.portfolios)
         common = dict(n_accounts=200, portfolio_probs=(0.5, 0.5), budget=7000.0)
-        optimized = build_plan(pop, ExperimentConfig(plan_mode="optimized", **common), small_emulator, 5)
-        config = ExperimentConfig(plan_mode="constrained", caps=(np.inf, np.inf), **common)
-        capped = build_plan(pop, config, small_emulator, 5)
-        assert optimized[0].counts.tobytes() == capped[0].counts.tobytes()
+        config = ExperimentConfig(plan_mode="optimized", **common)
+        plan, inputs = build_plan(pop, config, small_emulator, 5)
+        real, real_inputs = optimized_plan(pop, config, small_emulator, 5)
         for name in ("sigma2_independent", "sigma2_block"):
-            assert getattr(optimized[1], name).tobytes() == getattr(capped[1], name).tobytes()
-        # and the one solve with no caps, bit for bit
-        real, inputs = optimized_plan(pop, config, small_emulator, 5)
-        assert real.counts.tobytes() == plan_for_population(pop, inputs, config.effective_budget)[2].counts.tobytes()
+            assert getattr(inputs, name).tobytes() == getattr(real_inputs, name).tobytes()
+        capped = plan_for_population(pop, inputs, config.effective_budget, (np.inf, np.inf))[2]
+        assert real.counts.tobytes() == capped.counts.tobytes()
+        assert plan.counts.tobytes() == round_plan(capped).counts.tobytes()
 
     def test_every_plan_is_solved_by_the_solver_module(self, small_emulator, monkeypatch):
-        """Optimized, constrained and protection plans all call ``collsim.constrained.active_set_solve``."""
+        """Optimized and protection plans all call ``collsim.constrained.active_set_solve``."""
         solved_caps = []
         solve = collsim.constrained.active_set_solve
 
@@ -391,11 +388,10 @@ class TestBuildPlan:
         pop = init_population(200, (0.9, 0.1), seed=3)
         common = dict(n_accounts=200, portfolio_probs=(0.9, 0.1), budget=1e7)
         build_plan(pop, ExperimentConfig(plan_mode="optimized", **common), small_emulator, 5)
-        build_plan(pop, ExperimentConfig(plan_mode="constrained", caps=(1e12, 1.0), **common), small_emulator, 5)
         protect = dict(n_accounts=60, portfolio_probs=(0.8, 0.2), caps=(2000.0**2, 60.0**2), budget=2500.0, seed=9)
         protect_experiment(ExperimentConfig(sigma_reference_realisations=120, **protect))
         protect_experiment(ExperimentConfig(n_pilot=10, **protect), emulator=small_emulator)
-        assert solved_caps == [[np.inf, np.inf], [1e12, 1.0]] + [[2000.0**2, 60.0**2]] * 2
+        assert solved_caps == [[np.inf, np.inf]] + [[2000.0**2, 60.0**2]] * 2
 
 
 class TestTrainEmulator:

@@ -684,7 +684,8 @@ class TestMonthlyReductions:
         plan = RealisationPlan(counts=counts)
         out = run_plan(pop, plan, seed=8, store_monthly=True)
 
-        mean, var = np.zeros(HORIZON), np.zeros(HORIZON)
+        # mean and var: the plain per-path sums; weighted: the per-unit band variance, each unit's times 1 + 1/R
+        mean, var, weighted = np.zeros(HORIZON), np.zeros(HORIZON), np.zeros(HORIZON)
         for i in pop.independent_ids:
             acc, r = account_of(pop, i), int(counts[i])
             _, monthly = _simulate_paths(
@@ -696,23 +697,23 @@ class TestMonthlyReductions:
                 collect_monthly=True,
             )
             mean += monthly.mean(axis=1)
-            var += (1.0 + 1.0 / r) * monthly.var(axis=1, ddof=1)
-        band_var = out.indep_monthly_var.copy()
+            var += monthly.var(axis=1, ddof=1)
+            weighted += (1.0 + 1.0 / r) * monthly.var(axis=1, ddof=1)
         for j, pf in enumerate(pop.portfolios):
             dep = pf.dependent_ids
             r_j = int(counts[dep[0]])
             ref = _reference_block_runs(pop, dep, stream(8, "sim", "block", j), r_j)
             blk = np.stack([m.sum(axis=0) for m in ref])
+            np.testing.assert_allclose(out.block_monthly[j], blk, rtol=1e-12, atol=0)
             mean += blk.mean(axis=0)
-            var += (1.0 + 1.0 / r_j) * blk.var(axis=0, ddof=1)
-            band_var += (1.0 + 1.0 / r_j) * out.block_monthly[j].var(axis=0, ddof=1)
+            weighted += (1.0 + 1.0 / r_j) * blk.var(axis=0, ddof=1)
 
         np.testing.assert_allclose(estimate_mu(out, pop).per_month, mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(band_var, var, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.indep_monthly_var, var, rtol=1e-12, atol=0)
         if equal:
             bands = monthly_bands(out)
             z = normal_quantile(0.975)
-            np.testing.assert_allclose([b.half_width for b in bands], z * np.sqrt(var), rtol=1e-12, atol=0)
+            np.testing.assert_allclose([b.half_width for b in bands], z * np.sqrt(weighted), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("equal", [True, False])
     def test_moments_keep_per_account_statistics(self, equal, monkeypatch):
