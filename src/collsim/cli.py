@@ -4,8 +4,9 @@ Subcommands cover the full workflow: simulation runs, optimal and
 cap-constrained budget allocation, prediction intervals, coverage studies,
 emulator training and validation, and a self-check of the constrained solver
 against a brute-force oracle.  Options can come from a JSON config file
-(``--config``); explicit flags override config values; ``READS`` lists what
-each subcommand reads, and only a run that uses ``--emulator`` takes it.
+(``--config``); explicit flags override config values.  ``READS`` lists the
+fields each subcommand reads, and its flags are ``FLAGS`` of those fields;
+only a run that uses ``--emulator`` takes it.
 Exit status is 0 on success, 1 on any error, and 1 from ``oracle-check``
 when a mismatch is found.
 """
@@ -76,11 +77,29 @@ READS = {
 }
 
 
+# The flag of each field that has one, with its add_argument keywords; a subcommand has the flags of the fields it reads.
+FLAGS = {
+    "n_accounts": ("--n-accounts", {"type": int}),
+    "portfolio_probs": ("--portfolio-probs", {"type": float, "nargs": "+", "help": "portfolio membership probabilities"}),
+    "budget": ("--budget", {"type": float, "help": "total realisation budget (default 25 per account)"}),
+    "plan_mode": ("--plan", {"choices": ["equal", "optimized"]}),
+    "interval_method": ("--method", {"choices": ["M1", "M2"], "help": "variance source for the interval"}),
+    "caps": ("--caps", {"type": float, "nargs": "+", "help": "per-portfolio variance caps"}),
+    "repetitions": ("--repetitions", {"type": int}),
+    "points_per_slice": ("--points-per-slice", {"type": int}),
+    "train_realisations": ("--train-realisations", {"type": int, "help": "realisations per design or test point"}),
+}
+
+# The forms that use --emulator on every run, and those that use it only for an optimized plan or an M2 interval.
+_EMULATOR_ALWAYS = ("allocate", "protect", "validate-emulator")
+_EMULATOR_IF_OPTIMIZED_OR_M2 = ("simulate", "interval", "coverage-study")
+
+
 def _reads_emulator(form: str, settings: dict) -> bool:
-    """Whether a run of ``form`` with ``settings`` uses ``--emulator``: only optimized plans and M2 intervals do."""
-    if form in ("simulate", "interval", "coverage-study"):
+    """Whether a run of ``form`` with ``settings`` uses ``--emulator``."""
+    if form in _EMULATOR_IF_OPTIMIZED_OR_M2:
         return settings.get("plan_mode") == "optimized" or settings.get("interval_method") == "M2"
-    return form in ("allocate", "protect", "validate-emulator")
+    return form in _EMULATOR_ALWAYS
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -90,7 +109,7 @@ def _config_from_args(args) -> ExperimentConfig:
     flags = {k: tuple(v) if isinstance(v, list) else v for k, v in flags.items() if v is not None}
     settings = read_config_file(args.config) if args.config else {}
     reads = {"seed", "threads", "out_dir", *READS[form]}
-    unread = [f"--{k.replace('_', '-')}" for k in flags if k not in reads]
+    unread = [FLAGS[k][0] for k in flags if k not in reads]
     if getattr(args, "emulator", None) and not _reads_emulator(form, {**settings, **flags}):
         unread.append("--emulator")
     keys = sorted(set(settings) - reads)
@@ -110,15 +129,13 @@ def _load_emulator(args) -> GpEmulator | None:
 # Subcommands
 
 
-def cmd_simulate(args) -> int:
-    config = _config_from_args(args)
+def cmd_simulate(args, config: ExperimentConfig) -> int:
     report = simulate_experiment(config, _load_emulator(args))
     print(f"estimated total collections: {report['mu_total']:.2f}")
     return 0
 
 
-def cmd_allocate(args) -> int:
-    config = _config_from_args(args)
+def cmd_allocate(args, config: ExperimentConfig) -> int:
     pop = config_population(config)
     real, inputs = optimized_plan(pop, config, _load_emulator(args), derive_seed(config.seed, "pilot"))
     plan = round_plan(real)
@@ -143,8 +160,7 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-def cmd_protect(args) -> int:
-    config = _config_from_args(args)
+def cmd_protect(args, config: ExperimentConfig) -> int:
     if args.problem:
         # a standalone solve of the problem file, which holds the budget, caps and sigmas; no simulation
         problem = problem_from_json(args.problem)
@@ -167,8 +183,7 @@ def cmd_protect(args) -> int:
     return 0
 
 
-def cmd_interval(args) -> int:
-    config = _config_from_args(args)
+def cmd_interval(args, config: ExperimentConfig) -> int:
     emulator = _load_emulator(args)
     pop = config_population(config)
     mu, interval = interval_estimate(
@@ -187,8 +202,7 @@ def cmd_interval(args) -> int:
     return 0
 
 
-def cmd_coverage_study(args) -> int:
-    config = _config_from_args(args)
+def cmd_coverage_study(args, config: ExperimentConfig) -> int:
     out = config.make_out_dir()
 
     def progress(done, total):
@@ -209,15 +223,13 @@ def cmd_coverage_study(args) -> int:
     return 0
 
 
-def cmd_train_emulator(args) -> int:
-    config = _config_from_args(args)
+def cmd_train_emulator(args, config: ExperimentConfig) -> int:
     _, metrics = train_emulator_experiment(config)
     print(f"test-set sd correlation: {metrics['pooled']['sd_correlation']:.3f}")
     return 0
 
 
-def cmd_validate_emulator(args) -> int:
-    config = _config_from_args(args)
+def cmd_validate_emulator(args, config: ExperimentConfig) -> int:
     metrics = validate_on_test_design(_load_emulator(args), config)
     _write_json(config.make_out_dir() / "validation.json", metrics, config)
     print(f"test-set sd correlation: {metrics['pooled']['sd_correlation']:.3f}")
@@ -226,7 +238,6 @@ def cmd_validate_emulator(args) -> int:
 
 def _random_problem(g, n_portfolios: int) -> ConstrainedProblem:
     portfolios = []
-    gammas = []
     for _ in range(n_portfolios):
         n_i = int(g.integers(1, 6))
         has_block = g.random() < 0.5
@@ -237,8 +248,7 @@ def _random_problem(g, n_portfolios: int) -> ConstrainedProblem:
             block_size=size,
         )
         portfolios.append(pf)
-        gammas.append(pf.gamma)
-    gammas = np.array(gammas)
+    gammas = np.array([pf.gamma for pf in portfolios])
     # caps sized so some constraints bind but strict feasibility holds
     eps = g.uniform(0.05, 2.0, size=n_portfolios)
     caps = gammas / eps
@@ -246,9 +256,10 @@ def _random_problem(g, n_portfolios: int) -> ConstrainedProblem:
     return ConstrainedProblem(portfolios=tuple(portfolios), caps=caps, budget=budget)
 
 
-def cmd_oracle_check(args) -> int:
-    config = _config_from_args(args)
+def cmd_oracle_check(args, config: ExperimentConfig) -> int:
     n_instances = args.instances
+    if n_instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {n_instances}")
     rtol = 1e-8
     g = stream(config.seed, "oracle-check")
     failures = []
@@ -262,12 +273,7 @@ def cmd_oracle_check(args) -> int:
         o_active, o_obj, _ = oracle
         rel = abs(solution.plan.objective(problem) - o_obj) / abs(o_obj)
         report = kkt_report(problem, solution)
-        ok = (
-            rel <= rtol
-            and report["stationarity_residual"] < 1e-8
-            and report["min_delta"] >= -1e-12
-        )
-        if not ok:
+        if not (rel <= rtol and report["stationarity_residual"] < 1e-8 and report["min_delta"] >= -1e-12):
             failures.append(
                 {
                     "instance": k,
@@ -287,85 +293,45 @@ def cmd_oracle_check(args) -> int:
 # Parser
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; explicit flags override its values")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker processes for the Monte Carlo stages (default: the CPUs this process may use)")
-    p.add_argument("--out", dest="out_dir", default=None, help="output directory (default: the config file's out_dir, else ./out)")
+SUBCOMMANDS = {
+    "simulate": (cmd_simulate, "simulate a plan and write population, plan and collections outputs"),
+    "allocate": (cmd_allocate, "compute the variance-minimizing plan for a budget"),
+    "protect": (cmd_protect, "allocate under per-portfolio variance caps (active-set solver)"),
+    "interval": (cmd_interval, "prediction interval for total collections"),
+    "coverage-study": (cmd_coverage_study, "repeated-interval coverage against fresh truths"),
+    "train-emulator": (cmd_train_emulator, "design, simulate, fit and validate the variance emulator"),
+    "validate-emulator": (cmd_validate_emulator, "test-set metrics for a trained emulator"),
+    "oracle-check": (cmd_oracle_check, "verify the active-set solver against brute-force enumeration"),
+}
 
-
-def _add_population(p):
-    p.add_argument("--n-accounts", type=int, default=None)
-    p.add_argument(
-        "--portfolio-probs", type=float, nargs="+", default=None, help="portfolio membership probabilities"
-    )
-    p.add_argument("--budget", type=float, default=None, help="total realisation budget (default 25 per account)")
+# The flags of a subcommand besides the common four, those of FLAGS and --emulator.
+_EXTRAS = {
+    "protect": {"--problem": {"help": "solve a problem JSON directly instead of simulating"}},
+    "oracle-check": {"--instances": {"type": int, "default": 200, "help": "random problems to check (at least 1)"}},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``SUBCOMMANDS`` entry: the common flags, ``FLAGS`` of the fields it reads, its own extras and ``--emulator`` where a form of it uses one."""
     parser = argparse.ArgumentParser(
         prog="collsim", description="Monte Carlo collections forecasting for loan portfolios"
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate a plan and write population, plan and collections outputs")
-    _add_common(p)
-    _add_population(p)
-    p.add_argument("--plan", dest="plan_mode", choices=["equal", "optimized"], default=None)
-    p.add_argument("--emulator", help="emulator JSON (needed for optimized plans)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("allocate", help="compute the variance-minimizing plan for a budget")
-    _add_common(p)
-    _add_population(p)
-    p.add_argument("--emulator", required=True, help="emulator JSON for per-account variances")
-    p.set_defaults(func=cmd_allocate)
-
-    p = sub.add_parser("protect", help="allocate under per-portfolio variance caps (active-set solver)")
-    _add_common(p)
-    _add_population(p)
-    p.add_argument("--caps", type=float, nargs="+", default=None, help="per-portfolio variance caps")
-    p.add_argument("--problem", help="solve a problem JSON directly instead of simulating")
-    p.add_argument("--emulator", help="emulator JSON for sigma pre-estimation")
-    p.set_defaults(func=cmd_protect)
-
-    p = sub.add_parser("interval", help="prediction interval for total collections")
-    _add_common(p)
-    _add_population(p)
-    p.add_argument("--plan", dest="plan_mode", choices=["equal", "optimized"], default=None)
-    p.add_argument("--method", dest="interval_method", choices=["M1", "M2"], default=None, help="variance source for the interval")
-    p.add_argument("--emulator", help="emulator JSON (needed for M2 or optimized plans)")
-    p.set_defaults(func=cmd_interval)
-
-    p = sub.add_parser("coverage-study", help="repeated-interval coverage against fresh truths")
-    _add_common(p)
-    _add_population(p)
-    p.add_argument("--plan", dest="plan_mode", choices=["equal", "optimized"], default=None)
-    p.add_argument("--method", dest="interval_method", choices=["M1", "M2"], default=None)
-    p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--emulator", help="emulator JSON")
-    p.set_defaults(func=cmd_coverage_study)
-
-    p = sub.add_parser("train-emulator", help="design, simulate, fit and validate the variance emulator")
-    _add_common(p)
-    p.add_argument("--points-per-slice", type=int, default=None)
-    p.add_argument("--train-realisations", type=int, default=None)
-    p.set_defaults(func=cmd_train_emulator)
-
-    p = sub.add_parser("validate-emulator", help="test-set metrics for a trained emulator")
-    _add_common(p)
-    p.add_argument("--emulator", required=True, help="emulator JSON")
-    p.add_argument("--points-per-slice", type=int, default=None)
-    p.add_argument("--train-realisations", type=int, default=None, help="realisations per test point")
-    p.set_defaults(func=cmd_validate_emulator)
-
-    p = sub.add_parser("oracle-check", help="verify the active-set solver against brute-force enumeration")
-    _add_common(p)
-    p.add_argument("--instances", type=int, default=200)
-    p.set_defaults(func=cmd_oracle_check)
-
+    for name, (func, help_text) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; explicit flags override its values")
+        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+        p.add_argument("--threads", type=int, default=None, help="worker processes for the Monte Carlo stages (default: the CPUs this process may use)")
+        p.add_argument("--out", dest="out_dir", default=None, help="output directory (default: the config file's out_dir, else ./out)")
+        for field in (f for f in READS[name] if f in FLAGS):
+            p.add_argument(FLAGS[field][0], dest=field, default=None, **FLAGS[field][1])
+        for flag, kwargs in _EXTRAS.get(name, {}).items():
+            p.add_argument(flag, **kwargs)
+        if name in _EMULATOR_ALWAYS + _EMULATOR_IF_OPTIMIZED_OR_M2:
+            p.add_argument("--emulator", required=name in ("allocate", "validate-emulator"), help="emulator JSON of per-account variances")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -376,7 +342,7 @@ def main(argv=None) -> int:
         format="%(asctime)s %(levelname)s %(message)s",
     )
     try:
-        return args.func(args)
+        return args.func(args, _config_from_args(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         log.error("%s", exc, exc_info=args.verbose)
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,6 +105,15 @@ class PortfolioInputs:
         )
 
 
+def check_caps(caps, n_portfolios: int) -> None:
+    """Raise a ``ValueError`` naming ``caps`` unless there is one per portfolio and each is positive (``np.inf`` for none)."""
+    values = np.asarray(caps, dtype=float)
+    if values.shape != (n_portfolios,):
+        raise ValueError(f"one cap per portfolio required: {n_portfolios} portfolios, caps {values.tolist()}")
+    if not np.all(values > 0):  # NaN too
+        raise ValueError(f"caps must be positive (use np.inf for no cap), got {values.tolist()}")
+
+
 @dataclass(frozen=True)
 class ConstrainedProblem:
     portfolios: tuple  # of PortfolioInputs
@@ -113,11 +121,7 @@ class ConstrainedProblem:
     budget: float
 
     def __post_init__(self):
-        caps = np.asarray(self.caps, dtype=float)
-        if len(caps) != len(self.portfolios):
-            raise ValueError("one cap per portfolio required")
-        if np.any(caps <= 0):
-            raise ValueError("caps must be positive (use np.inf for no cap)")
+        check_caps(self.caps, len(self.portfolios))
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         if not np.any(self.gamma > 0):
@@ -352,18 +356,36 @@ def _read_json_object(path, what: str) -> dict:
     return doc
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is a JSON integer: an int, never a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """Whether ``v`` is a JSON number: an int or a float, never a bool or a string."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _json_number(v) -> float:
-    x = float(v)
-    if np.isnan(x):
-        raise ValueError("NaN")
-    return x
+    if not _is_number(v) or np.isnan(v):
+        raise ValueError("not a number")
+    return float(v)
 
 
 def _json_vector(v) -> np.ndarray:
-    x = np.asarray(v, dtype=float)
-    if x.ndim != 1 or np.isnan(x).any():
+    if not isinstance(v, list):
         raise ValueError("not a list of numbers")
-    return x
+    return np.array([_json_number(x) for x in v], dtype=float)
+
+
+def _json_integer(v) -> int:
+    if not _is_integer(v):
+        raise ValueError("not an integer")
+    return v
+
+
+def _json_cap(v) -> float:
+    return np.inf if v == "inf" else _json_number(v)
 
 
 def problem_from_json(path) -> ConstrainedProblem:
@@ -399,8 +421,8 @@ def problem_from_json(path) -> ConstrainedProblem:
         context = f"{where}, portfolio {j}"
         sigma = field(p, "sigma_independent", _json_vector, "a list of numbers", context, np.array([]))
         sigma_block = field(p, "sigma_block", _json_number, "a number", context, 0.0)
-        block_size = field(p, "block_size", operator.index, "an integer", context, 0)
-        caps.append(field(p, "cap", _json_number, "a number or \"inf\"", context))
+        block_size = field(p, "block_size", _json_integer, "an integer", context, 0)
+        caps.append(field(p, "cap", _json_cap, "a number or \"inf\"", context))
         try:
             portfolios.append(PortfolioInputs(sigma_independent=sigma, sigma_block=sigma_block, block_size=block_size))
         except ValueError as e:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .allocator import pilot_block_variance, plan_for_population, round_plan
-from .constrained import _read_json_object, kkt_report, solution_to_json
+from .constrained import _is_integer, _is_number, _read_json_object, check_caps, kkt_report, solution_to_json
 from .emulator import (
     GpEmulator,
     fit_gp,
@@ -135,12 +135,8 @@ class ExperimentConfig:
         return _digest(self._output_fields())
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 _JSON_KINDS = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    int: ("an integer", _is_integer),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
@@ -404,6 +400,7 @@ def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = N
     """
     if config.caps is None:
         raise ValueError("protect experiments need per-portfolio caps")
+    check_caps(config.caps, len(config.portfolio_probs))  # before any Monte Carlo
     pop = config_population(config)
     if emulator is not None:
         inputs = m2_variance_inputs(pop, config, emulator, None, derive_seed(config.seed, "pilot"))

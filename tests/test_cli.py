@@ -8,7 +8,7 @@ import pytest
 
 import collsim.experiments
 from collsim.allocator import pilot_block_variance
-from collsim.cli import READS, _config_from_args, build_parser, main
+from collsim.cli import FLAGS, READS, SUBCOMMANDS, _config_from_args, build_parser, main
 from collsim.emulator import GpEmulator
 from collsim.estimators import estimate_mu, prediction_interval
 from collsim.experiments import ExperimentConfig, build_plan, m2_variance_inputs
@@ -209,6 +209,53 @@ class TestSettingsEachFormReads:
         assert (tmp_path / "o" / "plan.csv").exists()
 
 
+COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--threads", "--out"}
+# Each subcommand's flags besides the common ones and FLAGS of the fields it reads.
+EXTRA_FLAGS = {
+    "simulate": {"--emulator"},
+    "allocate": {"--emulator"},
+    "protect": {"--problem", "--emulator"},
+    "interval": {"--emulator"},
+    "coverage-study": {"--emulator"},
+    "train-emulator": set(),
+    "validate-emulator": {"--emulator"},
+    "oracle-check": {"--instances"},
+}
+
+
+def subparsers():
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+class TestParser:
+    def test_each_subcommand_has_the_flags_of_the_fields_it_reads(self):
+        parsers = subparsers()
+        assert list(parsers) == list(SUBCOMMANDS) == list(EXTRA_FLAGS)
+        for name, p in parsers.items():
+            flags = {s for a in p._actions for s in a.option_strings}
+            expected = {FLAGS[f][0] for f in READS[name] if f in FLAGS}
+            assert flags == COMMON_FLAGS | expected | EXTRA_FLAGS[name], name
+            for a in p._actions:
+                if a.dest in FLAGS:
+                    assert a.option_strings == [FLAGS[a.dest][0]] and a.default is None, (name, a.dest)
+            assert p.get_default("func") is SUBCOMMANDS[name][0]
+
+    def test_every_flag_is_read_by_some_form(self):
+        assert set(FLAGS) <= {f for reads in READS.values() for f in reads}
+
+    def test_emulator_required_only_where_every_run_reads_it(self):
+        for name, p in subparsers().items():
+            required = {a.dest: a.required for a in p._actions}
+            assert required.get("emulator", False) == (name in ("allocate", "validate-emulator")), name
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_help_prints(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: collsim {name}" in capsys.readouterr().out
+
+
 class TestErrors:
     def test_bad_args_exit_nonzero(self, tmp_path, capsys):
         rc = main(["interval", "--out", str(tmp_path), "--method", "M2", "--n-accounts", "10"])
@@ -369,6 +416,42 @@ class TestErrors:
                 {"budget": 10, "portfolios": [{"sigma_independent": [-1], "cap": "inf"}]},
                 ", portfolio 0: standard deviations must be non-negative",
             ),
+            ({"budget": True, "portfolios": []}, ": field 'budget' must be a number, got True"),
+            ({"budget": "10", "portfolios": []}, ": field 'budget' must be a number, got '10'"),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [True, "3"], "cap": "inf"}]},
+                ", portfolio 0: field 'sigma_independent' must be a list of numbers, got [True, '3']",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "cap": "5"}]},
+                ", portfolio 0: field 'cap' must be a number or \"inf\", got '5'",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "cap": "Infinity"}]},
+                ", portfolio 0: field 'cap' must be a number or \"inf\", got 'Infinity'",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "cap": True}]},
+                ", portfolio 0: field 'cap' must be a number or \"inf\", got True",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "sigma_block": 1.0, "block_size": True, "cap": 5}]},
+                ", portfolio 0: field 'block_size' must be an integer, got True",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "sigma_block": "1.0", "block_size": 2, "cap": 5}]},
+                ", portfolio 0: field 'sigma_block' must be a number, got '1.0'",
+            ),
+            (
+                {
+                    "budget": True,
+                    "portfolios": [
+                        {"sigma_independent": [True, "3"], "cap": "inf"},
+                        {"sigma_independent": [2.0], "cap": "5", "block_size": True, "sigma_block": 1.0},
+                    ],
+                },
+                ": field 'budget' must be a number, got True",
+            ),
         ],
     )
     def test_bad_problem_file_named(self, tmp_path, capsys, doc, expected):
@@ -378,6 +461,31 @@ class TestErrors:
         assert rc == 1
         assert f"error: {prob}{expected}" in capsys.readouterr().err
         assert not (tmp_path / "protect_report.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "caps, expected",
+        [
+            (["nan", "1e9"], "caps must be positive (use np.inf for no cap), got [nan, 1000000000.0]"),
+            (["1e9"], "one cap per portfolio required: 2 portfolios, caps [1000000000.0]"),
+            (["1e9", "0"], "caps must be positive (use np.inf for no cap), got [1000000000.0, 0.0]"),
+        ],
+    )
+    def test_protect_caps_checked_before_any_monte_carlo(self, tmp_path, capsys, monkeypatch, caps, expected):
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("reference_sigmas ran")
+
+        monkeypatch.setattr(collsim.experiments, "reference_sigmas", no_monte_carlo)
+        argv = ["protect", "--n-accounts", "2000", "--portfolio-probs", "0.5", "0.5", "--threads", "2"]
+        assert main([*argv, "--caps", *caps, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {expected}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("instances", ["-5", "0"])
+    def test_oracle_check_needs_an_instance(self, tmp_path, capsys, instances):
+        assert main(["oracle-check", "--instances", instances, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: --instances must be at least 1, got {instances}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestProtect:

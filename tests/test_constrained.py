@@ -37,6 +37,8 @@ class TestProblemConstants:
         pf = PortfolioInputs(sigma_independent=np.array([1.0]))
         with pytest.raises(ValueError):
             ConstrainedProblem(portfolios=(pf,), caps=np.array([0.0]), budget=10.0)
+        with pytest.raises(ValueError, match=r"caps must be positive \(use np.inf for no cap\), got \[nan\]"):
+            ConstrainedProblem(portfolios=(pf,), caps=np.array([np.nan]), budget=10.0)
         with pytest.raises(ValueError):
             ConstrainedProblem(portfolios=(pf,), caps=np.array([1.0]), budget=0.0)
         with pytest.raises(ValueError):
