@@ -19,10 +19,10 @@ from collsim import (
 
 print("building a sliced Latin hypercube design (40 points per slice) ...")
 design = sliced_lhd(40, seed=3)
-observations = generate_training_data(design, n_realisations=500, seed=11)
-print(f"simulated {len(observations)} usable design points")
+training = generate_training_data(design, n_realisations=500, seed=11)
+print(f"simulated {len(training['log_var'])} usable design points")
 
-emulator = fit_gp(observations)
+emulator = fit_gp(training)
 for seg, model in sorted(emulator.models.items()):
     print(
         f"  segment {seg}: lengthscales {np.round(model.lengthscales, 2)}, "

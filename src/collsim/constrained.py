@@ -367,7 +367,7 @@ def _is_number(v) -> bool:
 
 
 def _json_number(v) -> float:
-    if not _is_number(v) or np.isnan(v):
+    if not _is_number(v) or not np.isfinite(v):  # json reads NaN, Infinity and -Infinity, which are not JSON numbers
         raise ValueError("not a number")
     return float(v)
 
@@ -393,10 +393,11 @@ def problem_from_json(path) -> ConstrainedProblem:
 
     Schema: ``{"budget": C, "portfolios": [{"sigma_independent": [...],
     "sigma_block": s, "block_size": n, "cap": V}, ...]}``; ``cap`` may be the
-    string ``"inf"``.  A missing, non-numeric, NaN or (for ``block_size``)
-    non-integral field raises one ``ValueError`` naming the file, the
-    portfolio index and the field; so does a file that is not JSON or not a
-    JSON object.
+    string ``"inf"``.  A missing, non-numeric, non-finite (``NaN``,
+    ``Infinity``) or (for ``block_size``) non-integral field raises one
+    ``ValueError`` naming the file, the portfolio index and the field; so does
+    a file that is not JSON or not a JSON object.  A problem that is not
+    well posed, such as a cap that is not positive, raises naming the file.
     """
     doc, where = _read_json_object(path, "problem"), str(path)
 
@@ -427,7 +428,10 @@ def problem_from_json(path) -> ConstrainedProblem:
             portfolios.append(PortfolioInputs(sigma_independent=sigma, sigma_block=sigma_block, block_size=block_size))
         except ValueError as e:
             raise ValueError(f"{context}: {e}") from None
-    return ConstrainedProblem(portfolios=tuple(portfolios), caps=np.array(caps), budget=budget)
+    try:
+        return ConstrainedProblem(portfolios=tuple(portfolios), caps=np.array(caps), budget=budget)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def solution_to_json(problem: ConstrainedProblem, solution: ActiveSetSolution) -> dict:

@@ -21,6 +21,7 @@ the emulator load no scipy at all (about 49 MiB and 0.55 s of imports).
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -38,7 +39,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SLICES",
-    "TrainingObservation",
     "SegmentGP",
     "GpEmulator",
     "sliced_lhd",
@@ -129,20 +129,8 @@ def random_design(points_per_slice: int, seed: int = 0) -> dict:
 # Training data
 
 
-@dataclass(frozen=True)
-class TrainingObservation:
-    b_tilde: float
-    c_tilde: float
-    credit_score: float  # the score whose credit CDF is c_tilde
-    segment: int
-    y0: int
-    log_variance: float
-    noise_variance: float  # (kappa - 1) / K, clamped to be non-negative
-    kurtosis: float
-
-
 def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
-    """Yield ``((s, y), points)`` per slice, ``points`` the ``(b_tilde, c_tilde, credit, variance, kurtosis)`` of its design points.
+    """Yield ``((s, y), (b_tilde, c_tilde, credit, variance, kurtosis, noise))`` per slice, arrays over the design points it keeps.
 
     Point ``l`` of slice ``(s, y)`` is unit ``l`` of the
     :func:`collsim.simulator._chunks` with the prefix ``(domain, s, y)``: it
@@ -153,11 +141,12 @@ def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
     ``credit`` of :func:`_features`.  The moments are those of
     :func:`collsim.simulator._segment_moments`, which each chunk takes on its
     points' totals, bitwise those of each point's totals on their own.
-    Points whose sample variance is zero up to floating-point noise are left
-    out: paths that always collect the full balance produce identical totals,
-    and the computed variance is then rounding jitter around zero, not a
-    response.  Fewer than 4 realisations per point, with no kurtosis, are
-    rejected before any point runs.
+    ``noise`` is the noise law of the log sample variance, (kurtosis - 1)/K
+    clamped to be non-negative.  Points whose sample variance is zero up to
+    floating-point noise are left out: paths that always collect the full
+    balance produce identical totals, and the computed variance is then
+    rounding jitter around zero, not a response.  Fewer than 4 realisations
+    per point, with no kurtosis, are rejected before any point runs.
     """
     if n_real < 4:
         raise ValueError(f"n_realisations must be at least 4 (a kurtosis per design point), got {n_real}")
@@ -174,58 +163,47 @@ def _design_moments(design: dict, n_real, seed, domain, n_workers=1):
             balance_cdf_inv(pts[:, 0]),
             np.full(n, bool(y)),
         )
-        slices.append(((s, y), design[(s, y)], credit, _chunks(seed, (domain, s, y), units)))
+        slices.append(((s, y), pts, credit, _chunks(seed, (domain, s, y), units)))
     results = _pool_map(_simulate_chunk, [chunk for *_, chunks in slices for chunk in chunks], n_workers)
-    for key, design_slice, credit, chunks in slices:
-        per_point = np.hstack([next(results)[0] for _ in chunks])  # the chunks hold points 0, 1, ... in order
-        moments = zip(design_slice, credit.tolist(), *per_point.tolist())
-        yield key, [
-            (b_t, c_t, cr, v, kurt) for (b_t, c_t), cr, mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)
-        ]
+    for key, pts, credit, chunks in slices:
+        mean, v, kurt = np.hstack([next(results)[0] for _ in chunks])  # the chunks hold points 0, 1, ... in order
+        keep = v > 1e-12 * np.maximum(mean**2, 1.0)
+        kurt = kurt[keep]
+        yield key, (pts[keep, 0], pts[keep, 1], credit[keep], v[keep], kurt, np.maximum((kurt - 1.0) / n_real, 0.0))
 
 
-def generate_training_data(design: dict, n_realisations: int = 1000, seed: int = 0, n_workers: int = 1) -> list:
-    """Simulate every design point and build the GP training observations.
+# The columns of training.csv, one row per kept design point.
+_TRAINING_CSV = ("b_tilde", "c_tilde", "segment", "y0", "log_var", "kurtosis", "noise_var")
 
-    Points whose realised sample variance is zero are excluded (their error is
-    large but unquantifiable); the number dropped is logged.  A slice that
-    loses all of its points raises, as no model can be fitted there.  The
+
+def generate_training_data(design: dict, n_realisations: int = 1000, seed: int = 0, n_workers: int = 1) -> dict:
+    """Simulate every design point; return the GP training set as named columns.
+
+    The columns are those of ``training.csv`` and ``credit_score``, the score
+    whose credit CDF is ``c_tilde``, one row per kept point in the design's
+    order.  Points whose realised sample variance is zero are excluded (their
+    error is large but unquantifiable); the number dropped is logged.  A slice
+    that loses all of its points raises, as no model can be fitted there.  The
     design points run on ``n_workers`` processes.
     """
-    observations = []
+    slices = []
     dropped = 0
-    for (s, y), kept in _design_moments(design, n_realisations, seed, "train", n_workers):
-        for b_t, c_t, credit, v, kurt in kept:
-            observations.append(
-                TrainingObservation(
-                    b_tilde=float(b_t),
-                    c_tilde=float(c_t),
-                    credit_score=credit,
-                    segment=int(s),
-                    y0=int(y),
-                    log_variance=float(np.log(v)),
-                    noise_variance=max((kurt - 1.0) / n_realisations, 0.0),
-                    kurtosis=kurt,
-                )
-            )
-        dropped += len(design[(s, y)]) - len(kept)
-        if not kept:
+    for (s, y), (b_t, c_t, credit, v, kurt, noise) in _design_moments(design, n_realisations, seed, "train", n_workers):
+        if not len(v):
             raise ValueError(f"all design points in slice (segment={s}, y0={y}) were zero-variance")
+        dropped += len(design[(s, y)]) - len(v)
+        slices.append((b_t, c_t, np.full(len(v), s), np.full(len(v), y), np.log(v), kurt, noise, credit))
     if dropped:
         logger.info("excluded %d zero-variance design points from the training set", dropped)
-    return observations
+    return dict(zip((*_TRAINING_CSV, "credit_score"), map(np.concatenate, zip(*slices))))
 
 
-def training_data_to_csv(observations, path) -> None:
-    import csv
-
+def training_data_to_csv(training: dict, path) -> None:
+    """Write the ``training.csv`` columns of :func:`generate_training_data`'s ``training``, one row per point."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["b_tilde", "c_tilde", "segment", "y0", "log_var", "kurtosis", "noise_var"])
-        for o in observations:
-            w.writerow(
-                [repr(o.b_tilde), repr(o.c_tilde), o.segment, o.y0, repr(o.log_variance), repr(o.kurtosis), repr(o.noise_variance)]
-            )
+        w.writerow(_TRAINING_CSV)
+        w.writerows(zip(*(training[k].tolist() for k in _TRAINING_CSV)))
 
 
 # --------------------------------------------------------------------------
@@ -529,27 +507,20 @@ def _stored_model(m, context) -> SegmentGP:
     return gp
 
 
-def fit_gp(observations) -> GpEmulator:
-    """Fit the emulator from training observations.
+def fit_gp(training: dict) -> GpEmulator:
+    """Fit the emulator from the training columns of :func:`generate_training_data`.
 
     Hyperparameters maximize the log marginal likelihood (multi-start local
     search with the constant mean profiled out); per-point noise variances are
     fixed from the kurtosis law and never re-estimated.
     """
-    groups: dict = {}
-    for o in observations:
-        groups.setdefault(o.segment, []).append(o)
     models = {}
-    for seg, obs in sorted(groups.items()):
-        if len(obs) < 5:
-            raise ValueError(f"segment group {seg!r} has only {len(obs)} observations; need >= 5")
-        b = np.array([o.b_tilde for o in obs])
-        c = np.array([o.c_tilde for o in obs])
-        credit = np.array([o.credit_score for o in obs])
-        y0 = np.array([o.y0 for o in obs])
-        y = np.array([o.log_variance for o in obs])
-        noise = np.array([o.noise_variance for o in obs])
-        models[seg] = _fit_single(_features(b, c, seg, y0, credit=credit), y, noise)
+    for seg in np.unique(training["segment"]).tolist():
+        rows = training["segment"] == seg
+        if rows.sum() < 5:
+            raise ValueError(f"segment group {seg!r} has only {rows.sum()} observations; need >= 5")
+        t = {k: col[rows] for k, col in training.items()}
+        models[seg] = _fit_single(_features(t["b_tilde"], t["c_tilde"], seg, t["y0"], t["credit_score"]), t["log_var"], t["noise_var"])
     return GpEmulator(models=models)
 
 
@@ -583,34 +554,27 @@ def validate_emulator(
     on ``n_workers`` processes; credible intervals use posterior variance
     plus the point's estimated noise variance.
     """
-    per_segment: dict = {s: {"log_err": [], "pred_sd": [], "samp_sd": [], "covered": []} for s in (1, 2, 3)}
     z975 = normal_quantile(0.975)
-    for (s, y), kept in _design_moments(test_design, n_realisations, seed, "validate", n_workers):
-        if not kept:
-            continue
-        b_t, c_t, credit, v, kurt = (np.array(col) for col in zip(*kept))
-        mean, var = emulator.predict_log(b_t, c_t, s, np.full(len(kept), y), credit=credit)
-        noise = np.maximum((kurt - 1.0) / n_realisations, 0.0)
-        log_v = np.log(v)
-        rec = per_segment[s]
-        rec["log_err"].extend((mean - log_v).tolist())
-        rec["pred_sd"].extend(np.sqrt(np.exp(mean)).tolist())
-        rec["samp_sd"].extend(np.sqrt(v).tolist())
-        rec["covered"].extend((np.abs(log_v - mean) <= z975 * np.sqrt(var + noise)).tolist())
+    slices = [(np.empty(0),) * 5]  # so that a test set whose every point was dropped still has columns
+    for (s, y), (b_t, c_t, credit, v, _, noise) in _design_moments(test_design, n_realisations, seed, "validate", n_workers):
+        if len(v):
+            mean, var = emulator.predict_log(b_t, c_t, s, np.full(len(v), y), credit=credit)
+            log_v = np.log(v)
+            covered = np.abs(log_v - mean) <= z975 * np.sqrt(var + noise)
+            slices.append((np.full(len(v), s), mean - log_v, np.sqrt(np.exp(mean)), np.sqrt(v), covered))
+    seg, log_err, pred_sd, samp_sd, covered = map(np.concatenate, zip(*slices))
 
-    def summarize(rec):
-        if not rec["log_err"]:
+    def summarize(rows):
+        if not len(rows):
             return None
-        pred, samp = np.asarray(rec["pred_sd"]), np.asarray(rec["samp_sd"])
         return {
-            "n": len(pred),
-            "log_rmse": float(np.sqrt(np.mean(np.asarray(rec["log_err"]) ** 2))),
-            "sd_correlation": float(np.corrcoef(pred, samp)[0, 1]),
-            "credible_coverage": float(np.mean(rec["covered"])),
+            "n": len(rows),
+            "log_rmse": float(np.sqrt(np.mean(log_err[rows] ** 2))),
+            "sd_correlation": float(np.corrcoef(pred_sd[rows], samp_sd[rows])[0, 1]),
+            "credible_coverage": float(np.mean(covered[rows])),
         }
 
-    pooled = {k: sum((per_segment[s][k] for s in (1, 2, 3)), []) for k in per_segment[1]}
     return {
-        "per_segment": {s: summarize(per_segment[s]) for s in (1, 2, 3)},
-        "pooled": summarize(pooled),
+        "per_segment": {s: summarize(np.flatnonzero(seg == s)) for s in (1, 2, 3)},
+        "pooled": summarize(np.argsort(seg, kind="stable")),  # segment 1, then 2, then 3
     }

@@ -452,15 +452,35 @@ class TestErrors:
                 },
                 ": field 'budget' must be a number, got True",
             ),
+            (
+                {"budget": float("inf"), "portfolios": [{"sigma_independent": [2.0], "cap": "inf"}]},
+                ": field 'budget' must be a number, got inf",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [float("inf"), 2], "cap": "inf"}]},
+                ", portfolio 0: field 'sigma_independent' must be a list of numbers, got [inf, 2]",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "sigma_block": float("inf"), "block_size": 2, "cap": 5}]},
+                ", portfolio 0: field 'sigma_block' must be a number, got inf",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "cap": float("inf")}]},
+                ", portfolio 0: field 'cap' must be a number or \"inf\", got inf",
+            ),
+            (
+                {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "cap": 0}]},
+                ": caps must be positive (use np.inf for no cap), got [0.0]",
+            ),
         ],
     )
     def test_bad_problem_file_named(self, tmp_path, capsys, doc, expected):
         prob = tmp_path / "prob.json"
         prob.write_text(json.dumps(doc))
-        rc = main(["protect", "--out", str(tmp_path), "--problem", str(prob)])
+        rc = main(["protect", "--out", str(tmp_path / "out"), "--problem", str(prob)])
         assert rc == 1
         assert f"error: {prob}{expected}" in capsys.readouterr().err
-        assert not (tmp_path / "protect_report.json").exists()
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize(

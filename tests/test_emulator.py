@@ -5,9 +5,10 @@ import math
 import tracemalloc
 from operator import setitem
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 import scipy.linalg
@@ -19,7 +20,6 @@ from collsim.emulator import (
     SLICES,
     GpEmulator,
     SegmentGP,
-    TrainingObservation,
     _features,
     _fit_single,
     _matern52_parts,
@@ -150,8 +150,39 @@ class TestMatern52:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _nll_mp(theta, x, y, noise):
+    """The NLL of ``_nll_grad_beta`` in mpmath's working precision, exact in its float inputs.
+
+    The profiled mean needs only ``u = L^-1 1`` and ``w = L^-1 y``, with ``L``
+    the Cholesky factor of the kernel matrix: ``beta = u.w / u.u``, and the
+    quadratic form is ``|w - beta u|^2``.
+    """
+    mp = mpmath.mp
+    n = len(y)
+    ell, tau2 = [mp.exp(t) for t in theta[:-1]], mp.exp(theta[-1])
+    a = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(i + 1):
+            r = mp.sqrt(mp.fsum(((mp.mpf(x[i, d]) - mp.mpf(x[j, d])) / ell[d]) ** 2 for d in range(len(ell))))
+            a[i, j] = a[j, i] = tau2 * (1 + mp.sqrt(5) * r + 5 * r**2 / 3) * mp.exp(-mp.sqrt(5) * r)
+        a[i, i] += mp.mpf(noise[i]) + mp.mpf(_JITTER)
+    low = mp.cholesky(a)
+
+    def forward(b):  # L^-1 b; mpmath's L_solve takes a unit diagonal
+        z = []
+        for i in range(n):
+            z.append((b[i] - mp.fdot(low[i, :i], z)) / low[i, i])
+        return z
+
+    u, w = forward([1] * n), forward([mp.mpf(v) for v in y])
+    beta = mp.fdot(u, w) / mp.fdot(u, u)
+    quad = mp.fsum((w[i] - beta * u[i]) ** 2 for i in range(n))
+    return quad / 2 + mp.fsum(mp.log(low[i, i]) for i in range(n)) + n * mp.log(2 * mp.pi) / 2
+
+
 class TestLikelihoodGradient:
     @settings(max_examples=40, deadline=None)
+    @example(x=np.zeros((3, 3)), y_scale=3.0, seed=3, position=np.full(4, 0.75))  # once failed at 3.5e-5 in float64
     @given(
         x=st.integers(3, 12).flatmap(lambda n: arrays(float, (n, 3), elements=st.floats(0.0, 1.0))),
         y_scale=st.floats(0.1, 5.0),
@@ -160,9 +191,10 @@ class TestLikelihoodGradient:
     )
     def test_matches_central_differences(self, x, y_scale, seed, position):
         """At random theta inside the fit's bounds, the analytic gradient equals a
-        five-point central difference to 1e-5 relative.  Kernel matrices with a
-        condition number above 1e6 are skipped: there the NLL's rounding noise,
-        not the gradient, sets the difference quotient's error."""
+        five-point central difference to 1e-5 relative.  The difference is taken
+        of the NLL at 40 digits, so that no rounding noise of the float64 NLL
+        enters it; kernel matrices with a condition number above 1e6 are
+        skipped, as the float64 gradient itself loses digits there."""
         rng = np.random.default_rng(seed)
         n = len(x)
         y = y_scale * rng.standard_normal(n)
@@ -174,14 +206,15 @@ class TestLikelihoodGradient:
         k, _, _ = _matern52_parts(x, x, np.exp(theta[:-1]), np.exp(theta[-1]))
         assume(np.linalg.cond(k + np.diag(noise + _JITTER)) < 1e6)
 
-        def nll(t):
-            return _nll_grad_beta(t, x, y, noise)[0]
+        with mpmath.workdps(40):
+            t0, h = [mpmath.mpf(t) for t in theta], mpmath.mpf("1e-8")
 
-        h = 1e-3
-        numeric = np.array(
-            [(8 * (nll(theta + h * e) - nll(theta - h * e)) - (nll(theta + 2 * h * e) - nll(theta - 2 * h * e))) / (12 * h)
-             for e in np.eye(4)]
-        )
+            def nll(d, step):
+                return _nll_mp([t + step * h * (i == d) for i, t in enumerate(t0)], x, y, noise)
+
+            numeric = np.array(
+                [float((8 * (nll(d, 1) - nll(d, -1)) - (nll(d, 2) - nll(d, -2))) / (12 * h)) for d in range(4)]
+            )
         _, grad, _ = _nll_grad_beta(theta, x, y, noise)
         assert np.max(np.abs(grad - numeric)) <= 1e-5 * np.max(np.abs(numeric))
 
@@ -248,12 +281,17 @@ class TestGpAlgebra:
 @pytest.fixture(scope="module")
 def tiny_emulator():
     design = sliced_lhd(12, seed=31, exchange_iters=100)
-    obs = generate_training_data(design, n_realisations=250, seed=32)
-    return fit_gp(obs), obs
+    training = generate_training_data(design, n_realisations=250, seed=32)
+    return fit_gp(training), training
+
+
+def _rows(columns):
+    """The rows of equal-length columns, as tuples of Python numbers."""
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _per_point_moments(pts, s, y, n_real, seed, domain):
-    """The moments of ``_design_moments`` from one ``stream()`` and one kernel call per design point: its oracle."""
+    """The rows of ``_design_moments``'s columns from one ``stream()`` and one kernel call per design point: its oracle."""
     totals, credits = [], []
     for l, (b_t, c_t) in enumerate(pts):
         credit = credit_cdf_inv(c_t)
@@ -264,7 +302,11 @@ def _per_point_moments(pts, s, y, n_real, seed, domain):
         credits.append(credit)
     moments = _segment_moments(np.concatenate(totals), np.full(len(totals), n_real))
     moments = zip(pts, credits, *(m.tolist() for m in moments))
-    return [(b_t, c_t, cr, v, kurt) for (b_t, c_t), cr, mean, v, kurt in moments if v > 1e-12 * max(mean**2, 1.0)]
+    return [
+        (b_t, c_t, cr, v, kurt, max((kurt - 1.0) / n_real, 0.0))
+        for (b_t, c_t), cr, mean, v, kurt in moments
+        if v > 1e-12 * max(mean**2, 1.0)
+    ]
 
 
 class TestUnitEngine:
@@ -273,19 +315,16 @@ class TestUnitEngine:
     def test_training_observations_equal_per_point_oracle(self):
         design = sliced_lhd(12, seed=21, exchange_iters=50)  # 12 points of 1000 paths: three chunks a slice
         assert 12 * 1000 > 2 * _CHUNK_PATHS
-        observations = generate_training_data(design, n_realisations=1000, seed=22)
-        assert generate_training_data(design, n_realisations=1000, seed=22, n_workers=2) == observations
+        training = generate_training_data(design, n_realisations=1000, seed=22)
+        two = generate_training_data(design, n_realisations=1000, seed=22, n_workers=2)
+        assert {k: c.tobytes() for k, c in two.items()} == {k: c.tobytes() for k, c in training.items()}
         expected = []
         for (s, y), pts in design.items():
-            for b_t, c_t, credit, v, kurt in _per_point_moments(pts, s, y, 1000, 22, "train"):
-                expected.append(
-                    (float(b_t), float(c_t), credit, s, y, float(np.log(v)), max((kurt - 1.0) / 1000, 0.0), kurt)
-                )
-        got = [
-            (o.b_tilde, o.c_tilde, o.credit_score, o.segment, o.y0, o.log_variance, o.noise_variance, o.kurtosis)
-            for o in observations
-        ]
-        assert got == expected
+            for b_t, c_t, credit, v, kurt, noise in _per_point_moments(pts, s, y, 1000, 22, "train"):
+                expected.append((float(b_t), float(c_t), credit, s, y, float(np.log(v)), noise, kurt))
+        columns = ("b_tilde", "c_tilde", "credit_score", "segment", "y0", "log_var", "noise_var", "kurtosis")
+        assert set(training) == set(columns)
+        assert _rows(training[k] for k in columns) == expected
 
     @pytest.mark.parametrize("n_points, n_real", [(9, 1500), (3, _CHUNK_PATHS + 7), (1, 5)])
     def test_validation_moments_equal_per_point_oracle(self, n_points, n_real):
@@ -294,7 +333,7 @@ class TestUnitEngine:
             got = dict(_design_moments(design, n_real, 24, "validate", n_workers=workers))
             assert list(got) == list(design)
             for (s, y), pts in design.items():
-                assert got[(s, y)] == _per_point_moments(pts, s, y, n_real, 24, "validate")
+                assert _rows(got[(s, y)]) == _per_point_moments(pts, s, y, n_real, 24, "validate")
 
     def test_training_holds_one_chunk_of_uniforms(self):
         design = {(2, 0): random_design(40, seed=25)[(2, 0)]}
@@ -310,14 +349,14 @@ class TestUnitEngine:
 
 class TestTrainingData:
     def test_noise_law(self, tiny_emulator):
-        _, obs = tiny_emulator
-        for o in obs:
-            assert o.noise_variance == pytest.approx(max((o.kurtosis - 1.0) / 250, 0.0))  # the fixture's 250 realisations
-            assert np.isfinite(o.log_variance)
+        _, training = tiny_emulator
+        for kurt, noise, log_var in _rows(training[k] for k in ("kurtosis", "noise_var", "log_var")):
+            assert noise == pytest.approx(max((kurt - 1.0) / 250, 0.0))  # the fixture's 250 realisations
+            assert np.isfinite(log_var)
 
     def test_all_slices_present(self, tiny_emulator):
-        _, obs = tiny_emulator
-        assert {(o.segment, o.y0) for o in obs} == set(SLICES)
+        _, training = tiny_emulator
+        assert set(_rows((training["segment"], training["y0"]))) == set(SLICES)
 
     def test_too_few_realisations_rejected(self):
         with pytest.raises(ValueError):
@@ -376,7 +415,7 @@ class TestEmulatorPredictions:
         for (s, y), pts in test.items():
             if s != 2:
                 continue
-            for b_t, c_t, credit, v, _ in dict(_design_moments(test, 200, 44, "validate"))[(s, y)]:
+            for b_t, c_t, credit, v, _, _ in _rows(dict(_design_moments(test, 200, 44, "validate"))[(s, y)]):
                 mean, _ = emulator.predict_log(b_t, c_t, s, np.array([y]), credit=credit)
                 log_err.append(float(mean[0]) - np.log(v))
                 pred_sd.append(np.sqrt(np.exp(float(mean[0]))))
@@ -385,6 +424,15 @@ class TestEmulatorPredictions:
         assert seg["n"] == len(log_err)
         assert seg["log_rmse"] == pytest.approx(np.sqrt(np.mean(np.square(log_err))), rel=1e-9)
         assert seg["sd_correlation"] == pytest.approx(np.corrcoef(pred_sd, samp_sd)[0, 1], rel=1e-9)
+
+    def test_validation_without_kept_points_reports_none(self, tiny_emulator):
+        emulator, _ = tiny_emulator
+        flat = np.array([[1e-6, 1 - 1e-6], [1e-3, 0.999]])  # tiny balances that are always paid in full
+        dropped = validate_emulator(emulator, {(1, 0): flat, (2, 1): flat}, n_realisations=50, seed=44)
+        assert dropped == {"per_segment": {1: None, 2: None, 3: None}, "pooled": None}
+        mixed = validate_emulator(emulator, {(1, 0): flat, (3, 0): random_design(6, seed=43)[(3, 0)]}, 50, 44)
+        assert mixed["per_segment"][1] is None and mixed["per_segment"][3]["n"] == 6
+        assert mixed["pooled"] == mixed["per_segment"][3]
 
     def test_features(self):
         f = _features(0.2, 0.5, 1, 0, credit_cdf_inv(0.5))
@@ -510,17 +558,6 @@ class TestStoredEmulatorChecked:
 
 class TestFitValidation:
     def test_too_few_observations_per_group(self):
-        obs = [
-            TrainingObservation(
-                b_tilde=0.5,
-                c_tilde=0.5,
-                credit_score=credit_cdf_inv(0.5),
-                segment=1,
-                y0=0,
-                log_variance=1.0,
-                noise_variance=0.01,
-                kurtosis=3.0,
-            )
-        ] * 3
+        row = dict(b_tilde=0.5, c_tilde=0.5, credit_score=credit_cdf_inv(0.5), segment=1, y0=0, log_var=1.0, noise_var=0.01, kurtosis=3.0)
         with pytest.raises(ValueError, match="observations"):
-            fit_gp(obs)
+            fit_gp({k: np.full(3, value) for k, value in row.items()})

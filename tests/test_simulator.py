@@ -45,6 +45,7 @@ from collsim.simulator import (
     run_plan,
 )
 from engine_totals import assert_near_fsum, moments_of, output_moments, raw_totals
+from exact_truth import exact
 from fresh_process import run_fresh
 
 
@@ -150,6 +151,16 @@ class TestPaymentProbability:
     def test_invalid_segment(self):
         with pytest.raises(ValueError):
             payment_probability(0.0, 4, False)
+
+    def test_within_4_ulps_of_exact_truth(self):
+        # bench/exact.py restates the model with numpy's exp, not the C library's that collsim's expit uses
+        credit = np.linspace(-8.0, 8.0, 4001)
+        for segment in (1, 2, 3):
+            exact_p = exact.payment_probabilities(credit, np.full(len(credit), segment))
+            for paid in (False, True):
+                p = payment_probability(credit, segment, np.full(len(credit), paid))
+                assert np.all((p > 0) & (exact_p[paid] > 0))  # so that ulps are differences of the int64 views
+                assert np.abs(p.view(np.int64) - exact_p[paid].view(np.int64)).max() <= 4, (segment, paid)
 
 
 class TestIndependentPath:
