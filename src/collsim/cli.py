@@ -170,7 +170,7 @@ def cmd_protect(args, config: ExperimentConfig) -> int:
         plan_to_csv(problem, solution, out / "plan.csv")
         write_sidecar(out / "plan.csv", config)
         doc = solution_to_json(problem, solution)
-        doc["kkt"] = kkt_report(problem, solution)
+        doc["kkt"] = doc["diagnostics"]
         _write_json(out / "protect_report.json", doc, config)
         print(f"active caps: {sorted(solution.active)}")
         return 0

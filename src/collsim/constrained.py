@@ -24,8 +24,10 @@ every portfolio whose cap is violated, stopping when a full pass adds nothing.
 Strict feasibility (Slater: sum_j gamma_j eps_j < C) guarantees convergence to
 the global optimum; alpha decreases strictly whenever constraints are added,
 and the Lagrange multipliers delta_j = (eps_j / alpha)^2 - 1 stay
-non-negative.  A brute-force oracle over all active sets is provided for
-validation on small instances.
+non-negative.  Every pass ends with an interior alpha: by Slater, alpha(B) d_B
+exceeds the sum of gamma_j eps_j over the live (gamma_j > 0) portfolios not in
+B, so one of them has eps_j < alpha(B), meets its cap and stays inactive.  A
+brute-force oracle over all active sets validates small instances.
 """
 
 from __future__ import annotations
@@ -117,13 +119,14 @@ def check_caps(caps, n_portfolios: int) -> None:
 @dataclass(frozen=True)
 class ConstrainedProblem:
     portfolios: tuple  # of PortfolioInputs
-    caps: np.ndarray  # V_j > 0
+    caps: np.ndarray  # V_j > 0, stored as floats
     budget: float
 
     def __post_init__(self):
+        object.__setattr__(self, "caps", np.asarray(self.caps, dtype=float))
         check_caps(self.caps, len(self.portfolios))
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not 0 < self.budget <= 2**53:  # counts above 2**53 are not all exact integers
+            raise ValueError(f"budget must be positive and at most 2**53, got {self.budget}")
         if not np.any(self.gamma > 0):
             raise ValueError("degenerate problem: all standard deviations are zero")
 
@@ -137,7 +140,7 @@ class ConstrainedProblem:
 
     @property
     def eps(self) -> np.ndarray:
-        return self.gamma / np.asarray(self.caps, dtype=float)
+        return self.gamma / self.caps
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,11 @@ class ActiveSetSolution:
     plan: ConstrainedPlan
     lam: float  # budget multiplier
     delta: np.ndarray  # cap multipliers, zero off the active set
-    alpha_trace: list
-    iterations: int
+    alpha_trace: list  # the inactive portfolios' alpha, one per pass
+
+    @property
+    def iterations(self) -> int:
+        return len(self.alpha_trace)
 
 
 def check_slater(problem: ConstrainedProblem):
@@ -228,38 +234,28 @@ def active_set_solve(problem: ConstrainedProblem) -> ActiveSetSolution:
     live = gamma > 0  # a portfolio without variability never binds its cap
     active: set = set()
     alpha_trace: list = []
-    iterations = 0
     while True:
-        iterations += 1
         plan = stationarity_solution(problem, active)
-        inactive = [j for j in range(n) if j not in active and live[j]]
-        if inactive:
-            alpha_trace.append(float(plan.multiplier[inactive[0]]))
+        inactive = [j for j in range(n) if j not in active and live[j]]  # never empty (module docstring)
+        alpha_trace.append(float(plan.multiplier[inactive[0]]))
         variances = plan.portfolio_variances(problem)
-        caps = np.asarray(problem.caps, dtype=float)
-        violated = [
-            j for j in inactive if variances[j] > caps[j] * (1.0 + _VIOLATION_RTOL)
-        ]
+        violated = [j for j in inactive if variances[j] > problem.caps[j] * (1.0 + _VIOLATION_RTOL)]
         if not violated:
             break
         active.update(violated)
 
-    if not inactive:
-        lam = np.nan
-        delta = np.full(n, np.nan)  # multipliers undefined without an interior alpha
-    else:
-        alpha = alpha_trace[-1]
-        lam = 1.0 / alpha**2
-        delta = np.zeros(n)
-        for j in active:
-            delta[j] = (eps[j] / alpha) ** 2 - 1.0
+    alpha = alpha_trace[-1]
+    with np.errstate(over="ignore"):  # a huge alpha underflows lambda to 0
+        lam = float(1.0 / np.float64(alpha) ** 2)
+    delta = np.zeros(n)
+    for j in active:
+        delta[j] = (eps[j] / alpha) ** 2 - 1.0
     return ActiveSetSolution(
         active=frozenset(active),
         plan=plan,
         lam=lam,
         delta=delta,
         alpha_trace=alpha_trace,
-        iterations=iterations,
     )
 
 
@@ -267,7 +263,7 @@ def kkt_report(problem: ConstrainedProblem, solution: ActiveSetSolution) -> dict
     """Residuals of the Karush-Kuhn-Tucker conditions at a solution."""
     plan, lam, delta = solution.plan, solution.lam, solution.delta
     variances = plan.portfolio_variances(problem)
-    caps = np.asarray(problem.caps, dtype=float)
+    caps = problem.caps
 
     stationarity = 0.0
     for j, pf in enumerate(problem.portfolios):
@@ -290,7 +286,7 @@ def kkt_report(problem: ConstrainedProblem, solution: ActiveSetSolution) -> dict
         "stationarity_residual": stationarity,
         "primal_cost_residual": primal_cost,
         "max_cap_violation": primal_caps,
-        "min_delta": float(np.min(delta)) if len(delta) else 0.0,
+        "min_delta": float(np.min(delta)),
         "max_complementary_slackness": comp_slack,
         "objective": plan.objective(problem),
         "portfolio_variances": variances.tolist(),
@@ -313,7 +309,7 @@ def brute_force_oracle(problem: ConstrainedProblem):
     n = problem.n_portfolios
     if n > 12:
         raise ValueError(f"brute force limited to 12 portfolios, got {n}")
-    caps = np.asarray(problem.caps, dtype=float)
+    caps = problem.caps
     gamma, eps = problem.gamma, problem.eps
     capped = np.flatnonzero(np.isfinite(caps)).tolist()
     best = None
@@ -440,28 +436,35 @@ def solution_to_json(problem: ConstrainedProblem, solution: ActiveSetSolution) -
         "active_set": sorted(solution.active),
         "iterations": solution.iterations,
         "alpha_trace": solution.alpha_trace,
-        "lambda": None if np.isnan(solution.lam) else solution.lam,
-        "delta": [None if np.isnan(d) else d for d in solution.delta],
+        "lambda": solution.lam,
+        "delta": solution.delta.tolist(),
         "objective": solution.plan.objective(problem),
         "portfolio_variances": solution.plan.portfolio_variances(problem).tolist(),
         "plan": {
             "r_block": [None if np.isnan(r) else r for r in solution.plan.r_block],
             "r_independent": [list(map(float, r)) for r in solution.plan.r_independent],
         },
-        "diagnostics": (
-            kkt_report(problem, solution) if not np.isnan(solution.lam) else {"fully_constrained": True}
-        ),
+        "diagnostics": kkt_report(problem, solution),
     }
 
 
-def plan_to_csv(problem: ConstrainedProblem, solution: ActiveSetSolution, path) -> None:
-    """Plan CSV with the same unit schema as the unconstrained allocator."""
+def _write_plan_csv(path, portfolios) -> None:
+    """The one plan CSV layout, streamed from ``portfolios``: per portfolio ``j``, its block's count (``None`` without a
+    block), its independent units' ids and their counts.  The block comes first, as unit ``block-j``; a row holds a real
+    count's ``repr`` and its :func:`round_counts`."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["unit_id", "kind", "count_real", "count_int"])
-        for j, pf in enumerate(problem.portfolios):
-            if pf.block_size:
-                r = float(solution.plan.r_block[j])
-                w.writerow([f"block-{j}", "block", repr(r), int(round_counts([r])[0])])
-            for i, r in enumerate(solution.plan.r_independent[j]):
-                w.writerow([f"p{j}-{i}", "independent", repr(float(r)), int(round_counts([r])[0])])
+        for j, (block, ids, counts) in enumerate(portfolios):
+            if block is not None:
+                w.writerow([f"block-{j}", "block", repr(float(block)), int(round_counts(block))])
+            w.writerows(zip(ids, itertools.repeat("independent"), map(repr, map(float, counts)), map(int, round_counts(counts))))
+
+
+def plan_to_csv(problem: ConstrainedProblem, solution: ActiveSetSolution, path) -> None:
+    """Plan CSV of a solved problem; portfolio ``j``'s independents are units ``pj-i``."""
+    plan = solution.plan
+    _write_plan_csv(path, (
+        (plan.r_block[j] if pf.block_size else None, (f"p{j}-{i}" for i in range(len(r))), r)
+        for j, (pf, r) in enumerate(zip(problem.portfolios, plan.r_independent))
+    ))

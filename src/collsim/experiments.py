@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .allocator import pilot_block_variance, plan_for_population, round_plan
-from .constrained import _is_integer, _is_number, _read_json_object, check_caps, kkt_report, solution_to_json
+from .constrained import _is_integer, _is_number, _read_json_object, check_caps, solution_to_json
 from .emulator import (
     GpEmulator,
     fit_gp,
@@ -421,6 +421,7 @@ def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = N
     mean_counts = [
         float(int_plan.counts[pop.portfolio == j].mean()) for j in range(pop.n_portfolios)
     ]
+    solution_doc = solution_to_json(problem, solution)
     return {
         "experiment": config.name,
         "caps": [float(v) for v in config.caps],
@@ -431,8 +432,8 @@ def protect_experiment(config: ExperimentConfig, emulator: GpEmulator | None = N
         "portfolio_variances_rounded_plan": var_int.tolist(),
         "portfolio_mu": mu.per_portfolio.tolist(),
         "mean_realisations_per_portfolio": mean_counts,
-        "kkt": kkt_report(problem, solution),
-        "solution": solution_to_json(problem, solution),
+        "kkt": solution_doc["diagnostics"],
+        "solution": solution_doc,
         "realized_cost": int_plan.cost,
     }
 

@@ -36,7 +36,6 @@ bitwise the same for any worker count.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -47,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import expit
-from .constrained import round_counts
+from .constrained import _write_plan_csv
 from .population import Population
 from .rng import _unit_streams, stream
 
@@ -464,20 +463,11 @@ class RealisationPlan:
                 raise ValueError(f"dependent block of portfolio {j} has unequal counts")
 
     def to_csv(self, population: Population, path) -> None:
-        """One row per unit, each block first: ``count_real`` and its :func:`collsim.constrained.round_counts`."""
-        int_counts = round_counts(self.counts)
-
-        def row(unit, kind, i):
-            return [unit, kind, repr(float(self.counts[i])), int(int_counts[i])]
-
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["unit_id", "kind", "count_real", "count_int"])
-            for j, pf in enumerate(population.portfolios):
-                if len(pf.dependent_ids):
-                    w.writerow(row(f"block-{j}", "block", pf.dependent_ids[0]))
-                for i in pf.independent_ids:
-                    w.writerow(row(int(i), "independent", i))
+        """Plan CSV: each block's count is its first account's, and independent units are account ids."""
+        _write_plan_csv(path, (
+            (self.counts[pf.dependent_ids[0]] if len(pf.dependent_ids) else None, pf.independent_ids, self.counts[pf.independent_ids])
+            for pf in population.portfolios
+        ))
 
 
 # --------------------------------------------------------------------------

@@ -472,6 +472,10 @@ class TestErrors:
                 {"budget": 10, "portfolios": [{"sigma_independent": [2.0], "cap": 0}]},
                 ": caps must be positive (use np.inf for no cap), got [0.0]",
             ),
+            (
+                {"budget": 1e308, "portfolios": [{"sigma_independent": [1, 2], "cap": 5}]},
+                ": budget must be positive and at most 2**53, got 1e+308",
+            ),
         ],
     )
     def test_bad_problem_file_named(self, tmp_path, capsys, doc, expected):
@@ -524,8 +528,27 @@ class TestProtect:
         )
         rc = main(["protect", "--out", str(tmp_path), "--problem", str(prob)])
         assert rc == 0
-        doc = json.loads((tmp_path / "protect_report.json").read_text())
+        doc = _strict_json(tmp_path / "protect_report.json")
         assert "active_set" in doc and "kkt" in doc
+        assert doc["kkt"] == doc["diagnostics"]
+
+    def test_tiny_sigmas_underflow_lambda(self, tmp_path):
+        # alpha = 100 / 1e-160: its square overflows, so the budget multiplier underflows to 0
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"budget": 100, "portfolios": [{"sigma_independent": [1e-160], "cap": "inf"}]}))
+        assert main(["protect", "--out", str(tmp_path), "--problem", str(prob)]) == 0
+        doc = _strict_json(tmp_path / "protect_report.json")
+        assert doc["lambda"] == 0.0 and doc["alpha_trace"] == [1e162]
+        assert doc["plan"]["r_independent"] == [[pytest.approx(100.0)]]
+
+
+def _strict_json(path):
+    """The JSON document at ``path``, failing on the non-standard constants NaN, Infinity and -Infinity."""
+
+    def reject(name):
+        raise ValueError(f"{path} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestOracleCheck:

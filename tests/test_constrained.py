@@ -21,7 +21,9 @@ from collsim.constrained import (
     stationarity_solution,
 )
 from collsim.cli import _random_problem
+from collsim.population import Population
 from collsim.rng import stream
+from collsim.simulator import RealisationPlan
 
 
 class TestProblemConstants:
@@ -201,7 +203,7 @@ def _problems(draw):
     # a zero-variance portfolio's cap is any positive number
     caps = np.array([np.inf if e is None else (g / e if g > 0 else e) for g, e in zip(gamma, eps)])
     spend = float(sum(g * e for g, e in zip(gamma, eps) if e is not None))
-    budget = spend * draw(st.floats(1.05, 3.0)) if spend > 0 else draw(st.floats(1.0, 1e4))
+    budget = spend * draw(st.floats(1 + 1e-9, 3.0)) if spend > 0 else draw(st.floats(1.0, 1e4))
     return ConstrainedProblem(portfolios=tuple(portfolios), caps=caps, budget=budget)
 
 
@@ -216,6 +218,11 @@ def test_active_set_matches_brute_force_oracle(problem):
     assert solution.plan.cost(problem) == pytest.approx(problem.budget, rel=1e-9)
     caps = np.asarray(problem.caps, dtype=float)
     assert np.all(solution.plan.portfolio_variances(problem) <= caps * (1 + 1e-9))
+    # Slater leaves some live portfolio inactive on every pass, so the multipliers are always defined
+    live = [j for j, pf in enumerate(problem.portfolios) if pf.gamma > 0]
+    assert any(j not in solution.active for j in live)
+    assert np.isfinite(solution.lam) and solution.lam > 0
+    assert solution.iterations == len(solution.alpha_trace)
 
 
 class TestWireFormats:
@@ -248,3 +255,33 @@ class TestWireFormats:
         lines = (tmp_path / "plan.csv").read_text().strip().splitlines()
         assert lines[0] == "unit_id,kind,count_real,count_int"
         assert len(lines) == 1 + 1 + 2 + 2  # block row + 2 + 2 independents
+
+    def test_plan_csv_rows(self, tmp_path):
+        # account 0 is independent and 1-2 form portfolio 0's block, yet the block's row comes first
+        pop = Population(
+            balance=np.full(5, 1000.0),
+            credit_score=np.zeros(5),
+            segment=np.array([1, 3, 3, 1, 2]),
+            eligible=np.array([True, True, True, False, True]),
+            paid_last_month=np.zeros(5, dtype=bool),
+            portfolio=np.array([0, 0, 0, 1, 1]),
+            n_portfolios=2,
+        )
+        RealisationPlan(np.array([0.3, 2.5, 2.5, 3.49999, 7.0])).to_csv(pop, tmp_path / "plan.csv")
+        assert (tmp_path / "plan.csv").read_text().splitlines() == [
+            "unit_id,kind,count_real,count_int",
+            "block-0,block,2.5,3",
+            "0,independent,0.3,1",
+            "3,independent,3.49999,3",
+            "4,independent,7.0,7",
+        ]
+        problem = self._problem(tmp_path)
+        plan_to_csv(problem, active_set_solve(problem), tmp_path / "solved.csv")
+        assert (tmp_path / "solved.csv").read_text().splitlines() == [
+            "unit_id,kind,count_real,count_int",
+            "block-0,block,58.92871677394731,59",
+            "p0-0,independent,51.03376573865654,51",
+            "p0-1,independent,68.04502098487538,68",
+            "p1-0,independent,170.11255246218846,170",
+            "p1-1,independent,34.02251049243769,34",
+        ]
