@@ -29,7 +29,6 @@ from .emulator import (
     GpEmulator,
     fit_gp,
     generate_training_data,
-    matern52,
     random_design,
     sigma2_for_population,
     sliced_lhd,
@@ -56,11 +55,10 @@ from .population import (
 )
 from .rng import derive_seed, stream
 from .simulator import (
-    DEFAULT_SCHEDULE,
     HORIZON,
     RealisationPlan,
     SimulationOutput,
-    TransitionSchedule,
+    TRANSITIONS,
     payment_probability,
     run_plan,
 )

@@ -82,8 +82,8 @@ def pilot_block_variance(
 ) -> float:
     """Sample variance of the block total over ``n_pilot`` pilot realisations.
 
-    The block runs under ``DEFAULT_SCHEDULE``, as in :func:`run_plan`, from
-    the stream ``(seed, "pilot", portfolio_j)``, with its realisations
+    The block runs under ``simulator.TRANSITIONS``, as in :func:`run_plan`,
+    from the stream ``(seed, "pilot", portfolio_j)``, with its realisations
     mapped over ``n_workers`` processes.  A realisation's total is the sum of
     its account totals, as in :func:`run_plan`'s ``block_totals``.  Pilot
     realisations live in their own seed domain and are never part of the

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _VIOLATION_RTOL = 1e-12  # cap counts as violated only beyond this relative excess
+_MAX_BUDGET = 2**53  # largest budget of any problem or experiment: counts above it are not all exact integers
 
 
 class InfeasibleProblemError(ValueError):
@@ -125,7 +126,7 @@ class ConstrainedProblem:
     def __post_init__(self):
         object.__setattr__(self, "caps", np.asarray(self.caps, dtype=float))
         check_caps(self.caps, len(self.portfolios))
-        if not 0 < self.budget <= 2**53:  # counts above 2**53 are not all exact integers
+        if not 0 < self.budget <= _MAX_BUDGET:
             raise ValueError(f"budget must be positive and at most 2**53, got {self.budget}")
         if not np.any(self.gamma > 0):
             raise ValueError("degenerate problem: all standard deviations are zero")

@@ -44,7 +44,6 @@ __all__ = [
     "sliced_lhd",
     "random_design",
     "generate_training_data",
-    "matern52",
     "fit_gp",
     "validate_emulator",
 ]
@@ -233,27 +232,11 @@ def _matern52_parts(a, b, lengthscales, signal_variance):
     return k, r, d2
 
 
-def matern52(x, x_prime, lengthscales, signal_variance):
-    """Matern-5/2 kernel with per-dimension lengthscales.
-
-    Accepts single vectors or stacked rows; returns the full cross-kernel
-    matrix for 2-D inputs.
-    """
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    b = np.atleast_2d(np.asarray(x_prime, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("input dimensions disagree")
-    k, _, _ = _matern52_parts(a, b, np.asarray(lengthscales, dtype=float), signal_variance)
-    if np.ndim(x) == 1 and np.ndim(x_prime) == 1:
-        return float(k[0, 0])
-    return k
-
-
 def _features(b_tilde, c_tilde, segment, y0, credit):
     """The 3 features of the per-segment GPs; ``credit`` is the credit score whose CDF is ``c_tilde``."""
     p1 = payment_probability(credit, segment, np.asarray(y0, dtype=bool))
     sd1 = np.sqrt(p1 * (1.0 - p1))
-    return np.column_stack([np.atleast_1d(b_tilde), np.atleast_1d(c_tilde), np.atleast_1d(sd1)])
+    return np.column_stack([b_tilde, c_tilde, sd1])
 
 
 @dataclass
@@ -273,7 +256,7 @@ class SegmentGP:
         from scipy.linalg import cho_factor
 
         if self._chol is None:
-            a = matern52(self.x_train, self.x_train, self.lengthscales, self.signal_variance)
+            a = _matern52_parts(self.x_train, self.x_train, self.lengthscales, self.signal_variance)[0]
             a = a + np.diag(self.noise + _JITTER)
             self._chol = cho_factor(a, lower=True)
         return self._chol
@@ -290,12 +273,11 @@ class SegmentGP:
         """
         from scipy.linalg import cho_solve
 
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         m, d = self.x_train.shape
         rows = max(1, _KERNEL_BLOCK_BYTES // (m * d * 8))
         k_star = np.empty((len(x), m))
         for i in range(0, len(x), rows):
-            k_star[i : i + rows] = matern52(x[i : i + rows], self.x_train, self.lengthscales, self.signal_variance)
+            k_star[i : i + rows] = _matern52_parts(x[i : i + rows], self.x_train, self.lengthscales, self.signal_variance)[0]
         return self.beta + k_star @ cho_solve(self._factor(), self.y_train - self.beta), k_star
 
     def predict_mean(self, x):
@@ -533,7 +515,7 @@ def sigma2_for_population(emulator: GpEmulator, population) -> np.ndarray:
     so beyond the (n, m) kernel itself memory does not grow with the group.
     """
     b_t = balance_cdf(population.balance)
-    c_t = np.asarray(credit_cdf(population.credit_score))
+    c_t = credit_cdf(population.credit_score)
     out = np.empty(population.n)
     for s in (1, 2, 3):
         for y in (0, 1):

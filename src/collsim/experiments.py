@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .allocator import pilot_block_variance, plan_for_population, round_plan
-from .constrained import _is_integer, _is_number, _read_json_object, check_caps, solution_to_json
+from .constrained import _MAX_BUDGET, _is_integer, _is_number, _read_json_object, check_caps, solution_to_json
 from .emulator import (
     GpEmulator,
     fit_gp,
@@ -112,6 +112,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0):
             raise ValueError(f"budget must be a positive finite number, got {self.budget}")
+        if self.budget is not None and self.budget > _MAX_BUDGET:
+            raise ValueError(f"budget must be at most 2**53, got {self.budget}")
         if not 0 < self.coverage_p < 1:
             raise ValueError(f"coverage_p must be in (0, 1), got {self.coverage_p}")
 

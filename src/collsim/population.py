@@ -79,7 +79,7 @@ def balance_cdf(b):
     from scipy.special import ndtr  # imported here to keep it out of `import collsim`
 
     u = (ndtr((b - BALANCE_MEAN) / BALANCE_SD) - _PHI_A) / _NORM
-    return np.clip(u, 0.0, 1.0)[()] if u.ndim == 0 else np.clip(u, 0.0, 1.0)
+    return np.clip(u, 0.0, 1.0)
 
 
 def balance_cdf_inv(u):
@@ -87,8 +87,7 @@ def balance_cdf_inv(u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("u must lie in (0, 1)")
-    b = BALANCE_MEAN + BALANCE_SD * ndtri(_PHI_A + u * _NORM)
-    return float(b) if b.ndim == 0 else b
+    return BALANCE_MEAN + BALANCE_SD * ndtri(_PHI_A + u * _NORM)
 
 
 def credit_cdf(c):
@@ -96,12 +95,11 @@ def credit_cdf(c):
     from scipy.special import ndtr  # imported here to keep it out of `import collsim`
 
     c = np.asarray(c, dtype=float)
-    out = (CREDIT_WEIGHTS * ndtr((c[..., None] - CREDIT_MEANS) / CREDIT_SDS)).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return (CREDIT_WEIGHTS * ndtr((c[..., None] - CREDIT_MEANS) / CREDIT_SDS)).sum(axis=-1)
 
 
 def credit_cdf_inv(u):
-    """Inverse of :func:`credit_cdf` via bracketed root finding."""
+    """Inverse of :func:`credit_cdf` over a 1-D array, one bracketed root find per value."""
     from scipy.optimize import brentq  # imported here to keep it out of `import collsim`
 
     def inv(x: float) -> float:
@@ -109,10 +107,7 @@ def credit_cdf_inv(u):
             raise ValueError(f"u must lie in (0, 1), got {x}")
         return brentq(lambda c: credit_cdf(c) - x, -40.0, 40.0, xtol=1e-13)
 
-    u_arr = np.asarray(u, dtype=float)
-    if u_arr.ndim == 0:
-        return inv(float(u_arr))
-    return np.array([inv(float(x)) for x in u_arr])
+    return np.array([inv(x) for x in np.asarray(u, dtype=float).tolist()])
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ and whether it paid in the previous month.  A payment is the lower of 50 and
 the outstanding balance, and payments cease permanently once the balance hits
 zero.
 
-Accounts in a dependent block are simulated jointly: at each scheduled
-transition month, the accounts with the best credit scores among those that
-are eligible, currently in segment 3 and did not pay in the preceding month
-are moved to segment 1, subject to the schedule's capacity.
+Accounts in a dependent block are simulated jointly: at each transition
+month of :data:`TRANSITIONS` (month -> capacity), the accounts with the best
+credit scores among those that are eligible, currently in segment 3 and did
+not pay in the preceding month are moved to segment 1, up to that month's
+capacity.
 
 Draw discipline: every path consumes exactly ``horizon`` uniforms per account
 regardless of early absorption, so realisation ``k`` of a unit always occupies
@@ -52,8 +53,7 @@ from .rng import _unit_streams, stream
 
 __all__ = [
     "HORIZON",
-    "DEFAULT_SCHEDULE",
-    "TransitionSchedule",
+    "TRANSITIONS",
     "RealisationPlan",
     "SimulationOutput",
     "payment_probability",
@@ -76,25 +76,8 @@ _SCRATCH_KEEP_BYTES = 4 * _CHUNK_PATHS * HORIZON * 8  # larger scratch arrays ar
 _scratch = threading.local()
 
 
-@dataclass(frozen=True)
-class TransitionSchedule:
-    """Scheduled transition months and their capacities."""
-
-    times: tuple
-    capacities: tuple
-
-    def __post_init__(self):
-        t = np.asarray(self.times)
-        c = np.asarray(self.capacities)
-        if len(t) != len(c):
-            raise ValueError("times and capacities must have equal length")
-        if len(t) and (np.any(np.diff(t) <= 0) or t.min() < 1 or t.max() > HORIZON):
-            raise ValueError("times must be strictly increasing within [1, 84]")
-        if len(c) and np.any(c < 0):
-            raise ValueError("capacities must be non-negative")
-
-
-DEFAULT_SCHEDULE = TransitionSchedule(times=(6, 12, 18, 24, 30, 36), capacities=(10,) * 6)
+# Month -> capacity of the scheduled segment transitions of every dependent block.
+TRANSITIONS = {6: 10, 12: 10, 18: 10, 24: 10, 30: 10, 36: 10}
 
 
 def _segment_terms(credit_score, segment):
@@ -107,8 +90,7 @@ def _segment_terms(credit_score, segment):
 
 def payment_probability(credit_score, segment, paid_prev):
     """Probability of a payment this month, given a positive balance."""
-    out = expit(_segment_terms(credit_score, segment) + 2.0 * np.asarray(paid_prev, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    return expit(_segment_terms(credit_score, segment) + 2.0 * np.asarray(paid_prev, dtype=float))
 
 
 def _segment_moments(values, counts):
@@ -196,12 +178,14 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False, out=None):
     return balance - rem, monthly
 
 
-def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule, u, out=None, month_sums=False):
+def _simulate_block_realisation(balance, credit, segment, eligible, y0, transitions, u, out=None, month_sums=False):
     """Joint realisations of a dependent block.
 
     ``u`` yields the uniforms month by month: one (r, n_accounts) array per
     month, row ``k`` for realisation ``k``, so it can be an (horizon, r, n)
-    array or a generator that draws each month as it is needed.  Returns the
+    array or a generator that draws each month as it is needed.
+    ``transitions`` maps a month to its capacity, as :data:`TRANSITIONS`
+    does; a month it does not name moves no account.  Returns the
     (r, n) per-account totals and, with ``month_sums``, the (r, horizon)
     monthly collections summed over the accounts (else None).  With ``out``,
     an (r, n, horizon) array, each month's payments are also written to
@@ -234,9 +218,8 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, schedule
     yprev = np.tile(y0.astype(bool), (r, 1))
     order = np.lexsort((np.arange(n), -credit))
     sums, running = [], np.empty((r, n)) if month_sums else None
-    trans = dict(zip(schedule.times, schedule.capacities))
     for t, u_t in enumerate(itertools.chain([u_t], months), 1):
-        cap = trans.get(t)
+        cap = transitions.get(t)
         if cap:
             qual = (eligible & (seg == 3) & ~yprev)[:, order]
             moved = np.empty_like(qual)
@@ -345,7 +328,7 @@ def _block_items(population: Population, dep, seed, key, r: int, horizon: int = 
 
 
 def _simulate_block_item(item):
-    """Realisations ``[a, b)`` of a dependent block under ``DEFAULT_SCHEDULE``.
+    """Realisations ``[a, b)`` of a dependent block under :data:`TRANSITIONS`.
 
     ``item`` is ``(seed, key, covariates, a, b, horizon, month_sums)`` from
     :func:`_block_items`.  Philox is counter-based: one step of its counter
@@ -368,7 +351,7 @@ def _simulate_block_item(item):
         u = (g.random((1, n)) for _ in range(horizon))
     else:
         u = g.random(out=_scratch_array("uniforms", (k, horizon, n))).transpose(1, 0, 2)
-    return _simulate_block_realisation(*covariates, DEFAULT_SCHEDULE, u, month_sums=month_sums)
+    return _simulate_block_realisation(*covariates, TRANSITIONS, u, month_sums=month_sums)
 
 
 # --------------------------------------------------------------------------
@@ -542,7 +525,7 @@ def run_plan(
 
     Independent accounts receive ``R_i`` independent realisations each; every
     dependent block is simulated jointly, ``r_j`` times, under
-    ``DEFAULT_SCHEDULE``.  Realisation ``k`` of a unit always uses draw block
+    :data:`TRANSITIONS`.  Realisation ``k`` of a unit always uses draw block
     ``k`` of the stream keyed by ``(seed, unit)``, so output is bitwise
     identical for any worker count.
 

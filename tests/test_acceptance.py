@@ -223,11 +223,11 @@ def test_criterion_5_closed_form_optimality(capsys):
 
 def _simulate_point(b_tilde, c_tilde, s, y, n_real, g):
     """``n_real`` realised totals of one design point as an independent account, drawn from ``g``."""
-    credit = credit_cdf_inv(c_tilde)
+    credit = credit_cdf_inv(np.array([c_tilde]))[0]
     p0 = payment_probability(credit, s, False)
     p1 = payment_probability(credit, s, True)
     u = g.random((n_real, HORIZON))
-    totals, _ = _simulate_paths(p0, p1, balance_cdf_inv(b_tilde), bool(y), u.T)
+    totals, _ = _simulate_paths(p0, p1, balance_cdf_inv(np.array([b_tilde]))[0], bool(y), u.T)
     return totals
 
 
@@ -240,7 +240,7 @@ def test_criterion_6_log_variance_noise_law(capsys):
     reps = 500
     ratios = []
     for s, y, b, c in points:
-        credit, balance = np.atleast_1d(credit_cdf_inv(c)), np.atleast_1d(balance_cdf_inv(b))
+        credit, balance = credit_cdf_inv(np.array([c])), balance_cdf_inv(np.array([b]))
         _, var, m4 = exact.total_moments(credit, [s], [bool(y)], balance)
         kappa = float(m4[0] / var[0] ** 2)
         predicted = (kappa - 1.0) / k_real

@@ -321,6 +321,11 @@ class TestErrors:
         assert rc == 1
         assert "error: budget must be a positive finite number, got -100.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        # counts above 2**53 are not all exact integers
+        rc = main(["simulate", "--out", str(tmp_path / "o"), "--n-accounts", "1000", "--budget", "1e300", "--plan", "equal"])
+        assert rc == 1
+        assert "error: budget must be at most 2**53, got 1e+300\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"coverage_p": 1.5}))
         rc = main(["coverage-study", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -27,7 +27,6 @@ from collsim.emulator import (
     _design_moments,
     fit_gp,
     generate_training_data,
-    matern52,
     random_design,
     sigma2_for_population,
     sliced_lhd,
@@ -116,24 +115,24 @@ class TestMatern52:
         # 2 * (1 + sqrt(5)/2 + 5/12) * exp(-sqrt(5)/2)
         r = 0.5
         expected = 2.0 * (1 + math.sqrt(5) * r + 5 * r * r / 3) * math.exp(-math.sqrt(5) * r)
-        got = matern52(np.array([0.0]), np.array([0.5]), np.array([1.0]), 2.0)
+        got = _matern52_parts(np.array([[0.0]]), np.array([[0.5]]), np.array([1.0]), 2.0)[0][0, 0]
         assert got == pytest.approx(expected, abs=1e-14)
 
     def test_diagonal_is_signal_variance(self):
         x = np.random.default_rng(0).random((6, 3))
-        k = matern52(x, x, np.array([0.3, 1.0, 2.0]), 1.7)
+        k = _matern52_parts(x, x, np.array([0.3, 1.0, 2.0]), 1.7)[0]
         assert np.diag(k) == pytest.approx(np.full(6, 1.7))
 
     def test_symmetric_positive_definite(self):
         x = np.random.default_rng(1).random((20, 2))
-        k = matern52(x, x, np.array([0.5, 0.5]), 1.0)
+        k = _matern52_parts(x, x, np.array([0.5, 0.5]), 1.0)[0]
         assert np.allclose(k, k.T)
         assert np.linalg.eigvalsh(k).min() > -1e-10
 
     def test_lengthscale_anisotropy(self):
         # a long lengthscale in dimension 0 makes moves along it matter less
-        k_along_0 = matern52(np.zeros(2), np.array([0.5, 0.0]), np.array([5.0, 0.2]), 1.0)
-        k_along_1 = matern52(np.zeros(2), np.array([0.0, 0.5]), np.array([5.0, 0.2]), 1.0)
+        k_along_0 = _matern52_parts(np.zeros((1, 2)), np.array([[0.5, 0.0]]), np.array([5.0, 0.2]), 1.0)[0][0, 0]
+        k_along_1 = _matern52_parts(np.zeros((1, 2)), np.array([[0.0, 0.5]]), np.array([5.0, 0.2]), 1.0)[0][0, 0]
         assert k_along_0 > k_along_1
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -294,7 +293,7 @@ def _per_point_moments(pts, s, y, n_real, seed, domain):
     """The rows of ``_design_moments``'s columns from one ``stream()`` and one kernel call per design point: its oracle."""
     totals, credits = [], []
     for l, (b_t, c_t) in enumerate(pts):
-        credit = credit_cdf_inv(c_t)
+        credit = credit_cdf_inv(np.array([c_t]))[0]
         p0 = payment_probability(credit, s, False)
         p1 = payment_probability(credit, s, True)
         u = stream(seed, domain, s, y, l).random((n_real, HORIZON))
@@ -376,15 +375,15 @@ class TestEmulatorPredictions:
         pop = init_population(20, (1.0,), seed=41)
         sigma2 = sigma2_for_population(emulator, pop)
         for i in (0, 7, 13):
-            credit = float(pop.credit_score[i])
+            credit = pop.credit_score[i : i + 1]
             one = emulator.predict_sigma2(
-                balance_cdf(float(pop.balance[i])),
+                balance_cdf(pop.balance[i : i + 1]),
                 credit_cdf(credit),
                 int(pop.segment[i]),
-                int(pop.paid_last_month[i]),
+                pop.paid_last_month[i : i + 1].astype(int),
                 credit=credit,
             )
-            assert float(np.atleast_1d(one)[0]) == pytest.approx(sigma2[i], rel=1e-9)
+            assert one.shape == (1,) and one[0] == pytest.approx(sigma2[i], rel=1e-9)
 
     def test_mean_only_prediction_equals_full_prediction(self, tiny_emulator, monkeypatch):
         emulator, _ = tiny_emulator
@@ -435,7 +434,7 @@ class TestEmulatorPredictions:
         assert mixed["pooled"] == mixed["per_segment"][3]
 
     def test_features(self):
-        f = _features(0.2, 0.5, 1, 0, credit_cdf_inv(0.5))
+        f = _features(np.array([0.2]), np.array([0.5]), 1, np.array([0]), credit_cdf_inv(np.array([0.5])))
         assert f.shape == (1, 3)
         assert f[0, 0] == 0.2 and f[0, 1] == 0.5
         assert 0.0 < f[0, 2] <= 0.5  # sqrt(p(1-p))
@@ -464,7 +463,7 @@ class TestBlockedPrediction:
     def test_equals_whole_matrix_formula(self, n):
         gp = _synthetic_gp()
         x = np.random.default_rng(n).random((n, 3))
-        k_star = matern52(x, gp.x_train, gp.lengthscales, gp.signal_variance)
+        k_star = _matern52_parts(x, gp.x_train, gp.lengthscales, gp.signal_variance)[0]
         mean = gp.beta + k_star @ cho_solve(gp._factor(), gp.y_train - gp.beta)
         var = gp.signal_variance - np.einsum("ij,ji->i", k_star, cho_solve(gp._factor(), k_star.T))
         assert gp.predict_mean(x).tobytes() == mean.tobytes()
@@ -558,6 +557,6 @@ class TestStoredEmulatorChecked:
 
 class TestFitValidation:
     def test_too_few_observations_per_group(self):
-        row = dict(b_tilde=0.5, c_tilde=0.5, credit_score=credit_cdf_inv(0.5), segment=1, y0=0, log_var=1.0, noise_var=0.01, kurtosis=3.0)
+        row = dict(b_tilde=0.5, c_tilde=0.5, credit_score=credit_cdf_inv(np.array([0.5]))[0], segment=1, y0=0, log_var=1.0, noise_var=0.01, kurtosis=3.0)
         with pytest.raises(ValueError, match="observations"):
             fit_gp({k: np.full(3, value) for k, value in row.items()})

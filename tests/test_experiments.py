@@ -63,9 +63,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="sigma_reference_realisations must be at least 2, got 1"):
             ExperimentConfig(sigma_reference_realisations=1)
         assert ExperimentConfig(train_realisations=4, sigma_reference_realisations=2).train_realisations == 4
+        assert ExperimentConfig(budget=2.0**53).effective_budget == 2**53
         for name, value, message in (
             ("budget", -100.0, "budget must be a positive finite number, got -100.0"),
             ("budget", float("inf"), "budget must be a positive finite number, got inf"),
+            ("budget", 1e300, r"budget must be at most 2\*\*53, got 1e\+300"),
+            ("budget", 2.0**53 + 2, r"budget must be at most 2\*\*53, got 9007199254740994.0"),
             ("coverage_p", 1.5, r"coverage_p must be in \(0, 1\), got 1.5"),
             ("n_pilot", 1, "n_pilot must be at least 2, got 1"),
             ("points_per_slice", 1, "points_per_slice must be at least 2, got 1"),

@@ -76,7 +76,7 @@ class TestCreditMixture:
 
     def test_inverse_round_trip(self):
         for u in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            assert credit_cdf(credit_cdf_inv(u)) == pytest.approx(u, abs=1e-10)
+            assert credit_cdf(credit_cdf_inv(np.array([u]))[0]) == pytest.approx(u, abs=1e-10)
 
     def test_mixture_mean(self):
         # 0.15*1 + 0.05*4 + 0.2*(-1) + 0.6*(-5) = -2.85

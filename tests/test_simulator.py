@@ -33,11 +33,10 @@ from collsim.simulator import (
     _CHUNK_PATHS,
     _INTERCEPTS,
     _SLOPES,
-    DEFAULT_SCHEDULE,
     HORIZON,
     PAYMENT_CAP,
+    TRANSITIONS,
     RealisationPlan,
-    TransitionSchedule,
     _simulate_block_realisation,
     _simulate_chunk,
     _simulate_paths,
@@ -113,7 +112,7 @@ def simulate_independent(account: Account, horizon: int = HORIZON, rng=None, *, 
     return CollectionsPath(monthly=monthly[:, 0])
 
 
-def _block_monthly(balance, credit, segment, eligible, y0, schedule, u):
+def _block_monthly(balance, credit, segment, eligible, y0, transitions, u):
     """The block kernel's monthly payments: (n, horizon) for ``u`` of (horizon, n), (r, n, horizon) for (r, horizon, n).
 
     Also checks, bit for bit, that the totals and monthly sums the kernel
@@ -123,7 +122,7 @@ def _block_monthly(balance, credit, segment, eligible, y0, schedule, u):
     months = u[:, None] if single else u.transpose(1, 0, 2)
     out = np.empty((months.shape[1], u.shape[-1], len(months)))
     tot, sums = _simulate_block_realisation(
-        balance, credit, segment, eligible, y0, schedule, months, out=out, month_sums=True
+        balance, credit, segment, eligible, y0, transitions, months, out=out, month_sums=True
     )
     assert _same_bits(tot, out.sum(axis=2))
     assert _same_bits(sums, out.sum(axis=1))
@@ -207,7 +206,7 @@ class TestIndependentPath:
 
 
 class TestBlockTransitions:
-    def _block(self, credits, schedule, u):
+    def _block(self, credits, transitions, u):
         n = len(credits)
         return _block_monthly(
             balance=np.full(n, 5000.0),
@@ -215,7 +214,7 @@ class TestBlockTransitions:
             segment=np.full(n, 3),
             eligible=np.ones(n, dtype=bool),
             y0=np.zeros(n, dtype=bool),
-            schedule=schedule,
+            transitions=transitions,
             u=u,
         )
 
@@ -223,59 +222,69 @@ class TestBlockTransitions:
         # capacity 1 at month 2: only the best credit score (index 1) moves to segment 1.
         # At month 2 its payment probability jumps from sigmoid(-4+0.4) to sigmoid(-1+0.2);
         # a draw of 0.1 pays only in the transitioned state.
-        schedule = TransitionSchedule(times=(2,), capacities=(1,))
+        transitions = {2: 1}
         u = np.full((HORIZON, 3), 0.99)
         u[1] = [0.1, 0.1, 0.1]
-        monthly = self._block([1.0, 2.0, 0.5], schedule, u)
+        monthly = self._block([1.0, 2.0, 0.5], transitions, u)
         assert monthly[1, 1] == 50.0  # transitioned, pays
         assert monthly[0, 1] == 0.0 and monthly[2, 1] == 0.0  # still segment 3
 
     def test_prior_month_payers_not_eligible_for_transition(self):
         # account 1 pays in month 1, so despite the best score it cannot transition at month 2
-        schedule = TransitionSchedule(times=(2,), capacities=(1,))
+        transitions = {2: 1}
         u = np.full((HORIZON, 2), 0.99)
         p3 = payment_probability(2.0, 3, False)
         u[0] = [0.99, p3 / 2]  # only account 1 pays in month 1
         u[1] = [0.1, 0.1]
-        monthly = self._block([1.0, 2.0], schedule, u)
+        monthly = self._block([1.0, 2.0], transitions, u)
         assert monthly[1, 0] == 50.0
         # account 0 transitioned instead: p = sigmoid(-1 + 0.1) > 0.1 so it pays
         assert monthly[0, 1] == 50.0
 
     def test_tie_break_prefers_lower_index(self):
-        schedule = TransitionSchedule(times=(2,), capacities=(1,))
+        transitions = {2: 1}
         u = np.full((HORIZON, 2), 0.99)
         u[1] = [0.25, 0.25]  # pays only under segment-1 probability sigmoid(-0.6) = 0.354
-        monthly = self._block([2.0, 2.0], schedule, u)
+        monthly = self._block([2.0, 2.0], transitions, u)
         assert monthly[0, 1] == 50.0
         assert monthly[1, 1] == 0.0
 
     def test_capacity_limits_transitions(self):
-        schedule = TransitionSchedule(times=(2,), capacities=(2,))
+        transitions = {2: 2}
         u = np.full((HORIZON, 4), 0.99)
         u[1] = [0.25, 0.25, 0.25, 0.25]
-        monthly = self._block([1.0, 3.0, 2.0, 0.5], schedule, u)
+        monthly = self._block([1.0, 3.0, 2.0, 0.5], transitions, u)
         # best two scores (indices 1 and 2) transition and pay
         assert monthly[1, 1] == 50.0 and monthly[2, 1] == 50.0
         assert monthly[0, 1] == 0.0 and monthly[3, 1] == 0.0
 
     def test_no_schedule_means_no_transitions(self):
         u = np.full((HORIZON, 2), 0.25)
-        monthly = self._block([2.0, 2.0], TransitionSchedule(times=(), capacities=()), u)
+        monthly = self._block([2.0, 2.0], {}, u)
         # segment-3 probability sigmoid(-3.6) = 0.027 < 0.25: never pays
         assert monthly.sum() == 0.0
 
     def test_default_schedule(self):
-        assert DEFAULT_SCHEDULE.times == (6, 12, 18, 24, 30, 36)
-        assert DEFAULT_SCHEDULE.capacities == (10,) * 6
+        assert TRANSITIONS == {6: 10, 12: 10, 18: 10, 24: 10, 30: 10, 36: 10}
 
-    def test_invalid_schedules(self):
-        with pytest.raises(ValueError):
-            TransitionSchedule(times=(6, 6), capacities=(1, 1))
-        with pytest.raises(ValueError):
-            TransitionSchedule(times=(0,), capacities=(1,))
-        with pytest.raises(ValueError):
-            TransitionSchedule(times=(6,), capacities=(1, 2))
+    def test_consecutive_months_move_the_next_best_score(self):
+        # month 2 moves account 1 (best score); at month 3 it is no longer in segment 3,
+        # so the table's second entry moves account 0, the next best.  Draws of 0.1 at
+        # month 3 pay in segment 1 (sigmoid(-0.8), sigmoid(-0.9)) but not in segment 3.
+        u = np.full((HORIZON, 3), 0.99)
+        u[2] = [0.1, 0.1, 0.1]
+        one = self._block([1.0, 2.0, 0.5], {2: 1}, u)
+        two = self._block([1.0, 2.0, 0.5], {2: 1, 3: 1}, u)
+        assert one[:, 2].tolist() == [0.0, 50.0, 0.0]
+        assert two[:, 2].tolist() == [50.0, 50.0, 0.0]
+
+    def test_zero_capacity_and_months_past_horizon_move_nobody(self):
+        u = np.full((HORIZON, 2), 0.25)
+        u[:2] = 0.99  # nobody pays before month 3, so both accounts would qualify at any month
+        none = self._block([2.0, 1.0], {}, u)
+        assert _same_bits(self._block([2.0, 1.0], {3: 0, HORIZON + 1: 2}, u), none)
+        # the same draws with a live month 3 move account 0, which then pays (sigmoid(-1 + 0.2) = 0.310 > 0.25)
+        assert none.sum() == 0.0 and self._block([2.0, 1.0], {3: 1}, u)[0, 2] == 50.0
 
 
 class TestRealisationPlan:
@@ -381,16 +390,15 @@ def _reference_paths(p0, p1, bal0, y0, u):
     return totals, monthly
 
 
-def _reference_block(balance, credit, segment, eligible, y0, schedule, u):
+def _reference_block(balance, credit, segment, eligible, y0, transitions, u):
     """One block realisation, with the payment probabilities recomputed every month."""
     horizon, n = u.shape
     bal = balance.astype(float).copy()
     seg = segment.astype(int).copy()
     yprev = y0.astype(bool).copy()
     monthly = np.zeros((n, horizon))
-    trans = dict(zip(schedule.times, schedule.capacities))
     for t in range(1, horizon + 1):
-        cap = trans.get(t)
+        cap = transitions.get(t)
         if cap:
             qual = np.flatnonzero(eligible & (seg == 3) & ~yprev)
             if len(qual):
@@ -467,7 +475,7 @@ class TestChunkedRunPlan:
                         pop.segment[dep],
                         pop.eligible[dep],
                         pop.paid_last_month[dep],
-                        DEFAULT_SCHEDULE,
+                        TRANSITIONS,
                         u_j[k],
                     ).sum(axis=1)
                     for k in range(r_j)
@@ -533,7 +541,7 @@ class TestChunkedRunPlan:
             np.full(n, 3),
             g.random(n) < 0.8,
             g.random(n) < 0.3,
-            DEFAULT_SCHEDULE,
+            TRANSITIONS,
         )
         for k in range(5):
             u = g.random((HORIZON, n))
@@ -565,7 +573,7 @@ def _count_form_paths(p0, p1, balance, y0, u, collect_monthly=False):
     return np.minimum(PAYMENT_CAP * count, balance), monthly
 
 
-def _per_month_expit_block(balance, credit, segment, eligible, y0, schedule, u):
+def _per_month_expit_block(balance, credit, segment, eligible, y0, transitions, u):
     """The block kernel with ``expit`` of the linear predictor evaluated for every account every month."""
     r, horizon, n = u.shape
     bal = np.tile(balance.astype(float), (r, 1))
@@ -575,9 +583,8 @@ def _per_month_expit_block(balance, credit, segment, eligible, y0, schedule, u):
     yprev = np.tile(y0.astype(bool), (r, 1))
     order = np.lexsort((np.arange(n), -credit))
     monthly = np.zeros((r, n, horizon))
-    trans = dict(zip(schedule.times, schedule.capacities))
     for t in range(1, horizon + 1):
-        cap = trans.get(t)
+        cap = transitions.get(t)
         if cap:
             qual = (eligible & (seg == 3) & ~yprev)[:, order]
             moved = np.empty_like(qual)
@@ -640,11 +647,11 @@ class TestKernelOracles:
         else:
             segment, eligible, y0 = g.integers(1, 4, n), g.random(n) < 0.7, g.random(n) < 0.3
         # the first transition binds; the last has room for every account that still qualifies
-        schedule = TransitionSchedule(times=(6, 12, 30, 31, 60), capacities=(7, 3, 0, 5, n))
+        transitions = {6: 7, 12: 3, 30: 0, 31: 5, 60: n}
         u = g.random((r, HORIZON, n))
         if all_qualify:
             u[:, :6] = 1.0  # nobody pays before the first transition, so every account qualifies at it
-        args = (g.uniform(100.0, 6000.0, n), credit, segment, eligible, y0, schedule)
+        args = (g.uniform(100.0, 6000.0, n), credit, segment, eligible, y0, transitions)
         monthly = _block_monthly(*args, u)
         assert _same_bits(monthly, _per_month_expit_block(*args, u))
         if r == 1:
@@ -670,7 +677,7 @@ class TestKernelOracles:
             np.full(n, 2),
             np.zeros(n, dtype=bool),
             np.ones(n, dtype=bool),
-            DEFAULT_SCHEDULE,
+            TRANSITIONS,
         )
         u = g.random((3, HORIZON, n)) * 0.3
         out = np.empty((3, n, HORIZON))
@@ -1014,7 +1021,7 @@ def _reference_block_runs(pop, dep, g, r):
         pop.segment[dep],
         pop.eligible[dep],
         pop.paid_last_month[dep],
-        DEFAULT_SCHEDULE,
+        TRANSITIONS,
     )
     return [_reference_block(*covariates, g.random((HORIZON, len(dep)))) for _ in range(r)]
 
@@ -1084,7 +1091,7 @@ class TestBlockBatches:
             pop.segment[dep],
             pop.eligible[dep],
             pop.paid_last_month[dep],
-            DEFAULT_SCHEDULE,
+            TRANSITIONS,
         )
         ref = [_reference_block(*covariates, g.random((horizon, len(dep)))) for _ in range(r_j)]
         plan = RealisationPlan(counts=counts)

@@ -108,6 +108,7 @@ def test_gate_catches_a_public_method_nothing_reads(tmp_path):
 UNPASSED_ALLOWED = {
     ("run_plan", "horizon"): "bench/tracing.py's run_plan counter binds the call and reads horizon; it goes with the tracer",
     ("sliced_lhd", "exchange_iters"): "the LHD tests run the exchange at 0 to 500 iterations",
+    ("_simulate_block_realisation", "out"): "tests read a block's per-account monthly payments only through it",
 }
 
 
@@ -116,8 +117,9 @@ def unpassed_parameters(src=SRC, readers=READERS):
 
     Every function and method counts, nested ones too.  A call passes a
     parameter by keyword, by position (after ``self`` or ``cls``) or through
-    ``*`` or ``**``.  A call matches every definition of its name, called as a
-    bare name or as an attribute.
+    ``**``.  A ``*`` spread passes none, as its length is unknown: only the
+    positional arguments written out count.  A call matches every definition
+    of its name, called as a bare name or as an attribute.
     """
     defaults = {}
     for path in sorted(src.glob("*.py")):
@@ -140,10 +142,11 @@ def unpassed_parameters(src=SRC, readers=READERS):
                     continue
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                if any(k.arg is None for k in node.keywords):
                     spread.add(name)
                 keywords.update((name, k.arg) for k in node.keywords)
-                most_positional[name] = max(most_positional.get(name, 0), len(node.args))
+                written = sum(not isinstance(a, ast.Starred) for a in node.args)
+                most_positional[name] = max(most_positional.get(name, 0), written)
     return {
         (name, param): where
         for (name, param), (position, where) in defaults.items()
@@ -167,16 +170,19 @@ def test_parameter_gate_catches_a_dead_keyword_and_not_one_passed_by_position(tm
     (src / "a.py").write_text(
         "def draw(n, size=2, seed=0, dead=1):\n    pass\n\n\n"
         "def spread(a=0, b=1):\n    pass\n\n\n"
+        "def keyed(a=0, b=1):\n    pass\n\n\n"
         "class Box:\n    def fill(self, k=0, *, level=3):\n        pass\n"
     )
     (demos / "d.py").write_text(
-        "from pkg.a import Box, draw, spread\n\n"
-        "draw(3, 5, seed=4)\nspread(*[1, 2])\nBox().fill(1, level=2)\n"
+        "from pkg.a import Box, draw, keyed, spread\n\n"
+        "draw(3, 5, seed=4)\nspread(*[1], 2)\nkeyed(**{'b': 2})\nBox().fill(1, level=2)\n"
     )
-    assert sorted(unpassed_parameters(src, (src, demos))) == [("draw", "dead")]
+    # a * spread passes no parameter, so only spread's first, written-out, argument counts
+    assert sorted(unpassed_parameters(src, (src, demos))) == [("draw", "dead"), ("spread", "b")]
     (demos / "d.py").write_text("from pkg.a import Box, draw\n\ndraw(3)\nBox().fill()\n")
     assert sorted(unpassed_parameters(src, (src, demos))) == [
-        ("draw", "dead"), ("draw", "seed"), ("draw", "size"), ("fill", "k"), ("fill", "level"), ("spread", "a"), ("spread", "b")
+        ("draw", "dead"), ("draw", "seed"), ("draw", "size"), ("fill", "k"), ("fill", "level"),
+        ("keyed", "a"), ("keyed", "b"), ("spread", "a"), ("spread", "b"),
     ]
 
 
