@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 SLICES = tuple((s, y) for s in (1, 2, 3) for y in (0, 1))
+_EXCHANGE_ITERS = 2000  # maximin exchange attempts per slice of sliced_lhd
 
 _JITTER = 1e-8
 # Size of the per-block difference tensor when predictions build k_star.
@@ -68,7 +69,7 @@ def _dist2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
 
 
-def sliced_lhd(points_per_slice: int, seed: int = 0, exchange_iters: int = 2000, n_workers: int = 1) -> dict:
+def sliced_lhd(points_per_slice: int, seed: int = 0, n_workers: int = 1) -> dict:
     """Latin hypercube design per (segment, prior-payment) slice.
 
     Each slice gets a 2-D Latin hypercube on the transformed-covariate square,
@@ -82,7 +83,7 @@ def sliced_lhd(points_per_slice: int, seed: int = 0, exchange_iters: int = 2000,
         raise ValueError("need at least 2 points per slice")
 
     def design_slice(key):
-        return _maximin_lhd(points_per_slice, stream(seed, "design", *key), exchange_iters)
+        return _maximin_lhd(points_per_slice, stream(seed, "design", *key), _EXCHANGE_ITERS)
 
     return dict(zip(SLICES, _pool_map(design_slice, SLICES, n_workers)))
 
@@ -423,11 +424,12 @@ class GpEmulator:
     def from_json(cls, path) -> "GpEmulator":
         """Load an emulator file written by :meth:`to_json`.
 
-        Every model is checked as it is read: ``x_train`` (m, 3), ``y_train``
-        and ``noise`` (m,), ``lengthscales`` (3,), every value a finite
-        number, lengthscales and signal variance positive and noise
-        non-negative.  A bad document raises one ``ValueError`` naming the
-        file, the segment and the field.
+        The document must hold a model for each of segments 1, 2 and 3, as
+        :func:`fit_gp` writes.  Every model is checked as it is read:
+        ``x_train`` (m, 3), ``y_train`` and ``noise`` (m,), ``lengthscales``
+        (3,), every value a finite number, lengthscales and signal variance
+        positive and noise non-negative.  A bad document raises one
+        ``ValueError`` naming the file, the segment and the field.
         """
         doc, where = _read_json_object(path, "emulator"), str(path)
         if doc.get("format_version") != _FORMAT_VERSION:
@@ -444,6 +446,9 @@ class GpEmulator:
             if key not in ("1", "2", "3"):
                 raise ValueError(f"{where}: field 'models' has segment {key!r}, expected 1, 2 or 3")
             models[int(key)] = _stored_model(m, f"{where}, segment {key}")
+        for key in ("1", "2", "3"):
+            if key not in doc["models"]:
+                raise ValueError(f"{where}: field 'models' has no model for segment {key}")
         return cls(models=models)
 
 

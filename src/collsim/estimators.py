@@ -69,22 +69,14 @@ def estimate_mu(output: SimulationOutput, population: Population) -> MuEstimate:
     Returns the population total (the sum of the output's per-account
     means), the per-portfolio totals (which sum exactly to the population
     total) and, when the output carries monthly statistics, the
-    per-month expected collections.  ``run_plan`` gave every account a realisation.
+    per-month expected collections, its ``monthly_mean``.  ``run_plan`` gave
+    every account a realisation.
     """
     if output.n != population.n:
         raise ValueError(f"output covers {output.n} accounts, population has {population.n}")
     means = output.means
     per_portfolio = np.array([means[population.portfolio == j].sum() for j in range(population.n_portfolios)])
-    per_month = None if output.indep_monthly_mean is None else _monthly_means(output)
-    return MuEstimate(total=float(means.sum()), per_portfolio=per_portfolio, per_month=per_month)
-
-
-def _monthly_means(output: SimulationOutput) -> np.ndarray:
-    """Expected collections per month: the independent accounts' sum plus each block's mean."""
-    per_month = output.indep_monthly_mean.copy()
-    for blk in output.block_monthly.values():
-        per_month += blk.mean(axis=0)
-    return per_month
+    return MuEstimate(total=float(means.sum()), per_portfolio=per_portfolio, per_month=output.monthly_mean)
 
 
 @dataclass(frozen=True)
@@ -189,24 +181,21 @@ def monthly_bands(output: SimulationOutput, p: float = 0.95) -> list[PredictionI
 
     Only defined for M1 with an equal-realisations plan, mirroring the fact
     that the variance emulator predicts total-collection variances only; the
-    plan is read from the output's counts.  The centres are
-    :func:`estimate_mu`'s ``per_month``; the variance of month ``t`` is the
-    run's ``indep_monthly_var[t]`` plus each block's sample variance over
-    realisations, times ``1 + 1/R`` for the one count R.
+    plan is read from the output's counts.  The centres are the output's
+    ``monthly_mean``, :func:`estimate_mu`'s ``per_month``; the variance of
+    month ``t`` is its ``monthly_var[t]``, times ``1 + 1/R`` for the one
+    count R.
     """
-    if output.indep_monthly_mean is None:
+    if output.monthly_mean is None:
         raise ValueError("monthly bands need a run with store_monthly=True")
     counts = output.counts
     _require_two_realisations("monthly bands", np.flatnonzero(counts < 2))
     if len(np.unique(counts)) != 1:
         raise ValueError("monthly bands require an equal-realisations plan")
 
-    var = output.indep_monthly_var.copy()
-    for blk in output.block_monthly.values():
-        var += blk.var(axis=0, ddof=1)
-    var *= 1.0 + 1.0 / counts[0]
+    var = output.monthly_var * (1.0 + 1.0 / counts[0])
     z = normal_quantile((1.0 + p) / 2.0)
     return [
         PredictionInterval(center=float(c), half_width=z * float(np.sqrt(v)), coverage_p=p)
-        for c, v in zip(_monthly_means(output), var)
+        for c, v in zip(output.monthly_mean, var)
     ]

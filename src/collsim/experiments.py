@@ -320,17 +320,34 @@ def _coverage_repetition(config: ExperimentConfig, emulator, rep: int):
     }
 
 
-_RECORD_FIELDS = {"rep", "contained", "length", "midpoint", "truth"}
+# Each field of a coverage checkpoint record, what it must hold, and its test given the record's index.
+_RECORD_CHECKS = (
+    ("rep", "the record's index", lambda v, i: _is_integer(v) and v == i),
+    ("contained", "true or false", lambda v, i: isinstance(v, bool)),
+    *(
+        (name, "a finite number", lambda v, i: _is_number(v) and math.isfinite(v))
+        for name in ("length", "midpoint", "truth")
+    ),
+)
+_RECORD_FIELDS = {name for name, _, _ in _RECORD_CHECKS}
 
 
 def _checkpoint_records(path, key) -> list:
-    """The records of the coverage checkpoint at ``path``, or none if it was written under another key."""
+    """The records of the coverage checkpoint at ``path``, or none if it was written under another key.
+
+    A field that fails its :data:`_RECORD_CHECKS` test raises a ``ValueError``
+    naming the file, the record and the field.
+    """
     saved = _read_json_object(path, "coverage checkpoint")
     if saved.get("key") != key:
         return []
     records = saved.get("records")
     if not isinstance(records, list) or not all(isinstance(r, dict) and _RECORD_FIELDS <= r.keys() for r in records):
         raise ValueError(f"{path}: coverage checkpoint field 'records' must be a list of repetition records")
+    for i, rec in enumerate(records):
+        for name, want, ok in _RECORD_CHECKS:
+            if not ok(rec[name], i):
+                raise ValueError(f"{path}: coverage checkpoint record {i} field {name!r} must be {want}, got {rec[name]!r}")
     return records
 
 
@@ -515,8 +532,7 @@ def simulate_experiment(config: ExperimentConfig, emulator: GpEmulator | None) -
     with open(out / "curve.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["month", "mean", "lower", "upper"])
-        for t in range(output.horizon):
-            mean_t = mu.per_month[t]
+        for t, mean_t in enumerate(mu.per_month):
             if bands is not None:
                 w.writerow([t + 1, f"{mean_t:.2f}", f"{bands[t].lower:.2f}", f"{bands[t].upper:.2f}"])
             else:

@@ -24,8 +24,9 @@ where they are called.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -131,32 +132,24 @@ class Population:
     n_portfolios: int
     seed: int | None = None
     portfolio_probs: tuple | None = None
-    _portfolios: list = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.balance)
 
-    @property
+    @functools.cached_property
     def portfolios(self) -> list[PortfolioIndex]:
-        if self._portfolios is None:
-            out = []
-            for j in range(self.n_portfolios):
-                members = np.flatnonzero(self.portfolio == j)
-                dep_mask = (self.segment[members] == 3) & self.eligible[members]
-                out.append(
-                    PortfolioIndex(
-                        dependent_ids=members[dep_mask],
-                        independent_ids=members[~dep_mask],
-                    )
-                )
-            object.__setattr__(self, "_portfolios", out)
-        return self._portfolios
+        out = []
+        for j in range(self.n_portfolios):
+            members = np.flatnonzero(self.portfolio == j)
+            dep_mask = (self.segment[members] == 3) & self.eligible[members]
+            out.append(PortfolioIndex(dependent_ids=members[dep_mask], independent_ids=members[~dep_mask]))
+        return out
 
     @property
     def independent_ids(self) -> np.ndarray:
         """All independent account ids, across portfolios, in ascending order."""
-        return np.sort(np.concatenate([p.independent_ids for p in self.portfolios]))
+        return np.flatnonzero(~((self.segment == 3) & self.eligible))
 
     # ------------------------------------------------------------------ I/O
 

@@ -26,7 +26,7 @@ totals outlive its chunk, and its uniforms and payments live in scratch
 buffers that each thread reuses (:func:`_scratch_array`).  With
 ``store_monthly`` each chunk also reduces its accounts' monthly payments to
 two (horizon,) vectors, and a block item returns only its per-account
-totals and per-realisation monthly sums.
+totals and per-realisation monthly sums, which :func:`run_plan` folds in.
 
 Every stage that runs many such work items (run_plan, block pilots, the
 emulator's design points, coverage repetitions) maps them through
@@ -42,7 +42,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def _scratch_array(name, shape):
 # Vectorized path engines
 
 
-def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False, out=None):
+def _simulate_paths(p0, p1, balance, y0, u, monthly=None):
     """Simulate many independent paths at once.
 
     ``u`` is month-major, (horizon, M): row ``t`` holds month ``t``'s uniform
@@ -148,28 +148,27 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False, out=None):
 
     The kernel runs the payment chain without absorption: a month's payment
     is the lower of 50 and the remaining balance when the chain pays, so a
-    paid-off path pays 0 from then on.  Without ``collect_monthly`` it only
+    paid-off path pays 0 from then on.  Without a ``monthly`` buffer it only
     counts the payment months K, and a path's total is ``min(50 K, balance)``.
-    With it, it tracks the remaining balance ``rem`` (month ``t`` pays
+    With one, it tracks the remaining balance ``rem`` (month ``t`` pays
     ``min(rem, 50)`` if the chain pays, taken off ``rem``) and the total is
     ``balance - rem``.  Both forms equal the month-by-month balance
     arithmetic bitwise: every ``rem`` is ``balance - 50 k`` or 0, and
     ``balance - 50 k`` is exact for a non-negative balance below 2**53.
 
-    Returns the (M,) totals and, with ``collect_monthly``, the (horizon, M)
-    monthly payments (else None), written to ``out`` when given.
+    Returns the (M,) totals and ``monthly``, the (horizon, M) buffer that
+    receives the monthly payments (None when not given).
     """
     horizon, m = u.shape
     balance = np.maximum(balance, 0.0)  # a non-positive balance never pays
     paid = np.asarray(y0, dtype=bool)
-    if not collect_monthly:
+    if monthly is None:
         count = np.zeros(m)
         for t in range(horizon):
             paid = u[t] < np.where(paid, p1, p0)
             count += paid
         return np.minimum(PAYMENT_CAP * count, balance), None
     rem = np.full(m, balance)
-    monthly = np.empty((horizon, m)) if out is None else out
     for t in range(horizon):
         paid = u[t] < np.where(paid, p1, p0)
         pay = np.minimum(rem, PAYMENT_CAP, out=monthly[t])
@@ -178,7 +177,7 @@ def _simulate_paths(p0, p1, balance, y0, u, collect_monthly=False, out=None):
     return balance - rem, monthly
 
 
-def _simulate_block_realisation(balance, credit, segment, eligible, y0, transitions, u, out=None, month_sums=False):
+def _simulate_block_realisation(balance, credit, segment, eligible, y0, transitions, u, month_sums=False):
     """Joint realisations of a dependent block.
 
     ``u`` yields the uniforms month by month: one (r, n_accounts) array per
@@ -187,12 +186,11 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, transiti
     ``transitions`` maps a month to its capacity, as :data:`TRANSITIONS`
     does; a month it does not name moves no account.  Returns the
     (r, n) per-account totals and, with ``month_sums``, the (r, horizon)
-    monthly collections summed over the accounts (else None).  With ``out``,
-    an (r, n, horizon) array, each month's payments are also written to
-    ``out[:, :, t]``.  At a transition, the qualifying accounts of each
-    realisation move in one fixed order, by descending credit score with ties
-    broken in favour of the lower position index (callers pass accounts in id
-    order), until the capacity is used.
+    monthly collections summed over the accounts (else None).  At a
+    transition, the qualifying accounts of each realisation move in one fixed
+    order, by descending credit score with ties broken in favour of the lower
+    position index (callers pass accounts in id order), until the capacity is
+    used.
 
     An account's total is ``balance - rem`` of its remaining balance, which
     is exact (every ``rem`` is ``balance - 50 k`` or 0), so it equals the sum
@@ -231,8 +229,6 @@ def _simulate_block_realisation(balance, credit, segment, eligible, y0, transiti
         pay = np.where(y, np.minimum(PAYMENT_CAP, bal), 0.0)
         bal -= pay
         yprev = y
-        if out is not None:
-            out[:, :, t - 1] = pay
         if month_sums:
             sums.append(np.add.accumulate(pay, axis=1, out=running)[:, -1].copy())
     return balance - bal, np.stack(sums, axis=1) if month_sums else None
@@ -255,7 +251,7 @@ def _chunk_paths(chunk):
         g.random(out=u[row : row + r_i])
     per_path = (np.repeat(col, r) for col in (p0, p1, balance, paid0))
     monthly = _scratch_array("monthly", (horizon, len(u))) if store_monthly else None
-    return _simulate_paths(*per_path, u.T, collect_monthly=store_monthly, out=monthly)
+    return _simulate_paths(*per_path, u.T, monthly=monthly)
 
 
 def _simulate_chunk(chunk):
@@ -465,14 +461,14 @@ class SimulationOutput:
     :func:`_segment_moments`, bitwise those of its totals on their own, and
     each block's realisation totals as the sums of its account totals.
 
-    The monthly statistics of a ``store_monthly`` run are already summed over
-    accounts: ``indep_monthly_mean[t]`` is the sum over independent accounts
-    of ``m_i,t / R_i`` and ``indep_monthly_var[t]`` the plain sum of
-    ``max(s2_i,t, 0)`` (NaN if some R_i = 1), where ``m_i,t`` and ``s2_i,t``
-    are the sum and unbiased variance of account ``i``'s month-t payments over
-    its realisations.  Each dependent block keeps its monthly collections per
-    realisation in ``block_monthly``.  :func:`collsim.estimators.monthly_bands`
-    turns these variances into intervals.
+    The monthly statistics of a ``store_monthly`` run are summed over every
+    unit: ``monthly_mean[t]`` adds the independent accounts' ``m_i,t / R_i``
+    and each block's mean month-t collections, ``monthly_var[t]`` their
+    ``max(s2_i,t, 0)`` and each block's unbiased variance of them (NaN if
+    some unit has one realisation), where ``m_i,t`` and ``s2_i,t`` are the
+    sum and unbiased variance of account ``i``'s month-t payments over its
+    realisations.  :func:`collsim.estimators.monthly_bands` turns these
+    variances into intervals.
     """
 
     counts: np.ndarray  # (N,) realisations per account
@@ -480,10 +476,8 @@ class SimulationOutput:
     variances: np.ndarray  # (N,)
     kurtoses: np.ndarray  # (N,)
     block_totals: dict  # portfolio j -> (r_j,) realised block totals
-    horizon: int = HORIZON
-    indep_monthly_mean: np.ndarray | None = None  # (horizon,)
-    indep_monthly_var: np.ndarray | None = None  # (horizon,)
-    block_monthly: dict = field(default_factory=dict)  # j -> (r_j, horizon)
+    monthly_mean: np.ndarray | None = None  # (horizon,)
+    monthly_var: np.ndarray | None = None  # (horizon,)
 
     @property
     def n(self) -> int:
@@ -538,9 +532,9 @@ def run_plan(
     moments; a block's are taken here on each account's row of its totals.
 
     With ``store_monthly`` each chunk returns its accounts' monthly
-    statistics already summed (see :class:`SimulationOutput`), and they are
-    added here in chunk order, so they too are bitwise identical for any
-    worker count; each block keeps its (r_j, horizon) monthly collections.
+    statistics already summed, added here in chunk order, and then each
+    block's are added in portfolio order (see :class:`SimulationOutput`), so
+    the monthly curve too is bitwise identical for any worker count.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
@@ -579,6 +573,9 @@ def run_plan(
             block_monthly[j][a:b] = sums
     for j, dep in blocks:
         moments[:, dep] = _segment_moments(block_rows[j].ravel(), np.full(len(dep), counts[dep[0]]))
+    for sums in block_monthly.values():  # in portfolio order, a realisation per row
+        monthly_mean += sums.mean(axis=0)
+        monthly_var += sums.var(axis=0, ddof=1) if len(sums) > 1 else np.nan  # ddof=1 of one row warns
 
     return SimulationOutput(
         counts=counts,
@@ -586,8 +583,6 @@ def run_plan(
         variances=moments[1],
         kurtoses=moments[2],
         block_totals=block_totals,
-        horizon=horizon,
-        indep_monthly_mean=monthly_mean,
-        indep_monthly_var=monthly_var,
-        block_monthly=block_monthly,
+        monthly_mean=monthly_mean,
+        monthly_var=monthly_var,
     )

@@ -328,9 +328,7 @@ def test_criterion_8_determinism_across_workers(capsys):
     raw_ok = all(np.array_equal(a, b) for a, b in zip(t1, t8))
     moments_ok = output_moments(o1).tobytes() == output_moments(o8).tobytes() == moments_of(t1).tobytes()
     totals_ok = raw_ok and moments_ok
-    monthly_ok = np.array_equal(o1.indep_monthly_mean, o8.indep_monthly_mean) and np.array_equal(
-        o1.indep_monthly_var, o8.indep_monthly_var
-    )
+    monthly_ok = np.array_equal(o1.monthly_mean, o8.monthly_mean) and np.array_equal(o1.monthly_var, o8.monthly_var)
     blocks_ok = all(np.array_equal(o1.block_totals[j], o8.block_totals[j]) for j in o1.block_totals)
     ok = totals_ok and monthly_ok and blocks_ok
     _report(

@@ -23,6 +23,7 @@ from collsim.emulator import (
     _features,
     _fit_single,
     _matern52_parts,
+    _maximin_lhd,
     _nll_grad_beta,
     _design_moments,
     fit_gp,
@@ -69,13 +70,18 @@ def _sliced_lhd_full_recompute(points_per_slice, seed=0, exchange_iters=2000):
     return design
 
 
+def _lhd(points_per_slice, seed, iters):
+    """:func:`sliced_lhd`'s slices at ``iters`` exchange attempts, one :func:`_maximin_lhd` per slice."""
+    return {key: _maximin_lhd(points_per_slice, stream(seed, "design", *key), iters) for key in SLICES}
+
+
 class TestDesign:
     def test_slices_cover_segment_times_prior_payment(self):
         assert set(SLICES) == {(s, y) for s in (1, 2, 3) for y in (0, 1)}
 
     def test_latin_property_per_column(self):
         n = 23
-        design = sliced_lhd(n, seed=4, exchange_iters=200)
+        design = _lhd(n, seed=4, iters=200)
         for key, pts in design.items():
             assert pts.shape == (n, 2)
             for d in range(2):
@@ -83,25 +89,27 @@ class TestDesign:
                 assert sorted(cells) == list(range(n))  # one point per stratum
 
     def test_exchange_never_worsens_maximin(self):
-        raw = sliced_lhd(15, seed=4, exchange_iters=0)
-        improved = sliced_lhd(15, seed=4, exchange_iters=500)
+        raw = _lhd(15, seed=4, iters=0)
+        improved = _lhd(15, seed=4, iters=500)
         for key in raw:
             assert _min_dist2(improved[key]) >= _min_dist2(raw[key]) - 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 15, 50])
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_incremental_exchange_matches_full_recompute(self, seed, n):
-        got = sliced_lhd(n, seed=seed, exchange_iters=500)
+        got = _lhd(n, seed=seed, iters=500)
         want = _sliced_lhd_full_recompute(n, seed=seed, exchange_iters=500)
         for key in SLICES:
             assert got[key].tobytes() == want[key].tobytes()
 
     def test_deterministic(self):
-        a = sliced_lhd(10, seed=4, exchange_iters=50)
-        b = sliced_lhd(10, seed=4, exchange_iters=50, n_workers=2)
+        a = sliced_lhd(10, seed=4)
+        b = sliced_lhd(10, seed=4, n_workers=2)
         assert list(b) == list(SLICES)
+        per_slice = _lhd(10, seed=4, iters=collsim.emulator._EXCHANGE_ITERS)  # what the other design tests call
         for key in a:
             assert np.array_equal(a[key], b[key])
+            assert a[key].tobytes() == per_slice[key].tobytes()
 
     def test_random_design_disjoint_from_lhd(self):
         lhd = sliced_lhd(10, seed=4)
@@ -279,7 +287,7 @@ class TestGpAlgebra:
 
 @pytest.fixture(scope="module")
 def tiny_emulator():
-    design = sliced_lhd(12, seed=31, exchange_iters=100)
+    design = _lhd(12, seed=31, iters=100)
     training = generate_training_data(design, n_realisations=250, seed=32)
     return fit_gp(training), training
 
@@ -312,7 +320,7 @@ class TestUnitEngine:
     """Design points run as the independent units of one chunked engine, with the draws of one stream each."""
 
     def test_training_observations_equal_per_point_oracle(self):
-        design = sliced_lhd(12, seed=21, exchange_iters=50)  # 12 points of 1000 paths: three chunks a slice
+        design = _lhd(12, seed=21, iters=50)  # 12 points of 1000 paths: three chunks a slice
         assert 12 * 1000 > 2 * _CHUNK_PATHS
         training = generate_training_data(design, n_realisations=1000, seed=22)
         two = generate_training_data(design, n_realisations=1000, seed=22, n_workers=2)
@@ -359,7 +367,7 @@ class TestTrainingData:
 
     def test_too_few_realisations_rejected(self):
         with pytest.raises(ValueError):
-            generate_training_data(sliced_lhd(3, seed=0, exchange_iters=0), n_realisations=3, seed=0)
+            generate_training_data(_lhd(3, seed=0, iters=0), n_realisations=3, seed=0)
 
 
 class TestEmulatorPredictions:
@@ -535,11 +543,12 @@ class TestStoredEmulatorChecked:
             (lambda d, m: setitem(m["lengthscales"], 1, 0.0), ", segment 1: field 'lengthscales' must be positive"),
             (lambda d, m: m.update(signal_variance=-1.3), ", segment 1: field 'signal_variance' must be positive"),
             (lambda d, m: setitem(m["noise"], 0, -0.01), ", segment 1: field 'noise' must be non-negative"),
+            (lambda d, m: d["models"].pop("3"), ": field 'models' has no model for segment 3"),
         ],
     )
     def test_bad_field_named(self, tmp_path, edit, expected):
         path = tmp_path / "emulator.json"
-        doc = GpEmulator(models={1: _synthetic_gp()}).to_json(path)
+        doc = GpEmulator(models={s: _synthetic_gp() for s in (1, 2, 3)}).to_json(path)
         edit(doc, doc["models"]["1"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as err:

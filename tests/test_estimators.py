@@ -19,7 +19,7 @@ from collsim.estimators import (
     variance_inputs_from_samples,
 )
 from collsim.population import init_population
-from collsim.simulator import RealisationPlan, _segment_moments, run_plan
+from collsim.simulator import HORIZON, RealisationPlan, _segment_moments, run_plan
 from engine_totals import assert_near_fsum, moments_of, raw_totals
 from exact_truth import exact
 
@@ -263,7 +263,7 @@ class TestMonthlyBands:
     def test_bands_are_coherent(self, small_run):
         pop, plan, out = small_run
         bands = monthly_bands(out, p=0.95)
-        assert len(bands) == out.horizon
+        assert len(bands) == HORIZON
         mu = estimate_mu(out, pop)
         centers = np.array([b.center for b in bands])
         assert centers == pytest.approx(mu.per_month, abs=1e-6)

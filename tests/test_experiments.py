@@ -2,9 +2,11 @@
 
 import itertools
 import json
+import math
 import os
 import time
 import tracemalloc
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -190,16 +192,27 @@ class TestCoverageStudy:
             ({}, "coverage checkpoint field 'records' must be a list of repetition records"),
             ({"records": {"rep": 0}}, "coverage checkpoint field 'records' must be a list of repetition records"),
             ({"records": [{"rep": 0}]}, "coverage checkpoint field 'records' must be a list of repetition records"),
+            (lambda recs: setitem(recs[3], "length", "wide"), "coverage checkpoint record 3 field 'length' must be a finite number, got 'wide'"),
+            (lambda recs: setitem(recs[3], "length", math.nan), "coverage checkpoint record 3 field 'length' must be a finite number, got nan"),
+            (lambda recs: setitem(recs[2], "midpoint", None), "coverage checkpoint record 2 field 'midpoint' must be a finite number, got None"),
+            (lambda recs: setitem(recs[7], "truth", math.inf), "coverage checkpoint record 7 field 'truth' must be a finite number, got inf"),
+            (lambda recs: setitem(recs[9], "contained", 1), "coverage checkpoint record 9 field 'contained' must be true or false, got 1"),
+            (lambda recs: setitem(recs[5], "rep", 4), "coverage checkpoint record 5 field 'rep' must be the record's index, got 4"),
+            (lambda recs: recs.pop(0), "coverage checkpoint record 0 field 'rep' must be the record's index, got 1"),
         ],
     )
     def test_malformed_checkpoint_named(self, tmp_path, text, expected):
         cfg = ExperimentConfig(name="t", n_accounts=5, repetitions=100, seed=5)
         ck = tmp_path / "ck.json"
-        if isinstance(text, dict):  # a checkpoint of this config with its records replaced
+        if not isinstance(text, str):  # a checkpoint of this config with its records replaced or edited
             coverage_study(cfg, checkpoint_path=ck)
             saved = json.loads(ck.read_text())
-            del saved["records"]
-            text = json.dumps({**saved, **text})
+            if callable(text):
+                text(saved["records"])
+            else:
+                del saved["records"]
+                saved.update(text)
+            text = json.dumps(saved)
         ck.write_text(text)
         with pytest.raises(ValueError) as err:
             coverage_study(cfg, checkpoint_path=ck)

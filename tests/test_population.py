@@ -186,6 +186,9 @@ class TestInitPopulation:
             [np.concatenate([p.dependent_ids, p.independent_ids]) for p in pop.portfolios]
         )
         assert sorted(all_ids) == list(range(300))
+        assert pop.portfolios is pop.portfolios  # computed once
+        per_portfolio = np.sort(np.concatenate([p.independent_ids for p in pop.portfolios]))
+        assert pop.independent_ids.tobytes() == per_portfolio.tobytes()
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import os
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -108,25 +109,25 @@ def simulate_independent(account: Account, horizon: int = HORIZON, rng=None, *, 
     u = rng.random((1, horizon))
     p0 = payment_probability(account.credit_score, account.segment, False)
     p1 = payment_probability(account.credit_score, account.segment, True)
-    _, monthly = _simulate_paths(p0, p1, account.balance, account.paid_last_month, u.T, collect_monthly=True)
+    _, monthly = _simulate_paths(p0, p1, account.balance, account.paid_last_month, u.T, monthly=np.empty((horizon, 1)))
     return CollectionsPath(monthly=monthly[:, 0])
 
 
 def _block_monthly(balance, credit, segment, eligible, y0, transitions, u):
-    """The block kernel's monthly payments: (n, horizon) for ``u`` of (horizon, n), (r, n, horizon) for (r, horizon, n).
+    """A block's monthly payments from :func:`_reference_block`.
 
-    Also checks, bit for bit, that the totals and monthly sums the kernel
-    returns are those of its payments, summed as numpy sums them.
+    They are (n, horizon) for ``u`` of (horizon, n), (r, n, horizon) for
+    (r, horizon, n).  Also checks, bit for bit, that the totals and monthly
+    sums the block kernel returns are those of these payments, summed as
+    numpy sums them.
     """
-    single = u.ndim == 2
-    months = u[:, None] if single else u.transpose(1, 0, 2)
-    out = np.empty((months.shape[1], u.shape[-1], len(months)))
-    tot, sums = _simulate_block_realisation(
-        balance, credit, segment, eligible, y0, transitions, months, out=out, month_sums=True
-    )
-    assert _same_bits(tot, out.sum(axis=2))
-    assert _same_bits(sums, out.sum(axis=1))
-    return out[0] if single else out
+    covariates = (balance, credit, segment, eligible, y0, transitions)
+    runs = u[None] if u.ndim == 2 else u
+    payments = np.stack([_reference_block(*covariates, u_k) for u_k in runs])
+    tot, sums = _simulate_block_realisation(*covariates, runs.transpose(1, 0, 2), month_sums=True)
+    assert _same_bits(tot, payments.sum(axis=2))
+    assert _same_bits(sums, payments.sum(axis=1))
+    return payments[0] if u.ndim == 2 else payments
 
 
 def _account(balance, credit, segment, y0=False, eligible=False, id=0):
@@ -343,8 +344,8 @@ class TestRunPlan:
         o1 = run_plan(pop, plan, seed=3, n_workers=1, store_monthly=True)
         o8 = run_plan(pop, plan, seed=3, n_workers=8, store_monthly=True)
         assert _same_bits(output_moments(o1), output_moments(o8))
-        assert np.array_equal(o1.indep_monthly_mean, o8.indep_monthly_mean)
-        assert np.array_equal(o1.indep_monthly_var, o8.indep_monthly_var)
+        assert np.array_equal(o1.monthly_mean, o8.monthly_mean)
+        assert np.array_equal(o1.monthly_var, o8.monthly_var)
 
     def test_common_random_number_prefix(self):
         pop = init_population(60, (1.0,), seed=10)
@@ -363,9 +364,32 @@ class TestRunPlan:
         out = run_plan(pop, plan, seed=9, store_monthly=True)
         indep = pop.independent_ids
         expected = sum(raw_totals(pop, plan, seed=9)[i].mean() for i in indep)
-        assert out.indep_monthly_mean.sum() == pytest.approx(expected, abs=1e-6)
-        for j, blk in out.block_monthly.items():
-            assert np.allclose(blk.sum(axis=1), out.block_totals[j], rtol=1e-12, atol=1e-9)
+        expected += sum(blk.mean() for blk in out.block_totals.values())
+        assert out.monthly_mean.sum() == pytest.approx(expected, abs=1e-6)
+        for j, blk in out.block_totals.items():
+            dep = pop.portfolios[j].dependent_ids
+            items = simulator._block_items(pop, dep, 9, ("sim", "block", j), 6, HORIZON, True)
+            month_sums = np.concatenate([simulator._simulate_block_item(item)[1] for item in items])
+            assert np.allclose(month_sums.sum(axis=1), blk, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_monthly_curve_with_blocks_sums_to_the_total(self, equal):
+        pop = init_population(300, (0.7, 0.3), seed=12)
+        assert all(len(pf.dependent_ids) >= 2 for pf in pop.portfolios)
+        plan = RealisationPlan.equal(pop.n, 6) if equal else _multi_chunk_plan(pop, seed=4)
+        out = run_plan(pop, plan, seed=8, store_monthly=True)
+        assert out.monthly_mean.sum() == pytest.approx(out.means.sum(), rel=1e-9)
+
+    def test_single_realisation_block_gives_nan_variance_without_warning(self):
+        pop = init_population(300, (0.7, 0.3), seed=12)
+        counts = np.full(pop.n, 2.0)  # every independent account has a sample variance
+        for pf in pop.portfolios:
+            counts[pf.dependent_ids] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_plan(pop, RealisationPlan(counts=counts), seed=8, store_monthly=True)
+        assert np.all(np.isnan(out.monthly_var))
+        assert np.all(np.isfinite(out.monthly_mean))
 
 
 # --------------------------------------------------------------------------
@@ -460,31 +484,31 @@ class TestChunkedRunPlan:
             reference[i] = totals[sl]
             assert np.array_equal(engine[i], totals[sl])
             mean += monthly[sl].mean(axis=0)
-        # summation order differs from the per-account loop
-        np.testing.assert_allclose(out.indep_monthly_mean, mean, rtol=1e-12)
-        assert np.all(np.isnan(out.indep_monthly_var))  # some R_i = 1: no sample variance
         for j, pf in enumerate(pop.portfolios):
             dep = pf.dependent_ids
             r_j = counts[dep[0]]
             u_j = stream(4, "sim", "block", j).random((r_j, HORIZON, len(dep)))
-            ref = np.stack(
-                [
-                    _reference_block(
-                        pop.balance[dep],
-                        pop.credit_score[dep],
-                        pop.segment[dep],
-                        pop.eligible[dep],
-                        pop.paid_last_month[dep],
-                        TRANSITIONS,
-                        u_j[k],
-                    ).sum(axis=1)
-                    for k in range(r_j)
-                ]
-            )
+            payments = [
+                _reference_block(
+                    pop.balance[dep],
+                    pop.credit_score[dep],
+                    pop.segment[dep],
+                    pop.eligible[dep],
+                    pop.paid_last_month[dep],
+                    TRANSITIONS,
+                    u_j[k],
+                )
+                for k in range(r_j)
+            ]
+            ref = np.stack([m.sum(axis=1) for m in payments])
+            mean += np.stack([m.sum(axis=0) for m in payments]).mean(axis=0)
             assert np.array_equal(out.block_totals[j], ref.sum(axis=1))
             for pos, i in enumerate(dep):
                 reference[i] = ref[:, pos]
                 assert np.array_equal(engine[i], ref[:, pos])
+        # summation order differs from the per-account loop
+        np.testing.assert_allclose(out.monthly_mean, mean, rtol=1e-12)
+        assert np.all(np.isnan(out.monthly_var))  # some R_i = 1: no sample variance
         # every account's moments, of the reference totals one account at a time
         assert _same_bits(output_moments(out), moments_of(reference))
         assert np.array_equal(out.counts, counts)
@@ -495,11 +519,10 @@ class TestChunkedRunPlan:
             other = run_plan(pop, plan, seed=4, store_monthly=True, n_workers=workers)
             assert _same_bits(output_moments(other), output_moments(out))
             assert np.array_equal(other.counts, out.counts)
-            assert np.array_equal(other.indep_monthly_mean, out.indep_monthly_mean)
-            assert np.array_equal(other.indep_monthly_var, out.indep_monthly_var, equal_nan=True)
+            assert np.array_equal(other.monthly_mean, out.monthly_mean)
+            assert np.array_equal(other.monthly_var, out.monthly_var, equal_nan=True)
             for j, blk in out.block_totals.items():
                 assert np.array_equal(other.block_totals[j], blk)
-                assert np.array_equal(other.block_monthly[j], out.block_monthly[j])
 
     def test_common_random_number_prefix(self, multi_chunk):
         pop, plan, out = multi_chunk
@@ -555,16 +578,15 @@ class TestChunkedRunPlan:
                 assert np.array_equal(monthly[k], _reference_block(*args, u[k]))
 
 
-def _count_form_paths(p0, p1, balance, y0, u, collect_monthly=False):
+def _count_form_paths(p0, p1, balance, y0, u, monthly=None):
     """The path kernel's count form: month t pays ``clip(balance - 50 K_t, 0, 50)`` if the chain pays."""
     horizon, m = u.shape
     balance = np.maximum(balance, 0.0)
     paid = np.asarray(y0, dtype=bool)
     count = np.zeros(m)
-    monthly = np.empty((horizon, m)) if collect_monthly else None
     for t in range(horizon):
         paid = u[t] < np.where(paid, p1, p0)
-        if collect_monthly:
+        if monthly is not None:
             pay = monthly[t]
             np.subtract(balance, PAYMENT_CAP * count, out=pay)
             np.minimum(np.maximum(pay, 0.0, out=pay), PAYMENT_CAP, out=pay)
@@ -623,11 +645,11 @@ class TestKernelOracles:
         y0 = g.random(m) < 0.3
         u = g.random((HORIZON, m))
         u[:, :40] *= 0.1  # mostly paying: these paths pay off well before the horizon
-        totals, monthly = _simulate_paths(p0, p1, balance, y0, u, collect_monthly=True)
+        totals, monthly = _simulate_paths(p0, p1, balance, y0, u, monthly=np.empty((HORIZON, m)))
         totals_only, none = _simulate_paths(p0, p1, balance, y0, u)
         assert none is None
         assert _same_bits(totals, totals_only)
-        old_totals, old_monthly = _count_form_paths(p0, p1, balance, y0, u, collect_monthly=True)
+        old_totals, old_monthly = _count_form_paths(p0, p1, balance, y0, u, monthly=np.empty((HORIZON, m)))
         assert _same_bits(totals, old_totals)
         assert _same_bits(monthly, old_monthly)
         ref_totals, ref_monthly = _reference_paths(p0, p1, balance, y0, u.T)
@@ -680,11 +702,11 @@ class TestKernelOracles:
             TRANSITIONS,
         )
         u = g.random((3, HORIZON, n)) * 0.3
-        out = np.empty((3, n, HORIZON))
-        tot, sums = _simulate_block_realisation(*args, u.transpose(1, 0, 2), out=out, month_sums=True)
-        assert _same_bits(sums, out.sum(axis=1))
-        assert not _same_bits(sums, np.stack([np.add.reduce(out[:, :, t], axis=1) for t in range(HORIZON)], axis=1))
-        assert _same_bits(tot, out.sum(axis=2))
+        payments = np.stack([_reference_block(*args, u_k) for u_k in u])
+        tot, sums = _simulate_block_realisation(*args, u.transpose(1, 0, 2), month_sums=True)
+        assert _same_bits(sums, payments.sum(axis=1))
+        assert not _same_bits(sums, np.stack([np.add.reduce(payments[:, :, t], axis=1) for t in range(HORIZON)], axis=1))
+        assert _same_bits(tot, payments.sum(axis=2))
 
 
 class TestMonthlyReductions:
@@ -712,7 +734,7 @@ class TestMonthlyReductions:
                 acc.balance,
                 acc.paid_last_month,
                 stream(8, "sim", int(i)).random((r, HORIZON)).T,
-                collect_monthly=True,
+                monthly=np.empty((HORIZON, r)),
             )
             mean += monthly.mean(axis=1)
             var += monthly.var(axis=1, ddof=1)
@@ -722,12 +744,12 @@ class TestMonthlyReductions:
             r_j = int(counts[dep[0]])
             ref = _reference_block_runs(pop, dep, stream(8, "sim", "block", j), r_j)
             blk = np.stack([m.sum(axis=0) for m in ref])
-            np.testing.assert_allclose(out.block_monthly[j], blk, rtol=1e-12, atol=0)
             mean += blk.mean(axis=0)
+            var += blk.var(axis=0, ddof=1)
             weighted += (1.0 + 1.0 / r_j) * blk.var(axis=0, ddof=1)
 
         np.testing.assert_allclose(estimate_mu(out, pop).per_month, mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(out.indep_monthly_var, var, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.monthly_var, var, rtol=1e-12, atol=0)
         if equal:
             bands = monthly_bands(out)
             z = normal_quantile(0.975)
@@ -942,7 +964,7 @@ class TestScratchBuffers:
             sys.setswitchinterval(interval)
         for out, want in zip(runs, serial * 3):
             assert _same_bits(output_moments(out), output_moments(want))
-            assert _same_bits(out.indep_monthly_mean, want.indep_monthly_mean)
+            assert _same_bits(out.monthly_mean, want.monthly_mean)
 
     def test_chunks_take_few_page_faults(self):
         pytest.importorskip("resource")
@@ -987,12 +1009,11 @@ class TestRunPlanProperties:
         pop, plan, seed = case
         one = run_plan(pop, plan, seed=seed, store_monthly=True, n_workers=1)
         two = run_plan(pop, plan, seed=seed, store_monthly=True, n_workers=2)
-        for name in ("counts", "means", "variances", "kurtoses", "indep_monthly_mean", "indep_monthly_var"):
+        for name in ("counts", "means", "variances", "kurtoses", "monthly_mean", "monthly_var"):
             assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True), name
         assert one.block_totals.keys() == two.block_totals.keys()
         for j, blk in one.block_totals.items():
             assert np.array_equal(blk, two.block_totals[j])
-            assert np.array_equal(one.block_monthly[j], two.block_monthly[j])
 
     @_properties
     @given(_populations_and_plans(), st.integers(0, 10**6))
@@ -1011,6 +1032,15 @@ class TestRunPlanProperties:
             assert np.array_equal(small_totals[i], large_totals[i][: len(small_totals[i])])
         for j, blk in small.block_totals.items():
             assert np.array_equal(blk, large.block_totals[j][: len(blk)])
+
+
+def _independent_monthly_mean(pop, counts, seed, horizon=HORIZON):
+    """The independent accounts' summed monthly means, added chunk by chunk as ``run_plan`` adds them."""
+    units = simulator._independent_units(pop, counts.astype(int))
+    mean = np.zeros(horizon)
+    for _, chunk_mean, _ in map(_simulate_chunk, simulator._chunks(seed, ("sim",), units, horizon, True)):
+        mean += chunk_mean
+    return mean
 
 
 def _reference_block_runs(pop, dep, g, r):
@@ -1048,10 +1078,10 @@ class TestBlockBatches:
         for pos, i in enumerate(dep):
             assert np.array_equal(totals[i], acc_tot[:, pos])
         assert _same_bits(output_moments(out)[:, dep], moments_of(acc_tot.T))
-        assert np.array_equal(out.block_monthly[0], np.stack([m.sum(axis=0) for m in ref]))
-        block_mean = np.mean([m.sum(axis=0) for m in ref], axis=0)
-        per_month = estimate_mu(out, pop).per_month
-        np.testing.assert_allclose(per_month, out.indep_monthly_mean + block_mean, rtol=1e-12)
+        block_mean = np.stack([m.sum(axis=0) for m in ref]).mean(axis=0)
+        indep_mean = _independent_monthly_mean(pop, counts, seed=6)
+        assert _same_bits(out.monthly_mean, indep_mean + block_mean)
+        np.testing.assert_allclose(estimate_mu(out, pop).per_month, indep_mean + block_mean, rtol=1e-12)
 
     def test_pilot_variance_matches_per_realisation_oracle(self, pop):
         dep = pop.portfolios[0].dependent_ids
@@ -1071,8 +1101,8 @@ class TestBlockBatches:
             other = run_plan(pop, plan, seed=6, store_monthly=True, n_workers=workers)
             assert _same_bits(output_moments(other), output_moments(one))
             assert _same_bits(other.block_totals[0], one.block_totals[0])
-            assert _same_bits(other.block_monthly[0], one.block_monthly[0])
-            assert _same_bits(other.indep_monthly_mean, one.indep_monthly_mean)
+            assert _same_bits(other.monthly_mean, one.monthly_mean)
+            assert _same_bits(other.monthly_var, one.monthly_var)
 
     @pytest.mark.parametrize("horizon", [HORIZON, 37])
     def test_single_realisation_items_start_anywhere_in_the_stream(self, pop, monkeypatch, horizon):
@@ -1103,7 +1133,8 @@ class TestBlockBatches:
             for pos, i in enumerate(dep):
                 assert _same_bits(totals[i], acc_tot[:, pos])
             assert _same_bits(output_moments(out)[:, dep], moments_of(acc_tot.T))
-            assert _same_bits(out.block_monthly[0], np.stack([m.sum(axis=0) for m in ref]))
+            indep_mean = _independent_monthly_mean(pop, counts, seed=6, horizon=horizon)
+            assert _same_bits(out.monthly_mean, indep_mean + np.stack([m.sum(axis=0) for m in ref]).mean(axis=0))
         if horizon == HORIZON:
             pilots = _reference_block_runs(pop, dep, stream(9, "pilot", 0), 5)
             expected = float(np.array([m.sum() for m in pilots]).var(ddof=1))

@@ -107,8 +107,6 @@ def test_gate_catches_a_public_method_nothing_reads(tmp_path):
 # Defaulted parameters that no call in READERS passes, each kept for the reason given.
 UNPASSED_ALLOWED = {
     ("run_plan", "horizon"): "bench/tracing.py's run_plan counter binds the call and reads horizon; it goes with the tracer",
-    ("sliced_lhd", "exchange_iters"): "the LHD tests run the exchange at 0 to 500 iterations",
-    ("_simulate_block_realisation", "out"): "tests read a block's per-account monthly payments only through it",
 }
 
 
